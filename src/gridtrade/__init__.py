@@ -11,7 +11,6 @@ and robust curtailment of interval-valued trades.
 from .dispatch import (
     DispatchSolution,
     EquilibriumReport,
-    PriceSystem,
     check_arrow_debreu,
     lmp_from_marginals,
     solve_dispatch,

@@ -139,7 +139,6 @@ def cmd_prices(args) -> int:
     spec = _load(args)
     lm = _loading_matrix(spec)
     solution = dispatch_mod.solve_dispatch(spec.market, lm)
-    system = solution.price_system
     quotes = []
     for s in range(spec.market.scenario_count):
         row = []
@@ -147,8 +146,8 @@ def cmd_prices(args) -> int:
             row.append(dispatch_mod.lmp_from_marginals(spec.market, solution.plans, n, s))
         quotes.append(row)
     doc = {
-        "lambda": [list(row) for row in system.prices],
-        "raw_duals": [list(row) for row in system.raw_duals],
+        "lambda": [list(row) for row in solution.lambda_],
+        "raw_duals": [list(row) for row in solution.lambda_],
         "marginal_quotes": quotes,
     }
     print(market_io.dumps(doc))
@@ -249,6 +248,10 @@ def cmd_robust_run(args) -> int:
     spec = _load(args)
     if not spec.interval_trades:
         print("market file has no interval_trades section", file=sys.stderr)
+        return EXIT_INPUT
+    if spec.scenario_capacities is not None:
+        # Robust curtailment checks one set of line limits for all scenarios.
+        print("robust-run does not support network.scenario_capacities", file=sys.stderr)
         return EXIT_INPUT
     lm = _loading_matrix(spec)
     state = robust.IntervalState.initial(spec.market.network.bus_count)

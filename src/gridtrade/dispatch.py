@@ -1,10 +1,14 @@
 """Centralised benchmark: stochastic dispatch, nodal prices, equilibrium checks.
 
-The dispatch LP maximises total expected utility over participant plans and
-network injections, with the piecewise-linear utilities expressed through
-epigraph variables.  Its equality duals are the contingent nodal prices: the
-multiplier on the bus balance row is the marginal expected system cost of
-delivering one more MW at that bus in that scenario.
+The dispatch LP maximises total expected utility over participant plans,
+with the piecewise-linear utilities expressed through epigraph variables and
+the network entering through one loading row per line direction and
+scenario.  The trade search poses the same program for one group around its
+current plans, so :func:`welfare_program` builds both.  The contingent nodal
+prices come from the system-balance duals ``gamma`` and loading-row duals
+``beta``: ``lambda[s, n] = -(gamma[s] + sum_r beta[s, r] H[r, n])`` is the
+marginal expected system cost of delivering one more MW at bus ``n`` in
+scenario ``s``.
 
 The equilibrium checker is deliberately independent of the dispatch LP for
 the participant side: each participant's price-taking problem is separable
@@ -14,9 +18,10 @@ and piecewise linear, so it is maximised exactly by scanning breakpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from . import lp
 from .market import Market
@@ -25,9 +30,9 @@ from .participants import Participant
 
 __all__ = [
     "DispatchSolution",
-    "PriceSystem",
     "EquilibriumReport",
     "DispatchInfeasibleError",
+    "welfare_program",
     "solve_dispatch",
     "lmp_from_marginals",
     "welfare_gap",
@@ -44,26 +49,14 @@ class DispatchInfeasibleError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PriceSystem:
-    """Contingent nodal prices, shape (S, N).
-
-    With utilities stated in injection convention the balance duals come out
-    nonnegative wherever demand carries value, so ``prices`` equals the raw
-    duals; both are kept so consumers can tell the reporting convention from
-    the solver output.
-    """
-
-    prices: np.ndarray
-    raw_duals: np.ndarray
-
-
-@dataclass(frozen=True)
 class DispatchSolution:
     """Optimal plan plus every dual needed for pricing and verification.
 
-    ``zeta[pid][s]`` is the per-scenario commitment force for day-ahead
-    participants (sums to zero over scenarios); ``beta`` are the loading-row
-    duals and ``gamma_s`` the per-scenario system balance duals.
+    ``x`` aggregates the plans per bus.  ``zeta[pid][s]`` is the per-scenario
+    commitment force for day-ahead participants (sums to zero over
+    scenarios); ``beta`` are the loading-row duals and ``gamma_s`` the
+    per-scenario system balance duals, from which the prices follow as
+    ``lambda_[s] = -(gamma_s[s] + beta[s] @ H)``.
     """
 
     plans: dict[str, np.ndarray]
@@ -76,134 +69,122 @@ class DispatchSolution:
     eta_upper: dict[str, np.ndarray]
     zeta: dict[str, np.ndarray]
 
-    @property
-    def price_system(self) -> PriceSystem:
-        return PriceSystem(prices=self.lambda_, raw_duals=self.lambda_)
+
+# Welfare LPs with at most this many dense cells (rows x columns) get a dense
+# matrix, larger ones a CSR matrix.  scipy's sparse input path costs a fixed
+# 0.5-0.75 ms per linprog call, more than a whole small LP (a 35 x 40 one
+# takes about 3 ms), so the thousands of small LPs of a trading run (acceptance
+# markets up to 13k cells, subset searches around 1.2k) stay dense.  The
+# 20-bus full-group searches (1.7M cells and up) and large dispatch LPs (27M
+# cells) are under 1% nonzero, and densely they spend most of their time
+# filling and converting zeros.
+_DENSE_CELLS = 250_000
+
+
+def welfare_program(
+    market: Market,
+    members: Sequence[Participant],
+    y: np.ndarray,
+    lm: LoadingMatrix,
+    line_rows: Sequence[Sequence[int]],
+    line_rhs: Sequence[np.ndarray],
+) -> lp.LinearProgram:
+    """Maximise the members' expected utility at ``y + d`` over increments ``d``.
+
+    ``y`` holds the members' current plans, shape ``(M, S)``.  Variables are
+    the increments ``d`` (member-major, then scenario) followed by the
+    utility epigraph values ``u``.  Rows, in order: ``u - m d <= a + m y``
+    per utility segment; loading rows ``line_rows[s]`` over each scenario's
+    increments, bounded by ``line_rhs[s]``; ``d[s] = d[s + 1]`` chains per
+    day-ahead member; balance ``sum d[s] = 0`` per scenario.  Working in
+    increments keeps ``y`` on the right-hand side, so no ``z - y`` cancels.
+    """
+    if not members:
+        raise ValueError("the welfare program needs at least one member")
+    n_m, n_s = len(members), market.scenario_count
+    n_d = n_m * n_s
+    y = np.asarray(y, dtype=float).reshape(n_d)
+    bounds = np.array([p.bounds for p in members], dtype=float).reshape(n_d, 2)
+    weights = np.concatenate([p.weights(market.scenarios) for p in members])
+
+    segments = [p.utility[s].segments() for p in members for s in range(n_s)]
+    slopes = np.concatenate([m for m, _ in segments])
+    intercepts = np.concatenate([a for _, a in segments])
+    owner = np.repeat(np.arange(n_d), [m.size for m, _ in segments])
+    n_seg = owner.size
+    line_scenario = np.repeat(np.arange(n_s), [len(rows) for rows in line_rows])
+    n_line = line_scenario.size
+    loading = lm.rows[np.concatenate(line_rows).astype(int)][:, [p.bus for p in members]]
+    seg = np.arange(n_seg)
+    ub_rows = np.concatenate([seg, seg, np.repeat(n_seg + np.arange(n_line), n_m)])
+    ub_cols = np.concatenate([
+        n_d + owner, owner, (line_scenario[:, None] + n_s * np.arange(n_m)).ravel(),
+    ])
+    ub_vals = np.concatenate([np.ones(n_seg), -slopes, loading.ravel()])
+
+    da_first = (
+        n_s * np.flatnonzero([p.timing == "DA" for p in members])[:, None] + np.arange(n_s - 1)
+    ).ravel()
+    n_chain = da_first.size
+    chain = np.arange(n_chain)
+    eq_rows = np.concatenate([chain, chain, n_chain + np.arange(n_d) % n_s])
+    eq_cols = np.concatenate([da_first, da_first + 1, np.arange(n_d)])
+    eq_vals = np.concatenate([np.ones(n_chain), -np.ones(n_chain), np.ones(n_d)])
+
+    dense = (n_seg + n_line + n_chain + n_s) * 2 * n_d <= _DENSE_CELLS
+    return lp.LinearProgram(
+        sense="max",
+        c=np.concatenate([np.zeros(n_d), weights]),
+        a_eq=_matrix(eq_rows, eq_cols, eq_vals, (n_chain + n_s, 2 * n_d), dense),
+        b_eq=np.zeros(n_chain + n_s),
+        a_ub=_matrix(ub_rows, ub_cols, ub_vals, (n_seg + n_line, 2 * n_d), dense),
+        b_ub=np.concatenate([intercepts + slopes * y[owner], *line_rhs]),
+        lower=np.concatenate([bounds[:, 0] - y, np.full(n_d, -np.inf)]),
+        upper=np.concatenate([bounds[:, 1] - y, np.full(n_d, np.inf)]),
+    )
+
+
+def _matrix(rows, cols, vals, shape, dense: bool):
+    if dense:
+        a = np.zeros(shape)
+        a[rows, cols] = vals
+        return a
+    a = sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+    a.eliminate_zeros()
+    return a
 
 
 def solve_dispatch(market: Market, lm: LoadingMatrix | None = None) -> DispatchSolution:
     """Maximise total expected utility subject to local and network limits."""
     lm = build_loading_matrix(market.network) if lm is None else lm
     parts = market.participants
-    n_i, n_s, n_n = len(parts), market.scenario_count, market.network.bus_count
-    n_rows = lm.rows.shape[0]
-    n_vars = 2 * n_i * n_s + n_n * n_s
-
-    def p_idx(i: int, s: int) -> int:
-        return i * n_s + s
-
-    def u_idx(i: int, s: int) -> int:
-        return n_i * n_s + i * n_s + s
-
-    def x_idx(n: int, s: int) -> int:
-        return 2 * n_i * n_s + n * n_s + s
-
-    c = np.zeros(n_vars)
-    lower = np.full(n_vars, -np.inf)
-    upper = np.full(n_vars, np.inf)
-    rows_eq: list[np.ndarray] = []
-    rhs_eq: list[float] = []
-    rows_ub: list[np.ndarray] = []
-    rhs_ub: list[float] = []
-
-    for i, p in enumerate(parts):
-        w = p.weights(market.scenarios)
-        for s in range(n_s):
-            c[u_idx(i, s)] = w[s]
-            lower[p_idx(i, s)], upper[p_idx(i, s)] = p.bounds[s]
-            slopes, intercepts = p.utility[s].segments()
-            for m, a in zip(slopes, intercepts):
-                row = np.zeros(n_vars)
-                row[u_idx(i, s)] = 1.0
-                row[p_idx(i, s)] = -m
-                rows_ub.append(row)
-                rhs_ub.append(a)
-
-    # Bus balance rows first (their duals are the prices), then system
-    # balance, then day-ahead commitment chains.
-    for n in range(n_n):
-        members = [i for i, p in enumerate(parts) if p.bus == n]
-        for s in range(n_s):
-            row = np.zeros(n_vars)
-            row[x_idx(n, s)] = 1.0
-            for i in members:
-                row[p_idx(i, s)] = -1.0
-            rows_eq.append(row)
-            rhs_eq.append(0.0)
-    for s in range(n_s):
-        row = np.zeros(n_vars)
-        for n in range(n_n):
-            row[x_idx(n, s)] = 1.0
-        rows_eq.append(row)
-        rhs_eq.append(0.0)
-    da_indices = [i for i, p in enumerate(parts) if p.timing == "DA"]
-    for i in da_indices:
-        for s in range(n_s - 1):
-            row = np.zeros(n_vars)
-            row[p_idx(i, s)] = 1.0
-            row[p_idx(i, s + 1)] = -1.0
-            rows_eq.append(row)
-            rhs_eq.append(0.0)
-
-    for s in range(n_s):
-        limits = lm.limits_for(s if lm.scenario_limits is not None else None)
-        for r in range(n_rows):
-            row = np.zeros(n_vars)
-            for n in range(n_n):
-                row[x_idx(n, s)] = lm.rows[r, n]
-            rows_ub.append(row)
-            rhs_ub.append(limits[r])
-
-    program = lp.LinearProgram(
-        sense="max",
-        c=c,
-        a_eq=np.array(rows_eq),
-        b_eq=np.array(rhs_eq),
-        a_ub=np.array(rows_ub) if rows_ub else None,
-        b_ub=np.array(rhs_ub) if rows_ub else None,
-        lower=lower,
-        upper=upper,
+    n_i, n_s, n_rows = len(parts), market.scenario_count, lm.rows.shape[0]
+    program = welfare_program(
+        market, parts, np.zeros((n_i, n_s)), lm,
+        [range(n_rows)] * n_s, [lm.limits_for(s) for s in range(n_s)],
     )
     sol = lp.solve(program)
     if sol.status != "optimal":
         raise DispatchInfeasibleError(sol.status)
 
-    plans = {
-        p.id: np.array([sol.x[p_idx(i, s)] for s in range(n_s)])
-        for i, p in enumerate(parts)
-    }
-    x = np.array([[sol.x[x_idx(n, s)] for n in range(n_n)] for s in range(n_s)])
-    lam = np.array([[sol.duals_eq[n * n_s + s] for n in range(n_n)] for s in range(n_s)])
-    gamma_s = np.array([sol.duals_eq[n_n * n_s + s] for s in range(n_s)])
-    zeta: dict[str, np.ndarray] = {}
-    offset = n_n * n_s + n_s
-    for i in da_indices:
-        chain = sol.duals_eq[offset: offset + n_s - 1]
-        offset += n_s - 1
-        nu = np.zeros(n_s)
-        for s in range(n_s):
-            nu[s] = (chain[s] if s < n_s - 1 else 0.0) - (chain[s - 1] if s > 0 else 0.0)
-        zeta[parts[i].id] = nu
-    n_hypo = sum(len(p.utility[s].slopes) for p in parts for s in range(n_s))
-    beta_flat = sol.duals_ub[n_hypo:]
-    beta = beta_flat.reshape(n_s, n_rows)
-    eta_lower = {
-        p.id: np.array([sol.duals_lower[p_idx(i, s)] for s in range(n_s)])
-        for i, p in enumerate(parts)
-    }
-    eta_upper = {
-        p.id: np.array([sol.duals_upper[p_idx(i, s)] for s in range(n_s)])
-        for i, p in enumerate(parts)
-    }
+    n_d = n_i * n_s
+    ids = market.participant_ids
+    plans = dict(zip(ids, sol.x[:n_d].reshape(n_i, n_s)))
+    beta = sol.duals_ub[sol.duals_ub.size - n_s * n_rows:].reshape(n_s, n_rows)
+    gamma_s = sol.duals_eq[-n_s:]
+    da_ids = [p.id for p in parts if p.timing == "DA"]
+    chain = sol.duals_eq[:-n_s].reshape(len(da_ids), n_s - 1)
+    # Commitment force in scenario s: chain dual s minus chain dual s - 1, zero past either end.
+    zeta = dict(zip(da_ids, np.diff(np.pad(chain, ((0, 0), (1, 1))), axis=1)))
     return DispatchSolution(
         plans=plans,
-        x=x,
+        x=market.aggregate_nodal(plans),
         objective=sol.objective,
-        lambda_=lam,
+        lambda_=-(gamma_s[:, None] + beta @ lm.rows),
         gamma_s=gamma_s,
         beta=beta,
-        eta_lower=eta_lower,
-        eta_upper=eta_upper,
+        eta_lower=dict(zip(ids, sol.duals_lower[:n_d].reshape(n_i, n_s))),
+        eta_upper=dict(zip(ids, sol.duals_upper[:n_d].reshape(n_i, n_s))),
         zeta=zeta,
     )
 
@@ -322,7 +303,7 @@ def check_arrow_debreu(
 
     so_slack = 0.0
     for s in range(market.scenario_count):
-        limits = lm.limits_for(s if lm.scenario_limits is not None else None)
+        limits = lm.limits_for(s)
         program = lp.LinearProgram(
             sense="max",
             c=-prices[s],

@@ -1,4 +1,7 @@
-"""Dense linear programming with dual variables, backed by HiGHS.
+"""Linear programming with dual variables, backed by HiGHS.
+
+Constraint matrices may be dense arrays or ``scipy.sparse`` matrices; the
+solution and its verification are the same for both.
 
 Every consumer here needs duals, so the solution carries Lagrange
 multipliers in a single documented convention.  For the equivalent
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 __all__ = ["LinearProgram", "LpSolution", "LpError", "LpNumericalError", "solve"]
@@ -42,7 +46,10 @@ class LpNumericalError(LpError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min or max of ``c @ x`` over ``A_eq x = b_eq``, ``A_ub x <= b_ub``, boxes."""
+    """min or max of ``c @ x`` over ``A_eq x = b_eq``, ``A_ub x <= b_ub``, boxes.
+
+    ``a_eq`` and ``a_ub`` are dense arrays or sparse matrices (kept as CSR).
+    """
 
     sense: str
     c: np.ndarray
@@ -65,11 +72,12 @@ class LinearProgram:
             if (a is None) != (b is None):
                 raise ValueError(f"a_{name} and b_{name} must be given together")
             if a is not None:
-                a = np.asarray(a, dtype=float)
+                is_sparse = sparse.issparse(a)
+                a = sparse.csr_matrix(a, dtype=float) if is_sparse else np.asarray(a, dtype=float)
                 b = np.asarray(b, dtype=float)
                 if a.ndim != 2 or a.shape[1] != n or b.shape != (a.shape[0],):
                     raise ValueError(f"inconsistent {name} constraint dimensions")
-                if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+                if not (np.all(np.isfinite(a.data if is_sparse else a)) and np.all(np.isfinite(b))):
                     raise ValueError(f"{name} constraints must be finite")
                 object.__setattr__(self, f"a_{name}", a)
                 object.__setattr__(self, f"b_{name}", b)

@@ -48,9 +48,6 @@ class Market:
     def at_bus(self, bus: int) -> tuple[Participant, ...]:
         return tuple(p for p in self.participants if p.bus == bus)
 
-    def zero_plans(self) -> dict[str, np.ndarray]:
-        return {p.id: np.zeros(self.scenario_count) for p in self.participants}
-
     def aggregate_nodal(self, plans: dict[str, np.ndarray]) -> np.ndarray:
         """Per-scenario nodal injections (S, N) implied by participant plans."""
         x = np.zeros((self.scenario_count, self.network.bus_count))

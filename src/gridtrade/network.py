@@ -240,7 +240,7 @@ def check_feasible(
     violations: list[tuple[int, int, float]] = []
     for s in range(arr.shape[0]):
         loading = lm.rows @ arr[s]
-        excess = loading - lm.limits_for(s if lm.scenario_limits is not None else None)
+        excess = loading - lm.limits_for(s)
         for row in np.flatnonzero(excess > tol):
             violations.append((int(row), s, float(excess[row])))
     residuals = tuple(float(arr[s].sum()) for s in range(arr.shape[0]))
@@ -283,8 +283,7 @@ def is_feasible_direction(
     if x_arr.shape != q_arr.shape:
         raise ValueError("state and direction must have matching shapes")
     for s in range(x_arr.shape[0]):
-        scen = s if lm.scenario_limits is not None else None
-        rows = binding_lines(lm, x_arr[s], binding_tol, scenario=scen)
+        rows = binding_lines(lm, x_arr[s], binding_tol, scenario=s)
         if rows and np.any(lm.rows[list(rows)] @ q_arr[s] > tol):
             return False
     return True
@@ -312,7 +311,7 @@ def curtailment_factor(
     scenario_list = range(x_arr.shape[0]) if scenarios is None else scenarios
     gamma = 1.0
     for s in scenario_list:
-        limits = lm.limits_for(s if lm.scenario_limits is not None else None)
+        limits = lm.limits_for(s)
         headroom = limits - lm.rows @ x_arr[s]
         if np.any(headroom < -feas_tol):
             raise ValueError("curtailment_factor requires a feasible state")

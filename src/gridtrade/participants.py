@@ -139,11 +139,6 @@ class UtilityFunction:
         seg_right = min(max(bisect.bisect_right(bps, p) - 1, 0), len(slp) - 1)
         return slp[seg_left], slp[seg_right]
 
-    def supergradient(self, p: float, tol: float = 0.0) -> tuple[float, float]:
-        """Inclusive slope interval ``[right, left]`` supporting the graph at ``p``."""
-        left, right = self.marginals(p, tol)
-        return right, left
-
     def segments(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-segment ``(slopes, intercepts)`` with value(p) = min(a + m p)."""
         m = np.asarray(self.slopes)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
+from .dispatch import welfare_program
 from .market import Market
 from .network import LoadingMatrix, build_loading_matrix
 from .participants import evaluate_utility
@@ -27,7 +28,6 @@ from .trading import Certificate, Trade, TradingState
 __all__ = [
     "ProposerStrategy",
     "GroupSampler",
-    "sample_group",
     "find_worthy_fd_trade",
     "FullGroupProposer",
     "SubsetProposer",
@@ -94,10 +94,6 @@ class GroupSampler:
         return tuple(self.ids[i] for i in sorted(members))
 
 
-def sample_group(sampler: GroupSampler, rng: np.random.Generator) -> tuple[str, ...]:
-    return sampler.sample(rng)
-
-
 def find_worthy_fd_trade(
     group: tuple[str, ...],
     state: TradingState,
@@ -114,75 +110,10 @@ def find_worthy_fd_trade(
     ``epsilon`` from the full group certifies termination.
     """
     members = [market.participant(pid) for pid in sorted(set(group))]
-    if not members:
-        raise ValueError("group must not be empty")
-    n_s = market.scenario_count
-    n_members = len(members)
-    n_vars = 2 * n_members * n_s  # injection deltas then utility epigraph values
-
-    def d_idx(i: int, s: int) -> int:
-        return i * n_s + s
-
-    def u_idx(i: int, s: int) -> int:
-        return n_members * n_s + i * n_s + s
-
-    c = np.zeros(n_vars)
-    lower = np.full(n_vars, -np.inf)
-    upper = np.full(n_vars, np.inf)
-    base_utility = 0.0
-    rows_ub: list[np.ndarray] = []
-    rhs_ub: list[float] = []
-    rows_eq: list[np.ndarray] = []
-    rhs_eq: list[float] = []
-
-    for i, p in enumerate(members):
-        w = p.weights(market.scenarios)
-        y = state.y[p.id]
-        base_utility += evaluate_utility(p, y, market.scenarios)
-        for s in range(n_s):
-            c[u_idx(i, s)] = w[s]
-            lo, hi = p.bounds[s]
-            lower[d_idx(i, s)] = lo - y[s]
-            upper[d_idx(i, s)] = hi - y[s]
-            slopes, intercepts = p.utility[s].segments()
-            for m, a in zip(slopes, intercepts):
-                row = np.zeros(n_vars)
-                row[u_idx(i, s)] = 1.0
-                row[d_idx(i, s)] = -m
-                rows_ub.append(row)
-                rhs_ub.append(a + m * y[s])
-        if p.timing == "DA":
-            for s in range(n_s - 1):
-                row = np.zeros(n_vars)
-                row[d_idx(i, s)] = 1.0
-                row[d_idx(i, s + 1)] = -1.0
-                rows_eq.append(row)
-                rhs_eq.append(0.0)
-
-    for s in range(n_s):
-        row = np.zeros(n_vars)
-        for i in range(n_members):
-            row[d_idx(i, s)] = 1.0
-        rows_eq.append(row)
-        rhs_eq.append(0.0)
-
-    for s, rows in enumerate(announcements):
-        for r in rows:
-            row = np.zeros(n_vars)
-            for i, p in enumerate(members):
-                row[d_idx(i, s)] = lm.rows[r, p.bus]
-            rows_ub.append(row)
-            rhs_ub.append(0.0)
-
-    program = lp.LinearProgram(
-        sense="max",
-        c=c,
-        a_eq=np.array(rows_eq),
-        b_eq=np.array(rhs_eq),
-        a_ub=np.array(rows_ub),
-        b_ub=np.array(rhs_ub),
-        lower=lower,
-        upper=upper,
+    y = np.array([state.y[p.id] for p in members])
+    base_utility = sum(evaluate_utility(p, plan, market.scenarios) for p, plan in zip(members, y))
+    program = welfare_program(
+        market, members, y, lm, announcements, [np.zeros(len(rows)) for rows in announcements]
     )
     sol = lp.solve(program)
     if sol.status != "optimal":
@@ -190,13 +121,9 @@ def find_worthy_fd_trade(
     optimum = sol.objective - base_utility
     if optimum < epsilon:
         return None, optimum
-    plans = {}
-    for i, p in enumerate(members):
-        delta = np.array([sol.x[d_idx(i, s)] for s in range(n_s)])
-        delta[np.abs(delta) < _ENTRY_EPS] = 0.0
-        if np.any(delta != 0.0):
-            plans[p.id] = delta
-    return Trade(plans), optimum
+    deltas = sol.x[: y.size].reshape(y.shape)
+    deltas[np.abs(deltas) < _ENTRY_EPS] = 0.0
+    return Trade({p.id: d for p, d in zip(members, deltas) if np.any(d != 0.0)}), optimum
 
 
 class FullGroupProposer:

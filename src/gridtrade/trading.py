@@ -263,8 +263,7 @@ def announce(
     """Binding loading-row indices per scenario, in ascending order."""
     per_scenario = []
     for s in range(state.x.shape[0]):
-        scen = s if lm.scenario_limits is not None else None
-        per_scenario.append(binding_lines(lm, state.x[s], binding_tol, scenario=scen))
+        per_scenario.append(binding_lines(lm, state.x[s], binding_tol, scenario=s))
     return tuple(per_scenario)
 
 

@@ -2,6 +2,22 @@ import numpy as np
 import pytest
 
 from gridtrade import build_loading_matrix, solve_dispatch, two_bus_market
+from gridtrade.generators import random_market
+
+FLEET_SEED = 20240817
+FLEET_SIZE = 50
+
+
+def fleet_markets():
+    """The acceptance fleet: FLEET_SIZE random markets, every other one meshed."""
+    master = np.random.default_rng(FLEET_SEED)
+    return [
+        random_market(
+            np.random.default_rng(master.integers(2**63)),
+            max_buses=6, max_scenarios=4, max_participants=10, meshed=(k % 2 == 0),
+        )
+        for k in range(FLEET_SIZE)
+    ]
 
 
 @pytest.fixture(scope="session")
@@ -78,7 +94,7 @@ def kkt_report(market, solution, lm, atol=1e-6):
             problems.append(f"network stationarity scenario {s}: {np.max(np.abs(stat)):.2e}")
         if np.min(solution.beta[s]) < -1e-8:
             problems.append(f"negative loading dual scenario {s}")
-        slack = lm.limits_for(s if lm.scenario_limits is not None else None) - lm.rows @ solution.x[s]
+        slack = lm.limits_for(s) - lm.rows @ solution.x[s]
         comp = np.abs(solution.beta[s] * slack)
         if np.max(comp, initial=0.0) > atol * (1 + float(np.max(np.abs(solution.x[s]), initial=0.0))):
             problems.append(f"loading complementarity scenario {s}")

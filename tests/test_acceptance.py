@@ -38,10 +38,10 @@ from gridtrade.tree import (
     tree_flows,
 )
 
-from conftest import assert_plans_close, kkt_report
+# FLEET_SEED and FLEET_SIZE stay importable from here: the benchmark checks
+# its fleet draw against this module.
+from conftest import FLEET_SEED, FLEET_SIZE, assert_plans_close, fleet_markets, kkt_report  # noqa: F401
 
-FLEET_SEED = 20240817
-FLEET_SIZE = 50
 EPSILON = 1e-3
 
 
@@ -67,13 +67,8 @@ class FleetRun:
 
 @pytest.fixture(scope="module")
 def fleet():
-    master = np.random.default_rng(FLEET_SEED)
     runs = []
-    for k in range(FLEET_SIZE):
-        rng = np.random.default_rng(master.integers(2**63))
-        market = random_market(
-            rng, max_buses=6, max_scenarios=4, max_participants=10, meshed=(k % 2 == 0)
-        )
+    for market in fleet_markets():
         lm = build_loading_matrix(market.network)
         started = time.perf_counter()
         result = run_trading(market, EngineConfig(epsilon=EPSILON), FullGroupProposer(lm), lm)

@@ -194,6 +194,22 @@ class TestRobustRunCommand:
         assert lines[0]["gamma"] == 1.0
         assert lines[1]["gamma"] == pytest.approx(0.2)
 
+    def test_scenario_capacities_rejected(self, capsys, tmp_path):
+        # Robust curtailment checks one set of limits; with per-scenario
+        # ratings of 10 MW it would accept a trade the line cannot carry.
+        doc = json.loads(Path(MARKET_FILE).read_text())
+        doc["network"]["scenario_capacities"] = [[10.0], [10.0]]
+        doc["interval_trades"] = [
+            {"lower": {"G2": 80.0, "L": -100.0}, "upper": {"G2": 100.0, "L": -80.0}},
+        ]
+        market = tmp_path / "robust.json"
+        market.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "robust-run", str(market), "--out", str(out))
+        assert code == 2
+        assert "network.scenario_capacities" in err
+        assert not out.exists()
+
     def test_missing_interval_section_is_input_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "robust-run", MARKET_FILE, "--out", str(tmp_path / "o"))
         assert code == 2

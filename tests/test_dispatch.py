@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
+from gridtrade import dispatch
 from gridtrade.dispatch import (
     DispatchInfeasibleError,
     check_arrow_debreu,
@@ -12,8 +14,10 @@ from gridtrade.generators import random_market
 from gridtrade.market import Market, two_bus_market
 from gridtrade.network import Line, Network, build_loading_matrix
 from gridtrade.participants import Participant, ScenarioSet, UtilityFunction
+from gridtrade.proposer import FullGroupProposer, find_worthy_fd_trade
+from gridtrade.trading import EngineConfig, announce, run_trading
 
-from conftest import assert_plans_close, kkt_report
+from conftest import assert_plans_close, fleet_markets, kkt_report
 
 
 def two_bus_cost_oracle(cap: float) -> float:
@@ -194,3 +198,48 @@ class TestDualConsistency:
                         importer, exporter = (1, 0) if flow > 0 else (0, 1)
                         rent = solution.lambda_[s, importer] - solution.lambda_[s, exporter]
                         assert rent >= -1e-8
+
+
+class TestWelfareProgramMatrixForms:
+    """Dense and sparse constraint matrices give the same dispatch and search.
+
+    Every tier-1 market is below the dense-cell threshold, so the threshold
+    is forced to each extreme to run both forms on the same markets.
+    """
+
+    @staticmethod
+    def curtailed_case(market):
+        # One curtailed full-group step, so the search carries line rows.
+        lm = build_loading_matrix(market.network)
+        result = run_trading(market, EngineConfig(max_steps=1), FullGroupProposer(lm), lm)
+        assert result.state.records[0].gamma < 1.0
+        state = result.state
+        return lm, state, announce(state, lm)
+
+    @pytest.mark.parametrize("k", [None, 18])  # two-bus; a fleet market with DA participants
+    def test_dense_and_sparse_agree(self, monkeypatch, k):
+        market = two_bus_market() if k is None else fleet_markets()[k]
+        assert any(p.timing == "DA" for p in market.participants)
+        lm, state, announcements = self.curtailed_case(market)
+        assert any(announcements)
+        outcomes = []
+        for cells, form in ((0, sparse.csr_matrix), (10**12, np.ndarray)):
+            monkeypatch.setattr(dispatch, "_DENSE_CELLS", cells)
+            n_p, n_s = len(market.participants), market.scenario_count
+            program = dispatch.welfare_program(
+                market, market.participants, np.zeros((n_p, n_s)), lm,
+                [range(lm.rows.shape[0])] * n_s, [lm.limits_for(s) for s in range(n_s)],
+            )
+            assert isinstance(program.a_ub, form) and isinstance(program.a_eq, form)
+            solution = solve_dispatch(market, lm)
+            assert kkt_report(market, solution, lm) == []
+            trade, optimum = find_worthy_fd_trade(
+                market.participant_ids, state, announcements, 1e-3, market, lm
+            )
+            assert trade is not None
+            outcomes.append((solution, trade, optimum))
+        (sol_a, trade_a, opt_a), (sol_b, trade_b, opt_b) = outcomes
+        assert sol_a.objective == pytest.approx(sol_b.objective, rel=1e-9, abs=1e-9)
+        assert_plans_close(sol_a.plans, sol_b.plans, tol=1e-9)
+        assert opt_a == pytest.approx(opt_b, rel=1e-9, abs=1e-9)
+        assert_plans_close(dict(trade_a.plans), dict(trade_b.plans), tol=1e-9)

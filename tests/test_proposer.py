@@ -12,9 +12,9 @@ from gridtrade.proposer import (
     ProposerStrategy,
     find_worthy_fd_trade,
     make_proposer,
-    sample_group,
 )
 from gridtrade.trading import (
+    Certificate,
     EngineConfig,
     Trade,
     TradingState,
@@ -25,7 +25,7 @@ from gridtrade.trading import (
     validate_trade,
 )
 
-from conftest import assert_plans_close
+from conftest import assert_plans_close, fleet_markets
 
 
 @pytest.fixture(scope="module")
@@ -48,13 +48,13 @@ def curtailed_state(market, lm, golden_plans):
 class TestGroupSampler:
     def test_full_group_returns_everyone(self, market):
         sampler = GroupSampler(ProposerStrategy("full_group"), market.participant_ids)
-        assert sample_group(sampler, np.random.default_rng(0)) == market.participant_ids
+        assert sampler.sample(np.random.default_rng(0)) == market.participant_ids
 
     def test_exhaustive_enumerates_all_pairs(self):
         ids = ("a", "b", "c", "d")
         sampler = GroupSampler(ProposerStrategy("exhaustive_subsets", max_size=2), ids)
         rng = np.random.default_rng(0)
-        seen = {sample_group(sampler, rng) for _ in range(6)}
+        seen = {sampler.sample(rng) for _ in range(6)}
         assert len(seen) == 6
         assert all(len(g) == 2 for g in seen)
 
@@ -65,7 +65,7 @@ class TestGroupSampler:
         for _ in range(2):
             sampler = GroupSampler(strategy, ids)
             rng = np.random.default_rng(42)
-            draws.append([sample_group(sampler, rng) for _ in range(10)])
+            draws.append([sampler.sample(rng) for _ in range(10)])
         assert draws[0] == draws[1]
         assert all(2 <= len(g) <= 4 for g in draws[0])
 
@@ -159,3 +159,37 @@ class TestSubsetProposers:
             solution = solve_dispatch(market)
             gap = welfare_gap(market, dict(result.state.y), solution)
             assert gap <= 1e-3 * (1.0 + abs(solution.objective))
+
+
+class GapCheckingProposer:
+    """Full-group search that checks, before every step, the certified gap.
+
+    The search is the welfare program restricted to the announced lines, a
+    relaxation of the dispatch around the current plans, so its optimum must
+    bound the remaining gap to the dispatch benchmark from above.
+    """
+
+    def __init__(self, lm, objective):
+        self.lm = lm
+        self.objective = objective
+        self.calls = 0
+
+    def propose(self, market, state, announcements, epsilon, rng):
+        trade, optimum = find_worthy_fd_trade(
+            market.participant_ids, state, announcements, epsilon, market, self.lm
+        )
+        gap = self.objective - market.total_utility(dict(state.y), subjective=True)
+        slack = (gap - optimum) / (1.0 + abs(self.objective))
+        assert slack <= 1e-9, f"gap {gap!r} above certified optimum {optimum!r}"
+        self.calls += 1
+        return Certificate(optimum) if trade is None else trade
+
+
+class TestCertifiedGap:
+    def test_search_optimum_bounds_dispatch_gap_at_every_step(self):
+        for market in fleet_markets():
+            lm = build_loading_matrix(market.network)
+            proposer = GapCheckingProposer(lm, solve_dispatch(market, lm).objective)
+            result = run_trading(market, EngineConfig(epsilon=1e-3), proposer, lm)
+            assert result.converged
+            assert proposer.calls == result.steps + 1  # every step plus the certificate
