@@ -80,6 +80,11 @@ class DispatchSolution:
 # filling and converting zeros.
 _DENSE_CELLS = 250_000
 
+# MW a quoting injection keeps from its bounds and breakpoints; relative
+# slack on each equilibrium condition.
+_INTERIOR_TOL = 1e-7
+_EQUILIBRIUM_TOL = 1e-6
+
 
 def welfare_program(
     market: Market,
@@ -161,7 +166,7 @@ def solve_dispatch(market: Market, lm: LoadingMatrix | None = None) -> DispatchS
     n_i, n_s, n_rows = len(parts), market.scenario_count, lm.rows.shape[0]
     program = welfare_program(
         market, parts, np.zeros((n_i, n_s)), lm,
-        [range(n_rows)] * n_s, [lm.limits_for(s) for s in range(n_s)],
+        [range(n_rows)] * n_s, lm.stacked_limits(n_s),
     )
     sol = lp.solve(program)
     if sol.status != "optimal":
@@ -194,7 +199,6 @@ def lmp_from_marginals(
     plans: Mapping[str, np.ndarray],
     n: int,
     s: int,
-    interior_tol: float = 1e-7,
 ) -> float | None:
     """Price quote from a strictly interior flexible participant at bus ``n``.
 
@@ -210,9 +214,9 @@ def lmp_from_marginals(
             continue
         val = float(np.asarray(plans[p.id])[s])
         lo, hi = p.bounds[s]
-        if not (lo + interior_tol < val < hi - interior_tol):
+        if not (lo + _INTERIOR_TOL < val < hi - _INTERIOR_TOL):
             continue
-        if any(abs(val - b) <= interior_tol for b in p.utility[s].breakpoints):
+        if any(abs(val - b) <= _INTERIOR_TOL for b in p.utility[s].breakpoints):
             continue
         left, right = p.utility[s].marginals(val)
         return -float(p.weights(market.scenarios)[s]) * left
@@ -273,17 +277,17 @@ def check_arrow_debreu(
     plans: Mapping[str, np.ndarray],
     x: np.ndarray,
     prices: np.ndarray,
-    tol: float = 1e-6,
     lm: LoadingMatrix | None = None,
 ) -> EquilibriumReport:
     """Do plans, injections, and prices form a competitive equilibrium?
 
-    Checks, with slack at most ``tol * (1 + |optimum|)`` each: every
+    Checks, with slack at most ``1e-6 * (1 + |optimum|)`` each: every
     participant maximises payment plus expected utility over its own set at
     the given prices; the network operator's injection maximises conversion
     profit over the feasible polytope; and every contingent commodity clears.
     """
     lm = build_loading_matrix(market.network) if lm is None else lm
+    limits = lm.stacked_limits(market.scenario_count)
     prices = np.asarray(prices, dtype=float)
     x = np.asarray(x, dtype=float)
     participant_ok: dict[str, bool] = {}
@@ -299,28 +303,27 @@ def check_arrow_debreu(
         best = _best_response_value(p, lam, w)
         slack = best - actual
         participant_slack[p.id] = float(slack)
-        participant_ok[p.id] = slack <= tol * (1.0 + abs(best))
+        participant_ok[p.id] = slack <= _EQUILIBRIUM_TOL * (1.0 + abs(best))
 
     so_slack = 0.0
     for s in range(market.scenario_count):
-        limits = lm.limits_for(s)
         program = lp.LinearProgram(
             sense="max",
             c=-prices[s],
             a_eq=np.ones((1, market.network.bus_count)),
             b_eq=np.zeros(1),
             a_ub=lm.rows,
-            b_ub=limits,
+            b_ub=limits[s],
         )
         sol = lp.solve(program)
         if sol.status != "optimal":
             raise lp.LpError(f"operator profit LP ended {sol.status}")
         so_slack += sol.objective - float(-prices[s] @ x[s])
     so_scale = 1.0 + abs(float(np.abs(prices).sum())) * float(np.abs(lm.limits).max() if lm.limits.size else 0.0)
-    so_ok = so_slack <= tol * so_scale
+    so_ok = so_slack <= _EQUILIBRIUM_TOL * so_scale
 
     clearing = float(np.max(np.abs(x - market.aggregate_nodal(dict(plans))), initial=0.0))
-    clearing_ok = clearing <= tol * (1.0 + float(np.max(np.abs(x), initial=0.0)))
+    clearing_ok = clearing <= _EQUILIBRIUM_TOL * (1.0 + float(np.max(np.abs(x), initial=0.0)))
 
     return EquilibriumReport(
         participant_ok=participant_ok,
@@ -330,5 +333,5 @@ def check_arrow_debreu(
         clearing_residual=clearing,
         clearing_ok=clearing_ok,
         verdict=all(participant_ok.values()) and so_ok and clearing_ok,
-        tol=tol,
+        tol=_EQUILIBRIUM_TOL,
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -48,11 +49,15 @@ class Market:
     def at_bus(self, bus: int) -> tuple[Participant, ...]:
         return tuple(p for p in self.participants if p.bus == bus)
 
-    def aggregate_nodal(self, plans: dict[str, np.ndarray]) -> np.ndarray:
+    def aggregate_nodal(self, plans: Mapping[str, np.ndarray]) -> np.ndarray:
         """Per-scenario nodal injections (S, N) implied by participant plans."""
         x = np.zeros((self.scenario_count, self.network.bus_count))
         for pid, plan in plans.items():
-            x[:, self.participant(pid).bus] += np.asarray(plan, dtype=float)
+            bus = self.participant(pid).bus
+            plan = np.asarray(plan, dtype=float)
+            if plan.shape != (self.scenario_count,):
+                raise ValueError(f"{pid}: plan must cover {self.scenario_count} scenarios")
+            x[:, bus] += plan
         return x
 
     def total_utility(self, plans: dict[str, np.ndarray], subjective: bool = False) -> float:

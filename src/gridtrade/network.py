@@ -3,7 +3,8 @@
 Line flows are linear in nodal injections.  The loading matrix stacks the
 shift-factor rows for both flow directions, so every capacity constraint has
 the one-sided form ``h @ x <= limit``.  Injection arrays are scenario-major:
-shape ``(S, N)``, one row per scenario.
+shape ``(S, N)``, one row per scenario.  Every query treats all scenarios
+at once as ``(S, 2L)`` arrays of loadings and limits.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ __all__ = [
     "DisconnectedNetworkError",
     "build_loading_matrix",
     "check_feasible",
+    "binding_mask",
     "binding_lines",
     "is_feasible_direction",
+    "curtailment_factors",
     "curtailment_factor",
     "FEASIBILITY_TOL",
     "BINDING_TOL",
@@ -163,6 +166,15 @@ class LoadingMatrix:
             return self.limits
         return self.scenario_limits[scenario]
 
+    def stacked_limits(self, scenario_count: int) -> np.ndarray:
+        """Limits as ``(S, 2L)``: ``scenario_limits``, or ``limits`` in every scenario."""
+        if self.scenario_limits is None:
+            return np.broadcast_to(self.limits, (scenario_count, self.limits.size))
+        rows = len(self.scenario_limits)
+        if rows != scenario_count:
+            raise ValueError(f"scenario_limits has {rows} rows for {scenario_count} scenarios")
+        return self.scenario_limits
+
     def with_scenario_capacities(self, capacities: np.ndarray) -> "LoadingMatrix":
         """Attach per-scenario line capacities (shape ``(S, L)``)."""
         caps = np.asarray(capacities, dtype=float)
@@ -207,6 +219,31 @@ def _as_scenario_major(x: np.ndarray, n: int) -> np.ndarray:
     return arr
 
 
+def _state_and_direction(lm: LoadingMatrix, x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x_arr = _as_scenario_major(x, lm.bus_count)
+    q_arr = _as_scenario_major(q, lm.bus_count)
+    if x_arr.shape != q_arr.shape:
+        raise ValueError("state and direction must have matching shapes")
+    return x_arr, q_arr
+
+
+def _loading(lm: LoadingMatrix, x: np.ndarray) -> np.ndarray:
+    """Row loadings ``(S, 2L)``, bit for bit ``lm.rows @ x[s]`` per scenario (``x @ rows.T`` is not)."""
+    return (lm.rows @ x[..., None])[..., 0]
+
+
+def _excess(lm: LoadingMatrix, x: np.ndarray) -> np.ndarray:
+    """Loading minus limit ``(S, 2L)``; positive entries are violations."""
+    return _loading(lm, x) - lm.stacked_limits(x.shape[0])
+
+
+def _binding(excess: np.ndarray) -> np.ndarray:
+    if np.any(excess > BINDING_TOL):
+        worst = float(excess.max())
+        raise ValueError(f"injection infeasible by {worst:.3e} MW; binding set undefined")
+    return np.abs(excess) <= BINDING_TOL
+
+
 @dataclass(frozen=True)
 class ViolationReport:
     """Outcome of a feasibility check over all scenarios.
@@ -218,106 +255,75 @@ class ViolationReport:
 
     line_violations: tuple[tuple[int, int, float], ...]
     balance_residuals: tuple[float, ...]
-    balance_tol: float = BALANCE_TOL
 
     @property
     def balanced(self) -> bool:
-        return all(abs(r) <= self.balance_tol for r in self.balance_residuals)
+        return all(abs(r) <= BALANCE_TOL for r in self.balance_residuals)
 
     @property
     def ok(self) -> bool:
         return not self.line_violations and self.balanced
 
 
-def check_feasible(
-    lm: LoadingMatrix,
-    x: np.ndarray,
-    tol: float = FEASIBILITY_TOL,
-    balance_tol: float = BALANCE_TOL,
-) -> ViolationReport:
+def check_feasible(lm: LoadingMatrix, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> ViolationReport:
     """Report every (row, scenario) limit violation and balance residual."""
     arr = _as_scenario_major(x, lm.bus_count)
-    violations: list[tuple[int, int, float]] = []
-    for s in range(arr.shape[0]):
-        loading = lm.rows @ arr[s]
-        excess = loading - lm.limits_for(s)
-        for row in np.flatnonzero(excess > tol):
-            violations.append((int(row), s, float(excess[row])))
-    residuals = tuple(float(arr[s].sum()) for s in range(arr.shape[0]))
-    return ViolationReport(tuple(violations), residuals, balance_tol)
+    excess = _excess(lm, arr)
+    violations = tuple(
+        (int(row), int(s), float(excess[s, row])) for s, row in np.argwhere(excess > tol)
+    )
+    return ViolationReport(violations, tuple(arr.sum(axis=1).tolist()))
 
 
-def binding_lines(
-    lm: LoadingMatrix,
-    x_s: np.ndarray,
-    tol: float = BINDING_TOL,
-    scenario: int | None = None,
-) -> tuple[int, ...]:
-    """Rows whose loading sits within ``tol`` of the limit, ascending.
+def binding_mask(lm: LoadingMatrix, x: np.ndarray) -> np.ndarray:
+    """``(S, 2L)`` mask of the rows loaded within ``BINDING_TOL`` of their limit.
+
+    The state must be feasible within ``BINDING_TOL`` in every scenario.
+    """
+    return _binding(_excess(lm, _as_scenario_major(x, lm.bus_count)))
+
+
+def binding_lines(lm: LoadingMatrix, x_s: np.ndarray, scenario: int | None = None) -> tuple[int, ...]:
+    """One scenario's rows loaded within ``BINDING_TOL`` of the limit, ascending.
 
     ``x_s`` is a single scenario's injection vector and must be feasible
-    within ``tol``.
+    within ``BINDING_TOL`` against ``lm.limits_for(scenario)``.
     """
     vec = np.asarray(x_s, dtype=float)
     if vec.shape != (lm.bus_count,):
         raise ValueError("binding_lines expects a single scenario vector")
-    limits = lm.limits_for(scenario)
-    loading = lm.rows @ vec
-    excess = loading - limits
-    if np.any(excess > tol):
-        worst = float(excess.max())
-        raise ValueError(f"injection infeasible by {worst:.3e} MW; binding set undefined")
-    return tuple(int(r) for r in np.flatnonzero(np.abs(excess) <= tol))
+    mask = _binding(_loading(lm, vec[None]) - lm.limits_for(scenario))
+    return tuple(np.flatnonzero(mask[0]).tolist())
 
 
-def is_feasible_direction(
-    lm: LoadingMatrix,
-    x: np.ndarray,
-    q: np.ndarray,
-    tol: float = DIRECTION_TOL,
-    binding_tol: float = BINDING_TOL,
-) -> bool:
+def is_feasible_direction(lm: LoadingMatrix, x: np.ndarray, q: np.ndarray) -> bool:
     """True iff ``q`` does not increase loading on any binding row, any scenario."""
-    x_arr = _as_scenario_major(x, lm.bus_count)
-    q_arr = _as_scenario_major(q, lm.bus_count)
-    if x_arr.shape != q_arr.shape:
-        raise ValueError("state and direction must have matching shapes")
-    for s in range(x_arr.shape[0]):
-        rows = binding_lines(lm, x_arr[s], binding_tol, scenario=s)
-        if rows and np.any(lm.rows[list(rows)] @ q_arr[s] > tol):
-            return False
-    return True
+    x_arr, q_arr = _state_and_direction(lm, x, q)
+    increase = _loading(lm, q_arr)
+    return not np.any(binding_mask(lm, x_arr) & (increase > DIRECTION_TOL))
 
 
-def curtailment_factor(
-    lm: LoadingMatrix,
-    x: np.ndarray,
-    q: np.ndarray,
-    feas_tol: float = FEASIBILITY_TOL,
-    direction_tol: float = DIRECTION_TOL,
-    scenarios: "slice | list[int] | None" = None,
-) -> float:
-    """Largest gamma in [0, 1] with ``x + gamma * q`` feasible, by ratio test.
+def curtailment_factors(lm: LoadingMatrix, x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Largest ``gamma[s]`` in [0, 1] with ``x[s] + gamma[s] * q[s]`` feasible, by ratio test.
 
     The state must already be feasible.  Rows with loading increase at or
-    below ``direction_tol`` never constrain gamma.  A binding row loaded
-    beyond ``direction_tol`` yields gamma 0, which callers treat as a
-    rejection.  Closed form, no search.
+    below ``DIRECTION_TOL`` never constrain a factor.  A binding row loaded
+    beyond ``DIRECTION_TOL`` yields 0 for its scenario.  Closed form, no search.
     """
-    x_arr = _as_scenario_major(x, lm.bus_count)
-    q_arr = _as_scenario_major(q, lm.bus_count)
-    if x_arr.shape != q_arr.shape:
-        raise ValueError("state and direction must have matching shapes")
-    scenario_list = range(x_arr.shape[0]) if scenarios is None else scenarios
-    gamma = 1.0
-    for s in scenario_list:
-        limits = lm.limits_for(s)
-        headroom = limits - lm.rows @ x_arr[s]
-        if np.any(headroom < -feas_tol):
-            raise ValueError("curtailment_factor requires a feasible state")
-        increase = lm.rows @ q_arr[s]
-        active = increase > direction_tol
-        if np.any(active):
-            ratios = np.maximum(headroom[active], 0.0) / increase[active]
-            gamma = min(gamma, float(ratios.min()))
-    return max(gamma, 0.0)
+    x_arr, q_arr = _state_and_direction(lm, x, q)
+    headroom = lm.stacked_limits(x_arr.shape[0]) - _loading(lm, x_arr)
+    if np.any(headroom < -FEASIBILITY_TOL):
+        raise ValueError("curtailment_factor requires a feasible state")
+    increase = _loading(lm, q_arr)
+    active = increase > DIRECTION_TOL
+    ratios = np.divide(
+        np.maximum(headroom, 0.0), increase, out=np.full(increase.shape, np.inf), where=active
+    )
+    return np.maximum(ratios.min(axis=1, initial=1.0), 0.0)
+
+
+def curtailment_factor(lm: LoadingMatrix, x: np.ndarray, q: np.ndarray) -> float:
+    """Largest gamma in [0, 1] with ``x + gamma * q`` feasible: the least of the
+    per-scenario factors.  Zero, which callers treat as a rejection, means no headroom.
+    """
+    return float(curtailment_factors(lm, x, q).min())

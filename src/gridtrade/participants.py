@@ -23,9 +23,12 @@ __all__ = [
     "marginal_utility",
     "local_feasible",
     "PROBABILITY_TOL",
+    "LOCAL_TOL",
 ]
 
 PROBABILITY_TOL = 1e-12
+# Slack in MW on a plan's bounds and on a day-ahead plan's spread.
+LOCAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -262,16 +265,16 @@ def marginal_utility(participant: Participant, plan: np.ndarray, s: int) -> tupl
     return participant.utility[s].marginals(float(plan[s]))
 
 
-def local_feasible(participant: Participant, plan: np.ndarray, tol: float = 1e-9) -> bool:
+def local_feasible(participant: Participant, plan: np.ndarray) -> bool:
     """Bounds hold per scenario and DA plans are constant across scenarios."""
     plan = np.asarray(plan, dtype=float)
     if plan.shape != (participant.scenario_count,):
         return False
     for s, p in enumerate(plan):
         lo, hi = participant.bounds[s]
-        if p < lo - tol or p > hi + tol:
+        if p < lo - LOCAL_TOL or p > hi + LOCAL_TOL:
             return False
     if participant.timing == "DA" and plan.size > 1:
-        if np.max(plan) - np.min(plan) > tol:
+        if np.max(plan) - np.min(plan) > LOCAL_TOL:
             return False
     return True

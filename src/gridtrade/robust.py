@@ -116,15 +116,18 @@ def robust_curtailment_factor(
     state: IntervalState,
     q_lower: np.ndarray,
     q_upper: np.ndarray,
-    feas_tol: float = FEASIBILITY_TOL,
 ) -> float:
     """Largest factor keeping every row's worst case within limits.
 
     Exact for box uncertainty: scaling the trade box by gamma scales its
-    per-row worst case linearly, so each row yields one ratio.
+    per-row worst case linearly, so each row yields one ratio.  The state box
+    carries no scenario index, so a loading matrix with per-scenario limits
+    is rejected.
     """
+    if lm.scenario_limits is not None:
+        raise ValueError("robust curtailment checks one set of line limits, not per-scenario limits")
     worst_state = worst_case_loading(lm, state.x_lower, state.x_upper)
-    if np.any(worst_state > lm.limits + feas_tol):
+    if np.any(worst_state > lm.limits + FEASIBILITY_TOL):
         raise ValueError("accumulated state is not robustly feasible")
     worst_q = worst_case_loading(lm, q_lower, q_upper)
     gamma = 1.0
@@ -140,9 +143,8 @@ def bisection_curtailment_factor(
     state: IntervalState,
     q_lower: np.ndarray,
     q_upper: np.ndarray,
-    tol: float = 1e-9,
 ) -> float:
-    """Bisection on the monotone strong-feasibility predicate, to ``tol``."""
+    """Bisection on the monotone strong-feasibility predicate, to 1e-9."""
     worst_state = worst_case_loading(lm, state.x_lower, state.x_upper)
     worst_q = worst_case_loading(lm, q_lower, q_upper)
 
@@ -154,7 +156,7 @@ def bisection_curtailment_factor(
     if not feasible(0.0):
         return 0.0
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid

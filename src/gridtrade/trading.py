@@ -23,17 +23,15 @@ import numpy as np
 from .market import Market
 from .network import (
     BALANCE_TOL,
-    BINDING_TOL,
-    DIRECTION_TOL,
-    FEASIBILITY_TOL,
     LoadingMatrix,
-    binding_lines,
+    binding_mask,
     build_loading_matrix,
     check_feasible,
     curtailment_factor,
+    curtailment_factors,
     is_feasible_direction,
 )
-from .participants import evaluate_utility, local_feasible
+from .participants import LOCAL_TOL, evaluate_utility, local_feasible
 
 __all__ = [
     "Trade",
@@ -122,11 +120,6 @@ class EngineConfig:
     curtailment_mode: str = "uniform"
     max_steps: int = 500
     seed: int = 0
-    feas_tol: float = FEASIBILITY_TOL
-    binding_tol: float = BINDING_TOL
-    direction_tol: float = DIRECTION_TOL
-    balance_tol: float = BALANCE_TOL
-    local_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
@@ -153,22 +146,10 @@ class TradingResult:
 
 def nodal_injection(trade: Trade, market: Market) -> np.ndarray:
     """Per-scenario nodal injections (S, N) induced by a trade."""
-    q = np.zeros((market.scenario_count, market.network.bus_count))
-    for pid, plan in trade.plans.items():
-        p = market.participant(pid)
-        if plan.shape != (market.scenario_count,):
-            raise ValueError(f"{pid}: plan must cover {market.scenario_count} scenarios")
-        q[:, p.bus] += plan
-    return q
+    return market.aggregate_nodal(trade.plans)
 
 
-def validate_trade(
-    trade: Trade,
-    state: TradingState,
-    market: Market,
-    balance_tol: float = BALANCE_TOL,
-    local_tol: float = 1e-9,
-) -> list[str]:
+def validate_trade(trade: Trade, state: TradingState, market: Market) -> list[str]:
     """Empty list when acceptable, else one message per violation."""
     problems: list[str] = []
     for pid in trade.plans:
@@ -181,14 +162,14 @@ def validate_trade(
     for plan in trade.plans.values():
         sums += plan
     for s, r in enumerate(sums):
-        if abs(r) > balance_tol:
+        if abs(r) > BALANCE_TOL:
             problems.append(f"balance: scenario {s} sums to {r:.3e}")
     for pid in trade.group:
         p = market.participant(pid)
         target = state.y[pid] + trade.plans[pid]
-        if not local_feasible(p, target, local_tol):
+        if not local_feasible(p, target):
             kind = "non-anticipation" if (
-                p.timing == "DA" and np.ptp(target) > local_tol
+                p.timing == "DA" and np.ptp(target) > LOCAL_TOL
             ) else "bounds"
             problems.append(f"local: {pid} violates {kind}")
     return problems
@@ -255,21 +236,14 @@ def _normalize(trade: Trade, market: Market) -> Trade:
     return Trade(plans)
 
 
-def announce(
-    state: TradingState,
-    lm: LoadingMatrix,
-    binding_tol: float = BINDING_TOL,
-) -> tuple[tuple[int, ...], ...]:
+def announce(state: TradingState, lm: LoadingMatrix) -> tuple[tuple[int, ...], ...]:
     """Binding loading-row indices per scenario, in ascending order."""
-    per_scenario = []
-    for s in range(state.x.shape[0]):
-        per_scenario.append(binding_lines(lm, state.x[s], binding_tol, scenario=s))
-    return tuple(per_scenario)
+    return tuple(tuple(np.flatnonzero(rows).tolist()) for rows in binding_mask(lm, state.x))
 
 
 def _rejection(
     state: TradingState, trade: Trade, market: Market, lm: LoadingMatrix,
-    config: EngineConfig, reasons: Iterable[str], step: int,
+    reasons: Iterable[str], step: int,
 ) -> tuple[TradeRecord, TradingState]:
     try:
         q = nodal_injection(trade, market)
@@ -283,7 +257,7 @@ def _rejection(
         reasons=tuple(reasons),
         nodal=q,
         welfare_delta=0.0,
-        binding_after=announce(state, lm, config.binding_tol),
+        binding_after=announce(state, lm),
     )
     return record, replace(state, records=state.records + (record,))
 
@@ -305,30 +279,26 @@ def so_step(
     non-anticipation.
     """
     k = len(state.records) if step is None else step
-    problems = validate_trade(trade, state, market, config.balance_tol, config.local_tol)
+    problems = validate_trade(trade, state, market)
     if problems:
-        return _rejection(state, trade, market, lm, config, problems, k)
+        return _rejection(state, trade, market, lm, problems, k)
     trade = _normalize(trade, market)
     q = nodal_injection(trade, market)
-    if not is_feasible_direction(lm, state.x, q, config.direction_tol, config.binding_tol):
-        return _rejection(state, trade, market, lm, config,
+    if not is_feasible_direction(lm, state.x, q):
+        return _rejection(state, trade, market, lm,
                           ["direction: increases loading on a binding line"], k)
 
     group_has_da = any(market.participant(pid).timing == "DA" for pid in trade.group)
     gamma_by_scenario: tuple[float, ...] | None = None
     if config.curtailment_mode == "hybrid" and not group_has_da:
-        gammas = [
-            curtailment_factor(lm, state.x, q, config.feas_tol, config.direction_tol, scenarios=[s])
-            for s in range(market.scenario_count)
-        ]
-        gamma_by_scenario = tuple(gammas)
-        gamma_vec = np.asarray(gammas)
-        gamma = float(min(gammas))
+        gamma_vec = curtailment_factors(lm, state.x, q)
+        gamma_by_scenario = tuple(gamma_vec.tolist())
+        gamma = float(gamma_vec.min())
     else:
-        gamma = curtailment_factor(lm, state.x, q, config.feas_tol, config.direction_tol)
+        gamma = curtailment_factor(lm, state.x, q)
         gamma_vec = gamma
     if gamma <= 0.0:
-        return _rejection(state, trade, market, lm, config, ["no headroom after ratio test"], k)
+        return _rejection(state, trade, market, lm, ["no headroom after ratio test"], k)
 
     new_y = {pid: np.array(arr) for pid, arr in state.y.items()}
     for pid, plan in trade.plans.items():
@@ -344,7 +314,7 @@ def so_step(
         reasons=(),
         nodal=q,
         welfare_delta=delta,
-        binding_after=announce(interim, lm, config.binding_tol),
+        binding_after=announce(interim, lm),
         gamma_by_scenario=gamma_by_scenario,
     )
     return record, TradingState(y=new_y, x=new_x, records=state.records + (record,))
@@ -368,7 +338,8 @@ def run_trading(
     certified: float | None = None
     steps = 0
     while steps < config.max_steps:
-        announcements = announce(state, lm, config.binding_tol)
+        # Every record's announcement was taken on the state it leaves behind.
+        announcements = state.records[-1].binding_after if state.records else announce(state, lm)
         proposal = proposer.propose(market, state, announcements, config.epsilon, rng)
         if isinstance(proposal, Certificate):
             converged = True
@@ -376,13 +347,13 @@ def run_trading(
             break
         worthy, _ = is_worthy(proposal, state, config.epsilon, market)
         if not worthy:
-            _, state = _rejection(state, proposal, market, lm, config,
+            _, state = _rejection(state, proposal, market, lm,
                                   ["not epsilon-worthy"], len(state.records))
             steps += 1
             continue
         _, state = so_step(state, proposal, config, lm, market)
         steps += 1
-        report = check_feasible(lm, state.x, config.feas_tol, config.balance_tol)
+        report = check_feasible(lm, state.x)
         if not report.ok:  # pragma: no cover - engine invariant
             raise AssertionError(f"post-step state infeasible: {report}")
     return TradingResult(

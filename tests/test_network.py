@@ -2,17 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from gridtrade import ProposerStrategy, make_proposer, two_bus_market
+from gridtrade.dispatch import check_arrow_debreu, solve_dispatch
 from gridtrade.network import (
     DisconnectedNetworkError,
     Line,
     Network,
     binding_lines,
+    binding_mask,
     build_loading_matrix,
     check_feasible,
     curtailment_factor,
+    curtailment_factors,
     is_feasible_direction,
 )
+from gridtrade.trading import EngineConfig, TradingState, announce, run_trading
 
 
 def ptdf_via_pseudoinverse(network):
@@ -145,6 +151,34 @@ def two_bus_lm120():
     return build_loading_matrix(net)
 
 
+@pytest.fixture(scope="module")
+def triangle_lm():
+    net = Network(
+        3, (Line(0, 1, 1.0, 100.0), Line(1, 2, 1.0, 100.0), Line(0, 2, 1.0, 100.0)), reference_bus=0
+    )
+    return build_loading_matrix(net)
+
+
+@st.composite
+def scenario_limited_case(draw, lm):
+    """Per-scenario capacities for 2-3 scenarios, a feasible state and a direction.
+
+    The state is a balanced draw scaled towards (and sometimes onto) its
+    tightest limit per scenario.  Directions are whole MW, so on the
+    equal-reactance triangle every nonzero row increase is at least 1/3 MW.
+    """
+    count = draw(st.integers(2, 3))
+    caps = draw(hnp.arrays(float, (count, lm.line_count), elements=st.floats(20.0, 200.0)))
+    lm = lm.with_scenario_capacities(caps)
+    raw = draw(hnp.arrays(float, (count, lm.bus_count), elements=st.floats(-100.0, 100.0)))
+    x = raw - raw.mean(axis=1, keepdims=True)
+    ratio = ((lm.rows @ x[..., None])[..., 0] / lm.scenario_limits).max(axis=1, keepdims=True)
+    fill = draw(hnp.arrays(float, (count, 1), elements=st.sampled_from([0.0, 0.5, 0.9, 1.0])))
+    x = x * fill / np.maximum(ratio, 1e-12)
+    q = draw(hnp.arrays(float, (count, lm.bus_count), elements=st.integers(-200, 200).map(float)))
+    return lm, x, q - q.mean(axis=1, keepdims=True)
+
+
 class TestCheckFeasible:
     def test_zero_state_feasible(self, two_bus_lm120):
         report = check_feasible(two_bus_lm120, np.zeros((2, 2)))
@@ -230,6 +264,31 @@ class TestCurtailmentFactor:
         gamma = curtailment_factor(two_bus_lm120, np.array([[120.0, -120.0]]), np.array([[10.0, -10.0]]))
         assert gamma == 0.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_per_scenario_maximality(self, triangle_lm, data):
+        lm, x, q = data.draw(scenario_limited_case(triangle_lm))
+        gammas = curtailment_factors(lm, x, q)
+        assert gammas.shape == (x.shape[0],)
+        assert curtailment_factor(lm, x, q) == gammas.min()
+        stepped = x + gammas[:, None] * q
+        assert check_feasible(lm, stepped).ok
+        for s, gamma in enumerate(gammas):
+            if gamma < 1.0:
+                beyond = stepped.copy()
+                beyond[s] = x[s] + min(1.0, gamma + 1e-6) * q[s]
+                violations = check_feasible(lm, beyond, tol=1e-10).line_violations
+                assert {scenario for _, scenario, _ in violations} == {s}
+
+    def test_network_without_lines(self):
+        lm = build_loading_matrix(Network(1, ()))
+        x, q = np.zeros((3, 1)), np.array([[0.0], [5.0], [-5.0]])
+        np.testing.assert_array_equal(curtailment_factors(lm, x, q), [1.0, 1.0, 1.0])
+        assert curtailment_factor(lm, x, q) == 1.0
+        assert is_feasible_direction(lm, x, q)
+        assert binding_mask(lm, x).shape == (3, 0)
+        assert check_feasible(lm, x).ok
+
 
 class TestScenarioLimits:
     def test_override_changes_binding_and_gamma(self):
@@ -240,3 +299,29 @@ class TestScenarioLimits:
         assert curtailment_factor(lm, x, q) == pytest.approx(0.6)
         assert binding_lines(lm, np.array([60.0, -60.0]), scenario=1) == (0,)
         assert binding_lines(lm, np.array([60.0, -60.0]), scenario=0) == ()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_announce_is_binding_lines_per_scenario(self, triangle_lm, data):
+        lm, x, q = data.draw(scenario_limited_case(triangle_lm))
+        x = x + curtailment_factors(lm, x, q)[:, None] * q
+        expected = tuple(binding_lines(lm, x[s], scenario=s) for s in range(x.shape[0]))
+        assert announce(TradingState(y={}, x=x), lm) == expected
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_row_count_must_match_scenarios(self, rows):
+        market = two_bus_market()
+        solution = solve_dispatch(market)
+        lm = build_loading_matrix(market.network).with_scenario_capacities(np.full((rows, 1), 100.0))
+        x = np.zeros((2, 2))
+        names = f"{rows} rows for 2 scenarios"
+        with pytest.raises(ValueError, match=names):
+            solve_dispatch(market, lm)
+        with pytest.raises(ValueError, match=names):
+            run_trading(market, EngineConfig(), make_proposer(ProposerStrategy()), lm)
+        with pytest.raises(ValueError, match=names):
+            check_arrow_debreu(market, solution.plans, solution.x, solution.lambda_, lm=lm)
+        with pytest.raises(ValueError, match=names):
+            check_feasible(lm, x)
+        with pytest.raises(ValueError, match=names):
+            curtailment_factor(lm, x, x)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridtrade.generators import random_interval_sequence, random_market
-from gridtrade.market import Market
+from gridtrade.market import Market, two_bus_market
 from gridtrade.network import Line, Network, build_loading_matrix, curtailment_factor
 from gridtrade.participants import Participant, ScenarioSet
 from gridtrade.robust import (
@@ -153,6 +153,19 @@ class TestAcceptIntervalTrade:
                 hi = hi + record.gamma * record.q_upper
         np.testing.assert_array_equal(lo, state.x_lower)
         np.testing.assert_array_equal(hi, state.x_upper)
+
+    def test_per_scenario_limits_rejected(self):
+        # The box state has no scenario index, so 10 MW scenario ratings
+        # cannot be honoured; a silent check against the base 120 MW rating
+        # would accept this trade whole.
+        two_bus = two_bus_market()
+        lm = build_loading_matrix(two_bus.network).with_scenario_capacities(np.full((2, 1), 10.0))
+        trade = IntervalTrade({"G2": 80.0, "L": -100.0}, {"G2": 100.0, "L": -80.0})
+        state = IntervalState.initial(2)
+        with pytest.raises(ValueError, match="per-scenario"):
+            robust_curtailment_factor(lm, state, *nodal_interval(trade, two_bus))
+        with pytest.raises(ValueError, match="per-scenario"):
+            accept_interval_trade(state, trade, lm, two_bus)
 
 
 def corner_states(records, bus_count):
