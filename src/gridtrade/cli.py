@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,8 +24,8 @@ from . import dispatch as dispatch_mod
 from . import market_io, robust, tree
 from .lp import LpError
 from .network import build_loading_matrix
-from .proposer import ProposerStrategy, make_proposer
-from .trading import EngineConfig, run_trading
+from .proposer import make_proposer
+from .trading import run_trading
 
 log = logging.getLogger("gridtrade")
 
@@ -40,42 +41,24 @@ def _configure_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(message)s")
 
 
-def _load(args) -> market_io.RunSpec:
+_PROPOSER_MODES = {"full": "full_group", "exhaustive": "exhaustive_subsets", "random": "random_subsets"}
+
+
+def _run_spec(args) -> market_io.RunSpec:
+    """The file's run settings with the ``run`` flags that were given laid over them."""
     spec = market_io.load_market(args.market)
-    engine = spec.engine
-    overrides = {}
-    if getattr(args, "epsilon", None) is not None:
-        overrides["epsilon"] = args.epsilon
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "max_steps", None) is not None:
-        overrides["max_steps"] = args.max_steps
-    if getattr(args, "curtailment", None) is not None:
-        overrides["curtailment_mode"] = args.curtailment
-    if overrides:
-        engine = EngineConfig(
-            epsilon=overrides.get("epsilon", engine.epsilon),
-            curtailment_mode=overrides.get("curtailment_mode", engine.curtailment_mode),
-            max_steps=overrides.get("max_steps", engine.max_steps),
-            seed=overrides.get("seed", engine.seed),
-        )
+    flags = {"epsilon": args.epsilon, "seed": args.seed, "max_steps": args.max_steps,
+             "curtailment_mode": args.curtailment}
+    engine = replace(spec.engine, **{k: v for k, v in flags.items() if v is not None})
     strategy = spec.strategy
-    if getattr(args, "proposer", None) is not None:
-        mode = {"full": "full_group", "exhaustive": "exhaustive_subsets", "random": "random_subsets"}[args.proposer]
-        strategy = ProposerStrategy(mode=mode, max_size=strategy.max_size, attempts=strategy.attempts)
-    return market_io.RunSpec(spec.market, engine, strategy, spec.interval_trades, spec.scenario_capacities)
-
-
-def _loading_matrix(spec: market_io.RunSpec):
-    lm = build_loading_matrix(spec.market.network)
-    if spec.scenario_capacities is not None:
-        lm = lm.with_scenario_capacities(spec.scenario_capacities)
-    return lm
+    if args.proposer is not None:
+        strategy = replace(strategy, mode=_PROPOSER_MODES[args.proposer])
+    return replace(spec, engine=engine, strategy=strategy)
 
 
 def cmd_run(args) -> int:
-    spec = _load(args)
-    lm = _loading_matrix(spec)
+    spec = _run_spec(args)
+    lm = build_loading_matrix(spec.market.network)
     proposer = make_proposer(spec.strategy, lm)
     started = time.perf_counter()
     result = run_trading(spec.market, spec.engine, proposer, lm)
@@ -110,10 +93,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_dispatch(args) -> int:
-    spec = _load(args)
-    lm = _loading_matrix(spec)
+    spec = market_io.load_market(args.market)
     try:
-        solution = dispatch_mod.solve_dispatch(spec.market, lm)
+        solution = dispatch_mod.solve_dispatch(spec.market)
     except dispatch_mod.DispatchInfeasibleError as exc:
         print(market_io.dumps({"status": exc.status}))
         return EXIT_OK
@@ -136,9 +118,8 @@ def cmd_dispatch(args) -> int:
 
 
 def cmd_prices(args) -> int:
-    spec = _load(args)
-    lm = _loading_matrix(spec)
-    solution = dispatch_mod.solve_dispatch(spec.market, lm)
+    spec = market_io.load_market(args.market)
+    solution = dispatch_mod.solve_dispatch(spec.market)
     quotes = []
     for s in range(spec.market.scenario_count):
         row = []
@@ -155,8 +136,8 @@ def cmd_prices(args) -> int:
 
 
 def cmd_check_eq(args) -> int:
-    spec = _load(args)
-    lm = _loading_matrix(spec)
+    spec = market_io.load_market(args.market)
+    lm = build_loading_matrix(spec.market.network)
     solution = dispatch_mod.solve_dispatch(spec.market, lm)
     prices = solution.lambda_
     if args.prices is not None:
@@ -198,7 +179,7 @@ def _decompose_one(args, network, values, state):
 
 
 def cmd_decompose(args) -> int:
-    spec = _load(args)
+    spec = market_io.load_market(args.market)
     network = spec.market.network
     if args.mode == "profitable" and args.alpha is None:
         print("--alpha is required for profitable mode", file=sys.stderr)
@@ -245,15 +226,15 @@ def _component_to_jsonable(c: tree.BilateralTrade) -> dict:
 
 
 def cmd_robust_run(args) -> int:
-    spec = _load(args)
+    spec = market_io.load_market(args.market)
     if not spec.interval_trades:
         print("market file has no interval_trades section", file=sys.stderr)
         return EXIT_INPUT
-    if spec.scenario_capacities is not None:
+    if spec.market.network.scenario_capacities is not None:
         # Robust curtailment checks one set of line limits for all scenarios.
         print("robust-run does not support network.scenario_capacities", file=sys.stderr)
         return EXIT_INPUT
-    lm = _loading_matrix(spec)
+    lm = build_loading_matrix(spec.market.network)
     state = robust.IntervalState.initial(spec.market.network.bus_count)
     for trade in spec.interval_trades:
         _, state = robust.accept_interval_trade(state, trade, lm, spec.market)
@@ -286,16 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, out_default=None):
         p.add_argument("market", help="market definition JSON file")
-        p.add_argument("--epsilon", type=float, default=None, help="worthiness threshold in $")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--max-steps", type=int, default=None)
-        p.add_argument("--proposer", choices=["full", "exhaustive", "random"], default=None)
-        p.add_argument("--curtailment", choices=["uniform", "hybrid"], default=None)
         if out_default is not None:
             p.add_argument("--out", default=out_default, help="output directory")
 
     p_run = sub.add_parser("run", help="run the trading process to termination")
     common(p_run, out_default="out")
+    p_run.add_argument("--epsilon", type=float, default=None, help="worthiness threshold in $")
+    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--max-steps", type=int, default=None)
+    p_run.add_argument("--proposer", choices=_PROPOSER_MODES, default=None)
+    p_run.add_argument("--curtailment", choices=["uniform", "hybrid"], default=None)
     p_run.add_argument("--skip-oracle", action="store_true", help="skip the dispatch comparison")
     p_run.set_defaults(func=cmd_run)
 

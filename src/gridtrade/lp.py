@@ -110,7 +110,7 @@ class LpSolution:
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def solve(lp: LinearProgram, verify: bool = True) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Solve ``lp``; on success the KKT residual contract is checked."""
     sign = -1.0 if lp.sense == "max" else 1.0
     res = linprog(
@@ -147,8 +147,7 @@ def solve(lp: LinearProgram, verify: bool = True) -> LpSolution:
         duals_upper=duals_upper,
         residuals=_kkt_residuals(lp, x, duals_eq, duals_ub, duals_lower, duals_upper),
     )
-    if verify:
-        _check_quality(sol)
+    _check_quality(sol)
     return sol
 
 

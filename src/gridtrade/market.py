@@ -21,6 +21,9 @@ class Market:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "participants", tuple(self.participants))
+        caps = self.network.scenario_capacities
+        if caps is not None and len(caps) != self.scenarios.count:
+            raise ValueError(f"scenario_capacities has {len(caps)} rows for {self.scenarios.count} scenarios")
         seen: set[str] = set()
         for p in self.participants:
             if p.id in seen:

@@ -52,7 +52,6 @@ class RunSpec:
     engine: EngineConfig
     strategy: ProposerStrategy
     interval_trades: tuple[IntervalTrade, ...] = ()
-    scenario_capacities: np.ndarray | None = None
 
 
 def _require(obj: dict, key: str, path: str) -> Any:
@@ -88,7 +87,7 @@ def _bus_index(value: Any, bus_count: int, path: str) -> int:
     return b - 1
 
 
-def _parse_network(section: Any, path: str = "network") -> Network:
+def _parse_network(section: Any, scenario_count: int, path: str = "network") -> Network:
     buses = _integer(_require(section, "buses", path), f"{path}.buses")
     lines_json = _array(_require(section, "lines", path), f"{path}.lines")
     lines = []
@@ -103,8 +102,21 @@ def _parse_network(section: Any, path: str = "network") -> Network:
             )
         )
     ref = _bus_index(_require(section, "reference_bus", path), buses, f"{path}.reference_bus")
+    caps = None
+    if "scenario_capacities" in section:
+        p = f"{path}.scenario_capacities"
+        rows = _array(section["scenario_capacities"], p)
+        if len(rows) != scenario_count:
+            raise MarketFormatError(p, f"expected {scenario_count} rows, one per scenario")
+        caps = []
+        for s, row in enumerate(rows):
+            row = _array(row, f"{p}[{s}]")
+            if len(row) != len(lines):
+                raise MarketFormatError(f"{p}[{s}]", f"expected {len(lines)} ratings, one per line")
+            caps.append(tuple(_number(v, f"{p}[{s}][{l}]") for l, v in enumerate(row)))
     try:
-        return Network(bus_count=buses, lines=tuple(lines), reference_bus=ref)
+        return Network(bus_count=buses, lines=tuple(lines), reference_bus=ref,
+                       scenario_capacities=None if caps is None else tuple(caps))
     except ValueError as exc:
         raise MarketFormatError(path, str(exc)) from exc
 
@@ -173,10 +185,9 @@ def _parse_participant(rec: Any, bus_count: int, n_scenarios: int, path: str) ->
         raise MarketFormatError(path, str(exc)) from exc
 
 
-def parse_market(doc: Any, source: str = "<memory>") -> RunSpec:
+def parse_market(doc: Any) -> RunSpec:
     if not isinstance(doc, dict):
         raise MarketFormatError("$", "top level must be a JSON object")
-    network = _parse_network(_require(doc, "network", ""))
     scen_sec = _require(doc, "scenarios", "")
     probs = tuple(
         _number(v, f"scenarios.probabilities[{i}]")
@@ -189,8 +200,11 @@ def parse_market(doc: Any, source: str = "<memory>") -> RunSpec:
         scenarios = ScenarioSet(probabilities=probs, names=names)
     except ValueError as exc:
         raise MarketFormatError("scenarios", str(exc)) from exc
+    network = _parse_network(_require(doc, "network", ""), scenarios.count)
 
     parts_json = _array(_require(doc, "participants", ""), "participants")
+    if not parts_json:
+        raise MarketFormatError("participants", "at least one participant is required")
     participants = tuple(
         _parse_participant(rec, network.bus_count, scenarios.count, f"participants[{i}]")
         for i, rec in enumerate(parts_json)
@@ -242,24 +256,7 @@ def parse_market(doc: Any, source: str = "<memory>") -> RunSpec:
         except ValueError as exc:
             raise MarketFormatError(p, str(exc)) from exc
 
-    caps = None
-    if "scenario_capacities" in doc.get("network", {}):
-        caps_json = _array(doc["network"]["scenario_capacities"], "network.scenario_capacities")
-        if len(caps_json) != scenarios.count:
-            raise MarketFormatError("network.scenario_capacities", f"expected {scenarios.count} rows")
-        caps = np.array(
-            [
-                [
-                    _number(v, f"network.scenario_capacities[{s}][{l}]")
-                    for l, v in enumerate(_array(row, f"network.scenario_capacities[{s}]"))
-                ]
-                for s, row in enumerate(caps_json)
-            ]
-        )
-        if caps.shape != (scenarios.count, network.line_count):
-            raise MarketFormatError("network.scenario_capacities", "one capacity per line per scenario")
-
-    return RunSpec(market, engine, strategy, tuple(interval_trades), caps)
+    return RunSpec(market, engine, strategy, tuple(interval_trades))
 
 
 def load_market(path: "str | Path") -> RunSpec:
@@ -274,7 +271,7 @@ def load_market(path: "str | Path") -> RunSpec:
         raise MarketFormatError(
             str(path), f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    return parse_market(doc, source=str(path))
+    return parse_market(doc)
 
 
 def _utility_to_jsonable(u: UtilityFunction) -> list:
@@ -288,10 +285,10 @@ def _utility_to_jsonable(u: UtilityFunction) -> list:
 
 
 def market_to_jsonable(spec_or_market: "RunSpec | Market") -> dict:
-    if isinstance(spec_or_market, RunSpec):
-        market, engine, strategy = spec_or_market.market, spec_or_market.engine, spec_or_market.strategy
-    else:
-        market, engine, strategy = spec_or_market, EngineConfig(), ProposerStrategy()
+    spec = spec_or_market
+    if isinstance(spec, Market):
+        spec = RunSpec(spec, EngineConfig(), ProposerStrategy())
+    market, engine, strategy = spec.market, spec.engine, spec.strategy
     net = market.network
     doc: dict[str, Any] = {
         "network": {
@@ -321,6 +318,10 @@ def market_to_jsonable(spec_or_market: "RunSpec | Market") -> dict:
             },
         },
     }
+    if net.scenario_capacities is not None:
+        doc["network"]["scenario_capacities"] = [list(row) for row in net.scenario_capacities]
+    if strategy.seed is not None:
+        doc["engine"]["proposer"]["seed"] = strategy.seed
     if market.scenarios.names is not None:
         doc["scenarios"]["names"] = list(market.scenarios.names)
     for p in market.participants:
@@ -338,6 +339,9 @@ def market_to_jsonable(spec_or_market: "RunSpec | Market") -> dict:
         if p.subjective_probabilities is not None:
             rec["subjective_probabilities"] = list(p.subjective_probabilities)
         doc["participants"].append(rec)
+    if spec.interval_trades:
+        doc["interval_trades"] = [{"lower": dict(t.lower), "upper": dict(t.upper)}
+                                  for t in spec.interval_trades]
     return doc
 
 

@@ -69,16 +69,28 @@ class Line:
 
 @dataclass(frozen=True)
 class Network:
-    """Connected transmission network with a flow reference bus."""
+    """Connected transmission network with a flow reference bus.
+
+    ``scenario_capacities``, when given, holds one row of line ratings per
+    scenario and replaces each ``Line.capacity`` in that scenario.
+    """
 
     bus_count: int
     lines: tuple[Line, ...]
     reference_bus: int = 0
+    scenario_capacities: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.bus_count < 1:
             raise ValueError("bus_count must be >= 1")
         object.__setattr__(self, "lines", tuple(self.lines))
+        if self.scenario_capacities is not None:
+            caps = tuple(tuple(float(c) for c in row) for row in self.scenario_capacities)
+            if any(len(row) != len(self.lines) for row in caps):
+                raise ValueError(f"scenario_capacities rows must hold {len(self.lines)} ratings")
+            if not all(c > 0 for row in caps for c in row):
+                raise ValueError("scenario_capacities must be positive")
+            object.__setattr__(self, "scenario_capacities", caps)
         for line in self.lines:
             for b in (line.from_bus, line.to_bus):
                 if not 0 <= b < self.bus_count:
@@ -189,6 +201,7 @@ def build_loading_matrix(network: Network) -> LoadingMatrix:
     For any balanced injection ``p`` (sum zero), ``H_hat @ p`` is the DC line
     flow vector with the network's reference bus as the angle reference.
     Exact for the DC model; O(N^3) which is fine at the scale used here.
+    The network's ``scenario_capacities``, if any, become ``scenario_limits``.
     """
     n, ref = network.bus_count, network.reference_bus
     a = network.incidence()
@@ -204,7 +217,10 @@ def build_loading_matrix(network: Network) -> LoadingMatrix:
             raise DisconnectedNetworkError("singular susceptance matrix") from exc
         h_hat[:, keep] = sol.T
     caps = np.array([line.capacity for line in network.lines])
-    return LoadingMatrix(np.vstack([h_hat, -h_hat]), np.concatenate([caps, caps]))
+    lm = LoadingMatrix(np.vstack([h_hat, -h_hat]), np.concatenate([caps, caps]))
+    if network.scenario_capacities is not None:
+        lm = lm.with_scenario_capacities(network.scenario_capacities)
+    return lm
 
 
 def _as_scenario_major(x: np.ndarray, n: int) -> np.ndarray:

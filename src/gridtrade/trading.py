@@ -108,8 +108,8 @@ class TradingState:
             x=np.zeros((market.scenario_count, market.network.bus_count)),
         )
 
-    def welfare(self, market: Market, subjective: bool = False) -> float:
-        return market.total_utility(dict(self.y), subjective=subjective)
+    def welfare(self, market: Market) -> float:
+        return market.total_utility(dict(self.y))
 
 
 @dataclass(frozen=True)

@@ -170,11 +170,26 @@ def tree_flows(network: Network, injections: Sequence) -> list[Fraction]:
     return flows
 
 
-def _check_feasible_exact(network: Network, flows: list[Fraction], base: list[Fraction]) -> bool:
-    return all(
-        abs(base[e] + flows[e]) <= Fraction(network.lines[e].capacity)
-        for e in range(network.line_count)
-    )
+def _feasible_trade(
+    network: Network, trade: Sequence, accumulated: Sequence | None
+) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+    """The trade, the accumulated state's flows and the trade's flows, once the
+    trade is known to balance and to fit the line ratings on top of that state.
+    """
+    _require_tree(network)
+    if network.scenario_capacities is not None:
+        # A decomposition checks one set of ratings; per-scenario ones would go unchecked.
+        raise ValueError("decomposition checks one set of line ratings, not scenario_capacities")
+    p = _to_fractions(trade)
+    if len(p) != network.bus_count:
+        raise ValueError("trade must have one entry per bus")
+    if sum(p) != 0:
+        raise ValueError("trade must balance exactly")
+    base = tree_flows(network, accumulated) if accumulated is not None else [Fraction(0)] * network.line_count
+    flows = tree_flows(network, p)
+    if any(abs(b + f) > Fraction(line.capacity) for b, f, line in zip(base, flows, network.lines)):
+        raise ValueError("trade is not feasible at the accumulated state")
+    return p, base, flows
 
 
 @dataclass
@@ -238,21 +253,7 @@ def decompose_sequential(
     reachable demand bus second.  Each step stays inside the residual
     capacities, which is exactly prefix feasibility.
     """
-    _require_tree(network)
-    p = _to_fractions(trade)
-    if len(p) != network.bus_count:
-        raise ValueError("trade must have one entry per bus")
-    if sum(p) != 0:
-        raise ValueError("trade must balance exactly")
-    base = (
-        tree_flows(network, accumulated)
-        if accumulated is not None
-        else [Fraction(0)] * network.line_count
-    )
-    trade_flows = tree_flows(network, p)
-    if not _check_feasible_exact(network, trade_flows, base):
-        raise ValueError("trade is not feasible at the accumulated state")
-
+    p, base, _ = _feasible_trade(network, trade, accumulated)
     graph = FlowGraph.for_trade(network, p, base)
     components: list[BilateralTrade] = []
     while graph.supply:
@@ -288,21 +289,7 @@ def decompose_conformal(
     line, any application order keeps every prefix between the accumulated
     state and the fully applied trade, hence feasible.
     """
-    _require_tree(network)
-    p = _to_fractions(trade)
-    if len(p) != network.bus_count:
-        raise ValueError("trade must have one entry per bus")
-    if sum(p) != 0:
-        raise ValueError("trade must balance exactly")
-    base = (
-        tree_flows(network, accumulated)
-        if accumulated is not None
-        else [Fraction(0)] * network.line_count
-    )
-    remaining_flow = tree_flows(network, p)
-    if not _check_feasible_exact(network, remaining_flow, base):
-        raise ValueError("trade is not feasible at the accumulated state")
-
+    p, _, remaining_flow = _feasible_trade(network, trade, accumulated)
     adj = _adjacency(network)
     supply = {v: p[v] for v in range(network.bus_count) if p[v] > 0}
     demand = {v: -p[v] for v in range(network.bus_count) if p[v] < 0}

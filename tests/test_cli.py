@@ -5,6 +5,11 @@ import numpy as np
 import pytest
 
 from gridtrade.cli import main
+from gridtrade.dispatch import solve_dispatch
+from gridtrade.market_io import load_market
+from gridtrade.network import Network, build_loading_matrix, check_feasible
+from gridtrade.proposer import ProposerStrategy, make_proposer
+from gridtrade.trading import EngineConfig, run_trading
 
 MARKET_FILE = str(Path(__file__).resolve().parents[1] / "markets" / "two_bus.json")
 
@@ -13,6 +18,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_market(tmp_path, edit):
+    """The bundled two-bus file with ``edit`` applied to its JSON document."""
+    doc = json.loads(Path(MARKET_FILE).read_text())
+    edit(doc)
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def rate_line_120_60(doc):
+    doc["network"]["scenario_capacities"] = [[120.0], [60.0]]
 
 
 class TestRun:
@@ -75,6 +93,75 @@ class TestRun:
         )
         assert code == 0
         assert json.loads(stdout)["converged"] is True
+
+    def test_proposer_flag_keeps_file_proposer_seed(self, capsys, tmp_path):
+        def seeded_random(doc):
+            doc["engine"]["proposer"] = {"mode": "random_subsets", "seed": 5}
+
+        market = write_market(tmp_path, seeded_random)
+        traces = []
+        for name, flags in (("file", []), ("flag1", ["--proposer", "random", "--seed", "1"]),
+                            ("flag2", ["--proposer", "random", "--seed", "2"])):
+            out = tmp_path / name
+            code, _, _ = run_cli(capsys, "run", market, "--out", str(out), "--skip-oracle", *flags)
+            assert code == 0
+            traces.append((out / "trace.jsonl").read_bytes())
+        # The file's proposer seed drives group sampling whatever the engine seed.
+        assert traces[1] == traces[0] and traces[2] == traces[0]
+
+    @pytest.mark.parametrize("command", ["dispatch", "prices", "check-eq", "decompose", "robust-run"])
+    @pytest.mark.parametrize("flag", [["--epsilon", "1"], ["--seed", "1"], ["--max-steps", "1"],
+                                      ["--proposer", "random"], ["--curtailment", "hybrid"]],
+                             ids=lambda flag: flag[0])
+    def test_run_flags_only_on_run(self, capsys, command, flag):
+        extra = ["--trade", "5,-5"] if command == "decompose" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, MARKET_FILE, *extra, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["dispatch"], ["prices"], ["check-eq"], ["decompose", "--trade", "5,-5"], ["robust-run"],
+    ], ids=lambda argv: argv[0])
+    def test_no_participants_is_input_error(self, capsys, tmp_path, argv):
+        def empty(doc):
+            doc["participants"] = []
+
+        market = write_market(tmp_path, empty)
+        code, _, err = run_cli(capsys, argv[0], market, *argv[1:])
+        assert code == 2
+        assert "participants" in err
+
+
+class TestScenarioCapacities:
+    """Per-scenario line ratings in the file reach every entry point."""
+
+    def test_dispatch_api_matches_cli(self, capsys, tmp_path):
+        market = write_market(tmp_path, rate_line_120_60)
+        code, stdout, _ = run_cli(capsys, "dispatch", market)
+        assert code == 0
+        objective = solve_dispatch(load_market(market).market).objective
+        assert objective == pytest.approx(json.loads(stdout)["objective"], abs=1e-6)
+        assert objective == pytest.approx(144700.0)
+
+    def test_run_trading_without_lm_stays_within_ratings(self, tmp_path):
+        market = load_market(write_market(tmp_path, rate_line_120_60)).market
+        result = run_trading(market, EngineConfig(), make_proposer(ProposerStrategy()))
+        assert result.converged
+        base = Network(market.network.bus_count, market.network.lines, market.network.reference_bus)
+        lm = build_loading_matrix(base).with_scenario_capacities(np.array([[120.0], [60.0]]))
+        x = np.zeros((market.scenario_count, market.network.bus_count))
+        for record in result.state.records:
+            if record.accepted:
+                x = x + record.gamma * record.nodal
+                assert check_feasible(lm, x).ok, record.step
+        np.testing.assert_allclose(x, result.state.x, atol=1e-9)
+
+    def test_decompose_rejects_ratings(self, capsys, tmp_path):
+        market = write_market(tmp_path, rate_line_120_60)
+        code, stdout, err = run_cli(capsys, "decompose", market, "--trade", "50,-50")
+        assert code == 2
+        assert "scenario_capacities" in err and stdout == ""
 
 
 class TestDispatchCommands:

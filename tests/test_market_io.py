@@ -1,10 +1,11 @@
 import json
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridtrade.market import two_bus_market
+from gridtrade.market import Market, two_bus_market
 from gridtrade.market_io import (
     MarketFormatError,
     RunSpec,
@@ -15,6 +16,7 @@ from gridtrade.market_io import (
     parse_market,
 )
 from gridtrade.proposer import ProposerStrategy
+from gridtrade.robust import IntervalTrade
 from gridtrade.trading import EngineConfig
 
 MARKET_FILE = Path(__file__).resolve().parents[1] / "markets" / "two_bus.json"
@@ -33,13 +35,18 @@ class TestRoundTrip:
         assert spec.market.participants == built.participants
 
     def test_serialise_parse_cycle(self):
-        spec = RunSpec(two_bus_market(), EngineConfig(epsilon=2.5, seed=9),
-                       ProposerStrategy("random_subsets", max_size=3, attempts=7))
-        doc = market_to_jsonable(spec)
-        again = parse_market(json.loads(dumps(doc)))
-        assert again.market.participants == spec.market.participants
-        assert again.engine.epsilon == 2.5 and again.engine.seed == 9
-        assert again.strategy.mode == "random_subsets" and again.strategy.attempts == 7
+        base = two_bus_market()
+        network = replace(base.network, scenario_capacities=((120.0,), (60.0,)))
+        spec = RunSpec(
+            Market(network, base.scenarios, base.participants),
+            EngineConfig(epsilon=2.5, curtailment_mode="hybrid", max_steps=40, seed=9),
+            ProposerStrategy("random_subsets", max_size=3, attempts=7, seed=5),
+            (IntervalTrade(lower={"G2": 80.0, "L": -100.0}, upper={"G2": 100.0, "L": -80.0}),),
+        )
+        again = parse_market(json.loads(dumps(market_to_jsonable(spec))))
+        for field in fields(RunSpec):
+            assert getattr(again, field.name) == getattr(spec, field.name), field.name
+        assert again.market.network.scenario_capacities == ((120.0,), (60.0,))
 
     def test_bus_indices_are_one_based_in_files(self):
         doc = base_doc()
@@ -123,10 +130,30 @@ class TestExtensions:
         doc = base_doc()
         doc["network"]["scenario_capacities"] = [[120.0], [60.0]]
         spec = parse_market(doc)
-        np.testing.assert_allclose(spec.scenario_capacities, [[120.0], [60.0]])
+        assert spec.market.network.scenario_capacities == ((120.0,), (60.0,))
         doc["network"]["scenario_capacities"] = [[120.0]]
         with pytest.raises(MarketFormatError, match="scenario_capacities"):
             parse_market(doc)
+
+    @pytest.mark.parametrize("caps,path,message", [
+        ([[120.0], [60.0], [60.0]], "network.scenario_capacities", "expected 2 rows"),
+        ([[120.0], [60.0, 1.0]], "network.scenario_capacities[1]", "expected 1 ratings"),
+        ([[120.0], ["x"]], "network.scenario_capacities[1][0]", "expected a number"),
+        ([[120.0], [0.0]], "network", "scenario_capacities must be positive"),
+    ])
+    def test_scenario_capacities_errors_name_the_field(self, caps, path, message):
+        doc = base_doc()
+        doc["network"]["scenario_capacities"] = caps
+        with pytest.raises(MarketFormatError, match=message) as err:
+            parse_market(doc)
+        assert err.value.field == path
+
+    def test_no_participants_rejected(self):
+        doc = base_doc()
+        doc["participants"] = []
+        with pytest.raises(MarketFormatError) as err:
+            parse_market(doc)
+        assert err.value.field == "participants"
 
     def test_subjective_probabilities_round_trip(self):
         doc = base_doc()

@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from gridtrade import ProposerStrategy, make_proposer, two_bus_market
 from gridtrade.dispatch import check_arrow_debreu, solve_dispatch
+from gridtrade.market import Market
 from gridtrade.network import (
     DisconnectedNetworkError,
     Line,
@@ -325,3 +326,28 @@ class TestScenarioLimits:
             check_feasible(lm, x)
         with pytest.raises(ValueError, match=names):
             curtailment_factor(lm, x, x)
+
+
+class TestNetworkScenarioCapacities:
+    def test_ratings_reach_the_loading_matrix(self):
+        net = Network(2, (Line(0, 1, 1.0, 120.0),), reference_bus=1,
+                      scenario_capacities=((120.0,), (60.0,)))
+        lm = build_loading_matrix(net)
+        np.testing.assert_array_equal(lm.scenario_limits, [[120.0, 120.0], [60.0, 60.0]])
+        np.testing.assert_array_equal(lm.limits, [120.0, 120.0])
+
+    @pytest.mark.parametrize("caps,message", [
+        (((120.0, 1.0), (60.0,)), "1 ratings"),
+        (((120.0,), (0.0,)), "positive"),
+        (((120.0,), (float("nan"),)), "positive"),
+    ])
+    def test_invalid_ratings_rejected(self, caps, message):
+        with pytest.raises(ValueError, match=message):
+            Network(2, (Line(0, 1, 1.0, 120.0),), reference_bus=1, scenario_capacities=caps)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_market_needs_one_row_per_scenario(self, rows):
+        base = two_bus_market()
+        net = Network(2, base.network.lines, reference_bus=1, scenario_capacities=((60.0,),) * rows)
+        with pytest.raises(ValueError, match=f"{rows} rows for 2 scenarios"):
+            Market(net, base.scenarios, base.participants)

@@ -97,6 +97,17 @@ class TestDecomposeSequential:
         with pytest.raises(ValueError, match="balance"):
             decompose_sequential(path3(), [F(1), F(0), F(0)])
 
+    @pytest.mark.parametrize("decompose", [
+        decompose_sequential,
+        decompose_conformal,
+        lambda net, trade: decompose_profitable(net, trade, [F(0), F(1), F(2)]),
+    ], ids=["sequential", "conformal", "profitable"])
+    def test_scenario_capacities_rejected(self, decompose):
+        # The trade fits the 10 MW base ratings but not the 1 MW second-scenario ones.
+        net = Network(3, path3().lines, reference_bus=0, scenario_capacities=((10, 10), (1, 1)))
+        with pytest.raises(ValueError, match="scenario_capacities"):
+            decompose(net, [F(-5), F(0), F(5)])
+
 
 class TestDecomposeConformal:
     def test_components_follow_the_trade_flow(self):
