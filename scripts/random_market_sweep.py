@@ -4,10 +4,12 @@
 For each market, runs the full trading loop with whole-market certification,
 solves the welfare benchmark, and reports convergence steps, optimality gap,
 and how often lines actually congest.  Useful for sizing tolerances and for
-spotting generator drift after changes.
+spotting generator drift after changes.  Exits 1 when any market fails to
+converge or ends more than ``--epsilon`` (relative) from the benchmark.
 """
 
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -15,7 +17,7 @@ import numpy as np
 from gridtrade.dispatch import solve_dispatch, welfare_gap
 from gridtrade.generators import random_market
 from gridtrade.network import build_loading_matrix
-from gridtrade.proposer import FullGroupProposer, ProposerStrategy, make_proposer
+from gridtrade.proposer import ProposerStrategy, make_proposer
 from gridtrade.trading import EngineConfig, run_trading
 
 
@@ -59,7 +61,8 @@ def main():
     print(f"relative gap: median {np.median(gaps):.2e}, max {max(gaps):.2e}")
     print(f"runtime per market: median {np.median(times) * 1e3:.0f} ms, max {max(times) * 1e3:.0f} ms")
     print(f"runs with curtailment: {congested}/{args.count}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

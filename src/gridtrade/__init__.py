@@ -33,7 +33,6 @@ from .participants import (
     UtilityFunction,
     evaluate_utility,
     local_feasible,
-    marginal_utility,
 )
 from .proposer import ProposerStrategy, find_worthy_fd_trade, make_proposer
 from .robust import (

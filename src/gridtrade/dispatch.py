@@ -26,7 +26,7 @@ from scipy import sparse
 from . import lp
 from .market import Market
 from .network import LoadingMatrix, build_loading_matrix
-from .participants import Participant
+from .participants import Participant, evaluate_utility
 
 __all__ = [
     "DispatchSolution",
@@ -285,6 +285,7 @@ def check_arrow_debreu(
     participant maximises payment plus expected utility over its own set at
     the given prices; the network operator's injection maximises conversion
     profit over the feasible polytope; and every contingent commodity clears.
+    Plans outside a participant's bounds raise ``ValueError``.
     """
     lm = build_loading_matrix(market.network) if lm is None else lm
     limits = lm.stacked_limits(market.scenario_count)
@@ -296,10 +297,7 @@ def check_arrow_debreu(
         w = p.weights(market.scenarios)
         lam = prices[:, p.bus]
         plan = np.asarray(plans[p.id], dtype=float)
-        actual = sum(
-            lam[s] * plan[s] + w[s] * p.utility[s].value(plan[s])
-            for s in range(market.scenario_count)
-        )
+        actual = float(lam @ plan) + evaluate_utility(p, plan, w)
         best = _best_response_value(p, lam, w)
         slack = best - actual
         participant_slack[p.id] = float(slack)

@@ -9,7 +9,9 @@ decomposition arithmetic exact.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -76,6 +78,16 @@ def _pwl_load_utility(rng: np.random.Generator, demand: float, values: list[floa
     return UtilityFunction(tuple(breakpoints), tuple(-v for v in sorted(values)))
 
 
+def _price_pool(rng: np.random.Generator, start: float, step: float) -> Iterator[float]:
+    """Distinct prices in ``[start, start + 26 step)``: the grid ``start + k step``
+    shuffled, then unshuffled decks in its gaps (offset ``(1 - 2**-r) step`` in
+    round ``r``), so large markets never run dry and draw no extra randomness."""
+    deck = list(start + step * np.arange(26))
+    rng.shuffle(deck)
+    later = (start + step * (k + 1.0 - 0.5**r) for r in itertools.count(1) for k in range(25, -1, -1))
+    return itertools.chain(reversed(deck), later)
+
+
 def random_market(
     rng: np.random.Generator,
     max_buses: int = 6,
@@ -92,10 +104,8 @@ def random_market(
 
     n_parts = int(rng.integers(2, max_participants + 1))
     # Strict separation of every marginal cost and value, for well-posed duals.
-    cost_pool = list(20.0 + 7.0 * np.arange(26))
-    value_pool = list(260.0 + 13.0 * np.arange(26))
-    rng.shuffle(cost_pool)
-    rng.shuffle(value_pool)
+    cost_pool = _price_pool(rng, 20.0, 7.0)
+    value_pool = _price_pool(rng, 260.0, 13.0)
     participants = []
     for k in range(n_parts):
         is_load = k == 1 or (k > 1 and rng.random() < 0.4)  # k==0 producer, k==1 load
@@ -107,7 +117,7 @@ def random_market(
                 caps = (float(rng.uniform(30.0, 120.0)),) * n_s
             else:
                 caps = tuple(float(rng.uniform(10.0, 120.0)) for _ in range(n_s))
-            costs = sorted(cost_pool.pop() for _ in range(n_seg))
+            costs = sorted(next(cost_pool) for _ in range(n_seg))
             utility = tuple(_pwl_producer_utility(rng, cap, costs) for cap in caps)
             participants.append(
                 Participant(f"P{k}", bus, "producer", timing, tuple((0.0, c) for c in caps), utility)
@@ -117,7 +127,7 @@ def random_market(
                 dems = (float(rng.uniform(20.0, 100.0)),) * n_s
             else:
                 dems = tuple(float(rng.uniform(10.0, 100.0)) for _ in range(n_s))
-            values = sorted((value_pool.pop() for _ in range(n_seg)), reverse=True)
+            values = sorted((next(value_pool) for _ in range(n_seg)), reverse=True)
             utility = tuple(_pwl_load_utility(rng, d, values) for d in dems)
             participants.append(
                 Participant(f"P{k}", bus, "load", timing, tuple((-d, 0.0) for d in dems), utility)

@@ -65,14 +65,11 @@ class Market:
 
     def total_utility(self, plans: dict[str, np.ndarray], subjective: bool = False) -> float:
         """Sum of participant utilities; market probabilities unless ``subjective``."""
+        market_weights = self.scenarios.as_array()
         total = 0.0
         for p in self.participants:
-            plan = np.asarray(plans[p.id], dtype=float)
-            if subjective:
-                total += evaluate_utility(p, plan, self.scenarios)
-            else:
-                w = self.scenarios.as_array()
-                total += float(sum(w[s] * p.utility[s].value(plan[s]) for s in range(len(plan))))
+            w = p.weights(self.scenarios) if subjective else market_weights
+            total += evaluate_utility(p, plans[p.id], w)
         return total
 
 

@@ -217,12 +217,13 @@ def parse_market(doc: Any) -> RunSpec:
     engine_sec = doc.get("engine", {})
     if not isinstance(engine_sec, dict):
         raise MarketFormatError("engine", "expected an object")
+    max_steps = _integer(engine_sec.get("max_steps", 500), "engine.max_steps")
+    engine_seed = _integer(engine_sec.get("seed", 0), "engine.seed")
     try:
         engine = EngineConfig(
             epsilon=float(engine_sec.get("epsilon", 1e-3)),
             curtailment_mode=engine_sec.get("curtailment", "uniform"),
-            max_steps=int(engine_sec.get("max_steps", 500)),
-            seed=int(engine_sec.get("seed", 0)),
+            max_steps=max_steps, seed=engine_seed,
         )
     except (TypeError, ValueError) as exc:
         raise MarketFormatError("engine", str(exc)) from exc
@@ -231,12 +232,17 @@ def parse_market(doc: Any) -> RunSpec:
         prop_sec = {"mode": prop_sec}
     if not isinstance(prop_sec, dict):
         raise MarketFormatError("engine.proposer", "expected an object or mode string")
+    max_size = _integer(prop_sec.get("max_size", 2), "engine.proposer.max_size")
+    attempts = _integer(prop_sec.get("attempts", 20), "engine.proposer.attempts")
+    proposer_seed = prop_sec.get("seed")
+    if proposer_seed is not None:
+        proposer_seed = _integer(proposer_seed, "engine.proposer.seed")
     try:
         strategy = ProposerStrategy(
             mode=prop_sec.get("mode", "full_group"),
-            max_size=int(prop_sec.get("max_size", 2)),
-            attempts=int(prop_sec.get("attempts", 20)),
-            seed=prop_sec.get("seed"),
+            max_size=max_size,
+            attempts=attempts,
+            seed=proposer_seed,
         )
     except (TypeError, ValueError) as exc:
         raise MarketFormatError("engine.proposer", str(exc)) from exc

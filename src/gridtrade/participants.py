@@ -4,8 +4,10 @@ Utilities are concave piecewise-linear functions of the participant's power
 injection, normalised so the value at zero injection is zero.  Producers
 inject (``p >= 0``) and their utility is the negated cost; loads withdraw
 (``p <= 0``) and their utility is the consumption benefit, so its slope with
-respect to injection is negative.  Expected utility weights each scenario by
-the market probability unless the participant carries a subjective override.
+respect to injection is negative.  Every expected utility comes from
+:func:`evaluate_utility` under the caller's scenario weights: the
+participant's own (:meth:`Participant.weights`, the market probabilities
+unless it carries a subjective override) or the market's, for welfare.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ __all__ = [
     "UtilityFunction",
     "Participant",
     "evaluate_utility",
-    "marginal_utility",
     "local_feasible",
     "PROBABILITY_TOL",
     "LOCAL_TOL",
@@ -95,7 +96,7 @@ class UtilityFunction:
         object.__setattr__(self, "_values", tuple(v - offset for v in values))
 
     @staticmethod
-    def _interp(bps: tuple[float, ...], values: list[float], p: float) -> float:
+    def _interp(bps: tuple[float, ...], values: tuple[float, ...] | list[float], p: float) -> float:
         j = max(bisect.bisect_right(bps, p) - 1, 0)
         j = min(j, len(bps) - 2)
         return values[j] + (values[j + 1] - values[j]) / (bps[j + 1] - bps[j]) * (p - bps[j])
@@ -121,7 +122,7 @@ class UtilityFunction:
 
     def value(self, p: float) -> float:
         self._check_domain(p)
-        return self._interp(self.breakpoints, list(self._values), float(p))
+        return self._interp(self.breakpoints, self._values, float(p))
 
     def marginals(self, p: float, tol: float = 0.0) -> tuple[float, float]:
         """One-sided derivatives ``(left, right)`` at ``p``, clamped to the domain.
@@ -246,23 +247,16 @@ class Participant:
         return scenarios.as_array()
 
 
-def evaluate_utility(participant: Participant, plan: np.ndarray, scenarios: ScenarioSet) -> float:
-    """Expected utility of a per-scenario injection plan."""
+def evaluate_utility(participant: Participant, plan: np.ndarray, weights: np.ndarray) -> float:
+    """Expected utility of a per-scenario plan under ``weights``; out-of-bounds plans raise."""
     plan = np.asarray(plan, dtype=float)
     if plan.shape != (participant.scenario_count,):
         raise ValueError("plan must have one entry per scenario")
     for s, p in enumerate(plan):
         lo, hi = participant.bounds[s]
-        if not lo - 1e-9 <= p <= hi + 1e-9:
+        if not lo - LOCAL_TOL <= p <= hi + LOCAL_TOL:
             raise ValueError(f"{participant.id}: plan {p} outside bounds [{lo}, {hi}] in scenario {s}")
-    w = participant.weights(scenarios)
-    return float(sum(w[s] * participant.utility[s].value(plan[s]) for s in range(len(plan))))
-
-
-def marginal_utility(participant: Participant, plan: np.ndarray, s: int) -> tuple[float, float]:
-    """One-sided utility derivatives at the plan's scenario-``s`` injection."""
-    plan = np.asarray(plan, dtype=float)
-    return participant.utility[s].marginals(float(plan[s]))
+    return float(sum(w * u.value(p) for w, u, p in zip(weights, participant.utility, plan, strict=True)))
 
 
 def local_feasible(participant: Participant, plan: np.ndarray) -> bool:

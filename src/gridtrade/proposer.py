@@ -111,7 +111,9 @@ def find_worthy_fd_trade(
     """
     members = [market.participant(pid) for pid in sorted(set(group))]
     y = np.array([state.y[p.id] for p in members])
-    base_utility = sum(evaluate_utility(p, plan, market.scenarios) for p, plan in zip(members, y))
+    base_utility = sum(
+        evaluate_utility(p, plan, p.weights(market.scenarios)) for p, plan in zip(members, y)
+    )
     program = welfare_program(
         market, members, y, lm, announcements, [np.zeros(len(rows)) for rows in announcements]
     )

@@ -2,8 +2,9 @@
 
 Trades are balanced multilateral exchanges of scenario-contingent power.
 The operator never optimises: it validates each submitted trade, checks it
-against the announced binding-line directions, scales it back just enough
-to stay inside the network polytope, and applies it.  Because every
+is worth at least ``epsilon`` to its group and against the announced
+binding-line directions, scales it back just enough to stay inside the
+network polytope, and applies it.  Because every
 accepted step lands inside the feasible region, the run can stop at any
 point with a safe dispatch.
 
@@ -184,27 +185,17 @@ def is_worthy(
     """Group utility change of the proposal against the threshold.
 
     Each member values the change with their own probabilities, so a trade
-    can be worthwhile to heterogeneous believers.
+    can be worthwhile to heterogeneous believers.  The trade must have
+    passed :func:`validate_trade`: out-of-bounds plans raise ``ValueError``.
     """
     delta = 0.0
     for pid in trade.group:
         p = market.participant(pid)
-        before = evaluate_utility(p, state.y[pid], market.scenarios)
-        after = evaluate_utility(p, state.y[pid] + trade.plans[pid], market.scenarios)
+        w = p.weights(market.scenarios)
+        before = evaluate_utility(p, state.y[pid], w)
+        after = evaluate_utility(p, state.y[pid] + trade.plans[pid], w)
         delta += after - before
     return delta >= epsilon, delta
-
-
-def _market_prob_delta(trade: Trade, state: TradingState, market: Market, gamma) -> float:
-    w = market.scenarios.as_array()
-    delta = 0.0
-    for pid in trade.group:
-        p = market.participant(pid)
-        y = state.y[pid]
-        stepped = y + gamma * trade.plans[pid]
-        for s in range(market.scenario_count):
-            delta += w[s] * (p.utility[s].value(stepped[s]) - p.utility[s].value(y[s]))
-    return delta
 
 
 def _normalize(trade: Trade, market: Market) -> Trade:
@@ -272,16 +263,19 @@ def so_step(
 ) -> tuple[TradeRecord, TradingState]:
     """Operator decision on one submitted trade.
 
-    Invalid or wrong-direction trades are rejected with the state unchanged;
-    otherwise the trade is scaled by the ratio-test factor and applied.
-    Scenario-wise factors are used only in hybrid mode and only when no
-    day-ahead participant is involved, since they would otherwise break
-    non-anticipation.
+    Invalid trades, then trades worth less than ``config.epsilon`` to their
+    group, then wrong-direction trades are rejected with the state
+    unchanged; otherwise the trade is scaled by the ratio-test factor and
+    applied.  Scenario-wise factors are used only in hybrid mode and only
+    when no day-ahead participant is involved, since they would otherwise
+    break non-anticipation.
     """
     k = len(state.records) if step is None else step
     problems = validate_trade(trade, state, market)
     if problems:
         return _rejection(state, trade, market, lm, problems, k)
+    if not is_worthy(trade, state, config.epsilon, market)[0]:
+        return _rejection(state, trade, market, lm, ["not epsilon-worthy"], k)
     trade = _normalize(trade, market)
     q = nodal_injection(trade, market)
     if not is_feasible_direction(lm, state.x, q):
@@ -304,7 +298,11 @@ def so_step(
     for pid, plan in trade.plans.items():
         new_y[pid] = new_y[pid] + gamma_vec * plan
     new_x = state.x + (gamma_vec[:, None] if gamma_by_scenario else gamma) * q
-    delta = _market_prob_delta(trade, state, market, gamma_vec)
+    w = market.scenarios.as_array()
+    delta = 0.0
+    for pid in trade.group:
+        p = market.participant(pid)
+        delta += evaluate_utility(p, new_y[pid], w) - evaluate_utility(p, state.y[pid], w)
     interim = TradingState(y=new_y, x=new_x, records=state.records)
     record = TradeRecord(
         step=k,
@@ -345,12 +343,6 @@ def run_trading(
             converged = True
             certified = proposal.optimum
             break
-        worthy, _ = is_worthy(proposal, state, config.epsilon, market)
-        if not worthy:
-            _, state = _rejection(state, proposal, market, lm,
-                                  ["not epsilon-worthy"], len(state.records))
-            steps += 1
-            continue
         _, state = so_step(state, proposal, config, lm, market)
         steps += 1
         report = check_feasible(lm, state.x)

@@ -74,6 +74,28 @@ class TestRun:
         assert code == 2
         assert "input error" in err
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", "abc"), ("seed", 2.7), ("max_size", 2.7), ("attempts", 2.7),
+    ])
+    def test_bad_proposer_integer_is_input_error(self, capsys, tmp_path, key, value):
+        def edit(doc):
+            doc["engine"]["proposer"] = {"mode": "random_subsets", key: value}
+
+        market = write_market(tmp_path, edit)
+        code, _, err = run_cli(capsys, "run", market, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"engine.proposer.{key}: expected an integer" in err
+
+    @pytest.mark.parametrize("key", ["seed", "max_steps"])
+    def test_bad_engine_integer_is_input_error(self, capsys, tmp_path, key):
+        def edit(doc):
+            doc["engine"][key] = 2.7
+
+        market = write_market(tmp_path, edit)
+        code, _, err = run_cli(capsys, "run", market, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"engine.{key}: expected an integer" in err
+
     def test_determinism_across_runs(self, capsys, tmp_path):
         blobs = []
         for name in ("a", "b"):

@@ -148,6 +148,22 @@ class TestExtensions:
             parse_market(doc)
         assert err.value.field == path
 
+    @pytest.mark.parametrize("path", [
+        "engine.max_steps", "engine.seed", "engine.proposer.max_size",
+        "engine.proposer.attempts", "engine.proposer.seed",
+    ])
+    @pytest.mark.parametrize("value", ["abc", 2.7, True])
+    def test_integer_fields_name_the_field(self, path, value):
+        doc = base_doc()
+        *parents, key = path.split(".")
+        section = doc
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        with pytest.raises(MarketFormatError, match="expected an integer") as err:
+            parse_market(doc)
+        assert err.value.field == path
+
     def test_no_participants_rejected(self):
         doc = base_doc()
         doc["participants"] = []

@@ -165,14 +165,18 @@ def scenario_limited_case(draw, lm):
     """Per-scenario capacities for 2-3 scenarios, a feasible state and a direction.
 
     The state is a balanced draw scaled towards (and sometimes onto) its
-    tightest limit per scenario.  Directions are whole MW, so on the
-    equal-reactance triangle every nonzero row increase is at least 1/3 MW.
+    tightest limit per scenario.  The last bus takes the negated sum of the
+    others, so the balance round-off stays relative to the state and
+    survives scaling a near-zero state up (centring a draw with equal
+    entries leaves pure round-off, which that scaling would unbalance far
+    beyond 1e-9 MW).  Directions are whole MW, so on the equal-reactance
+    triangle every nonzero row increase is at least 1/3 MW.
     """
     count = draw(st.integers(2, 3))
     caps = draw(hnp.arrays(float, (count, lm.line_count), elements=st.floats(20.0, 200.0)))
     lm = lm.with_scenario_capacities(caps)
-    raw = draw(hnp.arrays(float, (count, lm.bus_count), elements=st.floats(-100.0, 100.0)))
-    x = raw - raw.mean(axis=1, keepdims=True)
+    raw = draw(hnp.arrays(float, (count, lm.bus_count - 1), elements=st.floats(-100.0, 100.0)))
+    x = np.concatenate([raw, -raw.sum(axis=1, keepdims=True)], axis=1)
     ratio = ((lm.rows @ x[..., None])[..., 0] / lm.scenario_limits).max(axis=1, keepdims=True)
     fill = draw(hnp.arrays(float, (count, 1), elements=st.sampled_from([0.0, 0.5, 0.9, 1.0])))
     x = x * fill / np.maximum(ratio, 1e-12)

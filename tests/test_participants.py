@@ -3,16 +3,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gridtrade.market import Market
+from gridtrade.network import Network
 from gridtrade.participants import (
     Participant,
     ScenarioSet,
     UtilityFunction,
     evaluate_utility,
     local_feasible,
-    marginal_utility,
 )
 
 SCENARIOS = ScenarioSet((0.6, 0.4))
+MARKET_WEIGHTS = SCENARIOS.as_array()
 
 
 class TestScenarioSet:
@@ -73,36 +75,60 @@ def voll_load(value=1000.0):
 
 class TestEvaluateUtility:
     def test_constant_cost_producer(self):
-        assert evaluate_utility(g1(), np.array([50.0, 50.0]), SCENARIOS) == pytest.approx(-2500.0)
+        assert evaluate_utility(g1(), np.array([50.0, 50.0]), MARKET_WEIGHTS) == pytest.approx(-2500.0)
 
     def test_zero_plan_is_zero(self):
         for p in (g1(), g2(), g3(), voll_load()):
-            assert evaluate_utility(p, np.zeros(2), SCENARIOS) == 0.0
+            assert evaluate_utility(p, np.zeros(2), MARKET_WEIGHTS) == 0.0
 
     def test_scenario_weighted_cost(self):
-        assert evaluate_utility(g3(), np.array([0.0, 50.0]), SCENARIOS) == pytest.approx(-1600.0)
+        assert evaluate_utility(g3(), np.array([0.0, 50.0]), MARKET_WEIGHTS) == pytest.approx(-1600.0)
 
     def test_out_of_bounds_plan_rejected(self):
         with pytest.raises(ValueError, match="outside bounds"):
-            evaluate_utility(g2(), np.array([150.0, 0.0]), SCENARIOS)
+            evaluate_utility(g2(), np.array([150.0, 0.0]), MARKET_WEIGHTS)
+
+    def test_weights_must_cover_every_scenario(self):
+        with pytest.raises(ValueError):
+            evaluate_utility(g3(), np.array([10.0, 10.0]), np.array([1.0]))
 
     def test_subjective_probabilities_override(self):
         skeptic = Participant.producer(
             "G", 0, "RT", (100.0, 100.0), 80.0, subjective_probabilities=(0.1, 0.9)
         )
-        assert evaluate_utility(skeptic, np.array([10.0, 0.0]), SCENARIOS) == pytest.approx(-80.0)
+        plan = np.array([10.0, 0.0])
+        assert evaluate_utility(skeptic, plan, skeptic.weights(SCENARIOS)) == pytest.approx(-80.0)
+        assert evaluate_utility(skeptic, plan, MARKET_WEIGHTS) == pytest.approx(-480.0)
+
+
+class TestTotalUtility:
+    @staticmethod
+    def narrow_market():
+        # Bounded to [0, 50] MW on a utility domain of [0, 100] MW.
+        u = UtilityFunction.constant_marginal(-10.0, 0.0, 100.0)
+        p = Participant("G", 0, "producer", "RT", ((0.0, 50.0),), (u,))
+        return Market(Network(1, ()), ScenarioSet((1.0,)), (p,))
+
+    def test_within_bounds_both_weightings_agree(self):
+        market = self.narrow_market()
+        plans = {"G": np.array([40.0])}
+        assert market.total_utility(plans) == market.total_utility(plans, subjective=True) == -400.0
+
+    @pytest.mark.parametrize("subjective", [False, True])
+    def test_out_of_bounds_plan_rejected(self, subjective):
+        with pytest.raises(ValueError, match="outside bounds"):
+            self.narrow_market().total_utility({"G": np.array([80.0])}, subjective=subjective)
 
 
 class TestMarginalUtility:
     def test_interior_constant_cost(self):
-        assert marginal_utility(g3(), np.array([30.0, 30.0]), 0) == (-80.0, -80.0)
+        assert g3().utility[0].marginals(30.0) == (-80.0, -80.0)
 
     def test_free_production(self):
-        assert marginal_utility(g2(), np.array([70.0, 20.0]), 0) == (0.0, 0.0)
+        assert g2().utility[0].marginals(70.0) == (0.0, 0.0)
 
     def test_single_segment_load_slope(self):
-        load = voll_load(1000.0)
-        left, right = marginal_utility(load, np.array([-75.0, -75.0]), 1)
+        left, right = voll_load(1000.0).utility[1].marginals(-75.0)
         assert left == right == -1000.0
 
 
@@ -164,9 +190,9 @@ class TestConcavityProperties:
     def test_expected_utility_concave_on_segments(self, a, b, t):
         p = _pwl_participant()
         mix = t * a + (1 - t) * b
-        ua = evaluate_utility(p, a, SCENARIOS)
-        ub = evaluate_utility(p, b, SCENARIOS)
-        umix = evaluate_utility(p, mix, SCENARIOS)
+        ua = evaluate_utility(p, a, MARKET_WEIGHTS)
+        ub = evaluate_utility(p, b, MARKET_WEIGHTS)
+        umix = evaluate_utility(p, mix, MARKET_WEIGHTS)
         assert umix >= t * ua + (1 - t) * ub - 1e-9
 
     @settings(max_examples=50, deadline=None)

@@ -186,10 +186,24 @@ class GapCheckingProposer:
 
 
 class TestCertifiedGap:
+    @staticmethod
+    def check_every_step(market):
+        lm = build_loading_matrix(market.network)
+        proposer = GapCheckingProposer(lm, solve_dispatch(market, lm).objective)
+        result = run_trading(market, EngineConfig(epsilon=1e-3), proposer, lm)
+        assert result.converged
+        assert proposer.calls == result.steps + 1  # every step plus the certificate
+
     def test_search_optimum_bounds_dispatch_gap_at_every_step(self):
         for market in fleet_markets():
-            lm = build_loading_matrix(market.network)
-            proposer = GapCheckingProposer(lm, solve_dispatch(market, lm).objective)
-            result = run_trading(market, EngineConfig(epsilon=1e-3), proposer, lm)
-            assert result.converged
-            assert proposer.calls == result.steps + 1  # every step plus the certificate
+            self.check_every_step(market)
+
+    def test_medium_market(self):
+        # Seed 32 is the first default_rng seed whose medium-tier draw has at
+        # least 15 buses, 12 scenarios and 30 participants.
+        market = random_market(
+            np.random.default_rng(32), max_buses=20, max_scenarios=16, max_participants=40
+        )
+        sizes = (market.network.bus_count, market.scenario_count, len(market.participants))
+        assert sizes == (18, 16, 31)
+        self.check_every_step(market)

@@ -8,6 +8,7 @@ from gridtrade.network import Line, Network, build_loading_matrix, check_feasibl
 from gridtrade.participants import Participant, ScenarioSet, UtilityFunction
 from gridtrade.proposer import FullGroupProposer
 from gridtrade.trading import (
+    Certificate,
     EngineConfig,
     Trade,
     TradingState,
@@ -39,6 +40,16 @@ def config():
 
 def table_one_trade(golden_plans):
     return Trade(golden_plans["initial"])
+
+
+class ScriptedProposer:
+    """Submits the given trades in order, then certifies."""
+
+    def __init__(self, *trades):
+        self.trades = list(trades)
+
+    def propose(self, market, state, announcements, epsilon, rng):
+        return self.trades.pop(0) if self.trades else Certificate(0.0)
 
 
 class TestNodalInjection:
@@ -234,6 +245,22 @@ class TestRunTrading:
     def test_max_steps_flags_non_convergence(self, market):
         result = run_trading(market, EngineConfig(epsilon=1e-3, max_steps=1), FullGroupProposer())
         assert not result.converged and result.steps == 1
+
+    def test_invalid_proposals_recorded_as_rejections(self, market, config):
+        out_of_bounds = Trade({"G2": np.array([150.0, 0.0]), "L": np.array([-150.0, 0.0])})
+        unbalanced = Trade({"G1": np.array([5.0, 5.0])})
+        result = run_trading(market, config, ScriptedProposer(out_of_bounds, unbalanced))
+        assert result.converged and result.steps == 2
+        first, second = result.state.records
+        assert not first.accepted
+        assert first.reasons == ("local: G2 violates bounds", "local: L violates non-anticipation")
+        assert not second.accepted and second.reasons[0].startswith("balance:")
+        assert all(not np.any(plan) for plan in result.state.y.values())
+
+    def test_unknown_participant_raises(self, market, config):
+        trade = Trade({"G9": np.array([1.0, 1.0]), "L": np.array([-1.0, -1.0])})
+        with pytest.raises(KeyError, match="G9"):
+            run_trading(market, config, ScriptedProposer(trade))
 
     def test_initial_state_requires_zero_feasible(self):
         network = Network(1, (), reference_bus=0)
