@@ -25,7 +25,7 @@ from . import market_io, robust, tree
 from .lp import LpError
 from .network import build_loading_matrix
 from .proposer import make_proposer
-from .trading import run_trading
+from .trading import InfeasibleStateError, run_trading
 
 log = logging.getLogger("gridtrade")
 
@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     except market_io.MarketFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (LpError, dispatch_mod.DispatchInfeasibleError, ArithmeticError) as exc:
+    except (LpError, InfeasibleStateError, dispatch_mod.DispatchInfeasibleError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -1,7 +1,10 @@
 """Linear programming with dual variables, backed by HiGHS.
 
-Constraint matrices may be dense arrays or ``scipy.sparse`` matrices; the
-solution and its verification are the same for both.
+HiGHS is called through the binding scipy bundles
+(``scipy.optimize._highspy._core``), with the model and options scipy's
+``linprog(method="highs")`` would pass it.  Constraint matrices may be
+dense arrays or ``scipy.sparse`` matrices; the solution and its
+verification are the same for both.
 
 Every consumer here needs duals, so the solution carries Lagrange
 multipliers in a single documented convention.  For the equivalent
@@ -13,6 +16,12 @@ an optimal solution satisfies
 with ``y_ub, mu_lower, mu_upper >= 0`` and complementary slackness.  For a
 maximisation, ``y_eq`` is then the shadow price of the equality right-hand
 side and ``y_ub`` the (nonnegative) shadow price of relaxing a row limit.
+
+HiGHS minimises ``-c @ x`` for a maximisation (``c @ x`` otherwise) and
+reports minimisation duals, so for both senses ``y = -row_dual`` (split
+into the ``a_ub`` rows, then the ``a_eq`` rows), ``mu_lower = col_dual``
+for columns nonbasic at their lower bound and ``mu_upper = -col_dual`` for
+those at their upper bound; every other bound multiplier is zero.
 """
 
 from __future__ import annotations
@@ -21,19 +30,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 
 __all__ = ["LinearProgram", "LpSolution", "LpError", "LpNumericalError", "solve"]
 
 PRIMAL_TOL = 1e-7
 COMPLEMENTARITY_TOL = 1e-6
 GAP_TOL = 1e-6
+STATIONARITY_TOL = 1e-6
 
-_HIGHS_OPTIONS = {
-    "presolve": True,
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
+
+def _options() -> _highs.HighsOptions:
+    options = _highs.HighsOptions()
+    options.presolve = "on"
+    options.primal_feasibility_tolerance = 1e-10
+    options.dual_feasibility_tolerance = 1e-10
+    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    return options
+
+
+_HIGHS_OPTIONS = _options()
+_STATUS = {
+    _highs.HighsModelStatus.kOptimal: "optimal",
+    _highs.HighsModelStatus.kInfeasible: "infeasible",
+    _highs.HighsModelStatus.kModelError: "infeasible",
+    _highs.HighsModelStatus.kUnbounded: "unbounded",
 }
+_AT_LOWER = int(_highs.HighsBasisStatus.kLower)
+_AT_UPPER = int(_highs.HighsBasisStatus.kUpper)
 
 
 class LpError(RuntimeError):
@@ -64,8 +91,8 @@ class LinearProgram:
         if self.sense not in ("max", "min"):
             raise ValueError("sense must be 'max' or 'min'")
         c = np.asarray(self.c, dtype=float)
-        if c.ndim != 1 or not np.all(np.isfinite(c)):
-            raise ValueError("objective must be a finite vector")
+        if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
+            raise ValueError("objective must be a finite, nonempty vector")
         object.__setattr__(self, "c", c)
         n = c.size
         for name, a, b in (("eq", self.a_eq, self.b_eq), ("ub", self.a_ub, self.b_ub)):
@@ -107,47 +134,73 @@ class LpSolution:
     residuals: dict = field(default_factory=dict)
 
 
-_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+def linprog(lp: LinearProgram) -> tuple[str, _highs._Highs]:
+    """Run HiGHS on ``lp``; return the status and the solved model.
+
+    The model is ``row_lower <= A x <= row_upper`` with the ``a_ub`` rows
+    first (``row_lower = -inf``) and the ``a_eq`` rows after them
+    (``row_lower = row_upper = b_eq``), column bounds ``lower``/``upper`` and
+    the min-equivalent cost.  A status other than optimal, infeasible or
+    unbounded raises :class:`LpError`.
+    """
+    parts = [a for a in (lp.a_ub, lp.a_eq) if a is not None]
+    if any(sparse.issparse(a) for a in parts):
+        a = sparse.vstack(parts, format="csc")
+    else:
+        a = sparse.csc_array(np.vstack(parts) if parts else np.zeros((0, lp.n_vars)))
+    b_ub = np.zeros(0) if lp.b_ub is None else lp.b_ub
+    b_eq = np.zeros(0) if lp.b_eq is None else lp.b_eq
+    model = _highs.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = lp.n_vars
+    model.num_row_ = model.a_matrix_.num_row_ = a.shape[0]
+    model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    model.a_matrix_.start_ = a.indptr
+    model.a_matrix_.index_ = a.indices
+    model.a_matrix_.value_ = a.data
+    model.col_cost_ = -lp.c if lp.sense == "max" else lp.c
+    model.col_lower_ = lp.lower
+    model.col_upper_ = lp.upper
+    model.row_lower_ = np.concatenate([np.full(b_ub.size, -np.inf), b_eq])
+    model.row_upper_ = np.concatenate([b_ub, b_eq])
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    if highs.passModel(model) == _highs.HighsStatus.kError:
+        # A model HiGHS will not load, such as one with crossed bounds, is
+        # reported infeasible, as scipy's linprog reports it.
+        return "infeasible", highs
+    highs.run()
+    status = highs.getModelStatus()
+    if status not in _STATUS:
+        raise LpError(f"solver failure: {highs.modelStatusToString(status)}")
+    return _STATUS[status], highs
 
 
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve ``lp``; on success the KKT residual contract is checked."""
-    sign = -1.0 if lp.sense == "max" else 1.0
-    res = linprog(
-        c=sign * lp.c,
-        A_ub=lp.a_ub,
-        b_ub=lp.b_ub,
-        A_eq=lp.a_eq,
-        b_eq=lp.b_eq,
-        bounds=np.column_stack([lp.lower, lp.upper]),
-        method="highs",
-        options=_HIGHS_OPTIONS,
-    )
-    if res.status in (2, 3):
-        return LpSolution(status=_STATUS[res.status])
-    if res.status != 0:
-        raise LpError(f"solver failure (status {res.status}): {res.message}")
+    status, highs = linprog(lp)
+    if status != "optimal":
+        return LpSolution(status=status)
 
-    x = np.asarray(res.x, dtype=float)
-    objective = float(lp.c @ x)
-    # scipy marginals are minimisation shadow prices, and the solver always
-    # receives the min-equivalent objective, so the mapping onto the
-    # maximisation-form multipliers is the same for both senses.
-    duals_eq = -np.asarray(res.eqlin.marginals) if lp.a_eq is not None else np.zeros(0)
-    duals_ub = -np.asarray(res.ineqlin.marginals) if lp.a_ub is not None else np.zeros(0)
-    duals_lower = np.asarray(res.lower.marginals)
-    duals_upper = -np.asarray(res.upper.marginals)
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    m_ub = 0 if lp.b_ub is None else lp.b_ub.size
+    row_dual = -np.array(solution.row_dual)
+    col_dual = np.array(solution.col_dual)
+    col_status = np.array([int(s) for s in highs.getBasis().col_status])
+    duals_eq, duals_ub = row_dual[m_ub:], row_dual[:m_ub]
+    duals_lower = np.where(col_status == _AT_LOWER, col_dual, 0.0)
+    duals_upper = -np.where(col_status == _AT_UPPER, col_dual, 0.0)
     sol = LpSolution(
         status="optimal",
         x=x,
-        objective=objective,
+        objective=float(lp.c @ x),
         duals_eq=duals_eq,
         duals_ub=duals_ub,
         duals_lower=duals_lower,
         duals_upper=duals_upper,
         residuals=_kkt_residuals(lp, x, duals_eq, duals_ub, duals_lower, duals_upper),
     )
-    _check_quality(sol)
+    _check_quality(lp, sol)
     return sol
 
 
@@ -195,11 +248,18 @@ def _kkt_residuals(
     }
 
 
-def _check_quality(sol: LpSolution) -> None:
+def _check_quality(lp: LinearProgram, sol: LpSolution) -> None:
     r = sol.residuals
+    values = (sol.x, sol.duals_eq, sol.duals_ub, sol.duals_lower, sol.duals_upper, [sol.objective], list(r.values()))
+    if not np.all(np.isfinite(np.concatenate(values))):
+        raise LpNumericalError(f"non-finite solution or residual: {r}")
     scale = 1.0 + abs(sol.objective or 0.0)
     if r["primal"] > PRIMAL_TOL:
         raise LpNumericalError(f"primal residual {r['primal']:.2e} exceeds {PRIMAL_TOL}")
+    if r["stationarity"] > STATIONARITY_TOL * (1.0 + float(np.max(np.abs(lp.c), initial=0.0))):
+        raise LpNumericalError(
+            f"stationarity residual {r['stationarity']:.2e} exceeds {STATIONARITY_TOL} * (1+max|c|)"
+        )
     if r["complementarity"] > COMPLEMENTARITY_TOL * scale:
         raise LpNumericalError(f"complementarity residual {r['complementarity']:.2e} too large")
     if r["gap"] > GAP_TOL * scale:

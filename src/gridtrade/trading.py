@@ -41,6 +41,7 @@ __all__ = [
     "EngineConfig",
     "Certificate",
     "TradingResult",
+    "InfeasibleStateError",
     "nodal_injection",
     "validate_trade",
     "is_worthy",
@@ -48,6 +49,10 @@ __all__ = [
     "announce",
     "run_trading",
 ]
+
+
+class InfeasibleStateError(RuntimeError):
+    """An accepted step left the network state over a line limit or unbalanced."""
 
 
 @dataclass(frozen=True)
@@ -346,8 +351,8 @@ def run_trading(
         _, state = so_step(state, proposal, config, lm, market)
         steps += 1
         report = check_feasible(lm, state.x)
-        if not report.ok:  # pragma: no cover - engine invariant
-            raise AssertionError(f"post-step state infeasible: {report}")
+        if not report.ok:
+            raise InfeasibleStateError(f"post-step state infeasible: {report}")
     return TradingResult(
         state=state,
         converged=converged,

@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gridtrade import trading
 from gridtrade.cli import main
 from gridtrade.dispatch import solve_dispatch
 from gridtrade.market_io import load_market
-from gridtrade.network import Network, build_loading_matrix, check_feasible
+from gridtrade.network import Network, ViolationReport, build_loading_matrix, check_feasible
 from gridtrade.proposer import ProposerStrategy, make_proposer
 from gridtrade.trading import EngineConfig, run_trading
 
@@ -66,6 +67,13 @@ class TestRun:
             "--skip-oracle",
         )
         assert code == 3
+
+    def test_infeasible_post_step_state_is_numerical_failure(self, capsys, tmp_path, monkeypatch):
+        overloaded = ViolationReport(((0, 0, 1.0),), (0.0, 0.0))
+        monkeypatch.setattr(trading, "check_feasible", lambda lm, x: overloaded)
+        code, _, stderr = run_cli(capsys, "run", MARKET_FILE, "--out", str(tmp_path / "o"))
+        assert code == 4
+        assert "post-step state infeasible" in stderr
 
     def test_malformed_json_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,7 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.optimize
 
-from gridtrade.lp import LinearProgram, solve
+from gridtrade import lp as lp_mod
+from gridtrade import two_bus_market
+from gridtrade.dispatch import solve_dispatch
+from gridtrade.lp import LinearProgram, LpNumericalError, _kkt_residuals, solve
+
+from conftest import fleet_markets
 
 
 def kkt_holds(lp, sol, atol=1e-6):
@@ -15,85 +23,115 @@ def kkt_holds(lp, sol, atol=1e-6):
     return float(np.max(np.abs(resid), initial=0.0)) <= atol
 
 
+def single_variable_box():
+    return LinearProgram("max", c=np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([3.0]),
+                         lower=np.array([0.0]))
+
+
+def infeasible_row():
+    return LinearProgram("max", c=np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([0.0]),
+                         lower=np.array([1.0]))
+
+
+def unbounded():
+    return LinearProgram("max", c=np.array([1.0]))
+
+
+def crossed_bounds():
+    return LinearProgram("max", c=np.array([1.0]), lower=np.array([2.0]), upper=np.array([1.0]))
+
+
+def random_box():
+    c = np.random.default_rng(3).normal(size=4)
+    return LinearProgram("max", c=c, lower=np.full(4, -5.0), upper=np.full(4, 5.0))
+
+
+def min_sense_cover():
+    # min x1 + 2 x2 s.t. x1 + x2 >= 1 (as -x1 - x2 <= -1), x >= 0
+    return LinearProgram(
+        "min",
+        c=np.array([1.0, 2.0]),
+        a_ub=np.array([[-1.0, -1.0]]),
+        b_ub=np.array([-1.0]),
+        lower=np.zeros(2),
+    )
+
+
+def two_bus_initial_cost():
+    # Variables: p1 (committed ahead), p2_w, p2_b, p3_w, p3_b; the fixed
+    # 150 MW demand is substituted into the balance rows.  Expected cost
+    # 4100 and the merit-order plan are pinned by the hand-derived
+    # piecewise cost c(p1) = 5600 - 30 p1 on [0, 50], 18 p1 + 3200 after.
+    return LinearProgram(
+        "min",
+        c=np.array([50.0, 0.0, 0.0, 48.0, 32.0]),
+        a_eq=np.array([
+            [1.0, 1.0, 0.0, 1.0, 0.0],
+            [1.0, 0.0, 1.0, 0.0, 1.0],
+        ]),
+        b_eq=np.array([150.0, 150.0]),
+        lower=np.zeros(5),
+        upper=np.array([200.0, 100.0, 50.0, 100.0, 100.0]),
+    )
+
+
+def random_programs():
+    rng = np.random.default_rng(11)
+    for k in range(25):
+        n = int(rng.integers(2, 6))
+        m_eq = int(rng.integers(0, 3))
+        m_ub = int(rng.integers(1, 4))
+        x0 = rng.uniform(-1, 1, size=n)  # a guaranteed feasible point
+        a_eq = rng.normal(size=(m_eq, n)) if m_eq else None
+        b_eq = a_eq @ x0 if m_eq else None
+        a_ub = rng.normal(size=(m_ub, n))
+        b_ub = a_ub @ x0 + rng.uniform(0.1, 2.0, size=m_ub)
+        yield LinearProgram(
+            "max" if k % 2 == 0 else "min",
+            c=rng.normal(size=n),
+            a_eq=a_eq,
+            b_eq=b_eq,
+            a_ub=a_ub,
+            b_ub=b_ub,
+            lower=np.full(n, -3.0),
+            upper=np.full(n, 3.0),
+        )
+
+
 class TestSolve:
     def test_single_variable_box(self):
-        lp = LinearProgram("max", c=np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([3.0]),
-                           lower=np.array([0.0]))
-        sol = solve(lp)
+        sol = solve(single_variable_box())
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(3.0)
         assert sol.duals_ub[0] == pytest.approx(1.0)
 
     def test_infeasible_reported(self):
-        lp = LinearProgram("max", c=np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([0.0]),
-                           lower=np.array([1.0]))
-        assert solve(lp).status == "infeasible"
+        assert solve(infeasible_row()).status == "infeasible"
 
     def test_unbounded_reported(self):
-        lp = LinearProgram("max", c=np.array([1.0]))
-        assert solve(lp).status == "unbounded"
+        assert solve(unbounded()).status == "unbounded"
+
+    def test_crossed_bounds_reported_infeasible(self):
+        assert solve(crossed_bounds()).status == "infeasible"
 
     def test_objective_recomputed_from_primal(self):
-        rng = np.random.default_rng(3)
-        c = rng.normal(size=4)
-        lp = LinearProgram("max", c=c, lower=np.full(4, -5.0), upper=np.full(4, 5.0))
+        lp = random_box()
         sol = solve(lp)
-        assert sol.objective == pytest.approx(float(c @ sol.x), abs=1e-9)
+        assert sol.objective == pytest.approx(float(lp.c @ sol.x), abs=1e-9)
 
     def test_min_sense_duals(self):
-        # min x1 + x2 s.t. x1 + x2 >= 1 (as -x1 - x2 <= -1), x >= 0
-        lp = LinearProgram(
-            "min",
-            c=np.array([1.0, 2.0]),
-            a_ub=np.array([[-1.0, -1.0]]),
-            b_ub=np.array([-1.0]),
-            lower=np.zeros(2),
-        )
+        lp = min_sense_cover()
         sol = solve(lp)
         assert sol.objective == pytest.approx(1.0)
         assert kkt_holds(lp, sol)
 
     def test_initial_cost_minimisation_for_two_bus_market(self):
-        # Variables: p1 (committed ahead), p2_w, p2_b, p3_w, p3_b; the fixed
-        # 150 MW demand is substituted into the balance rows.  Expected cost
-        # 4100 and the merit-order plan are pinned by the hand-derived
-        # piecewise cost c(p1) = 5600 - 30 p1 on [0, 50], 18 p1 + 3200 after.
-        lp = LinearProgram(
-            "min",
-            c=np.array([50.0, 0.0, 0.0, 48.0, 32.0]),
-            a_eq=np.array([
-                [1.0, 1.0, 0.0, 1.0, 0.0],
-                [1.0, 0.0, 1.0, 0.0, 1.0],
-            ]),
-            b_eq=np.array([150.0, 150.0]),
-            lower=np.zeros(5),
-            upper=np.array([200.0, 100.0, 50.0, 100.0, 100.0]),
-        )
-        sol = solve(lp)
+        sol = solve(two_bus_initial_cost())
         assert sol.objective == pytest.approx(4100.0, abs=1e-7)
         np.testing.assert_allclose(sol.x, [50.0, 100.0, 50.0, 0.0, 50.0], atol=1e-7)
 
     def test_kkt_on_random_programs(self):
-        rng = np.random.default_rng(11)
-        for k in range(25):
-            n = int(rng.integers(2, 6))
-            m_eq = int(rng.integers(0, 3))
-            m_ub = int(rng.integers(1, 4))
-            x0 = rng.uniform(-1, 1, size=n)  # a guaranteed feasible point
-            a_eq = rng.normal(size=(m_eq, n)) if m_eq else None
-            b_eq = a_eq @ x0 if m_eq else None
-            a_ub = rng.normal(size=(m_ub, n))
-            b_ub = a_ub @ x0 + rng.uniform(0.1, 2.0, size=m_ub)
-            lp = LinearProgram(
-                "max" if k % 2 == 0 else "min",
-                c=rng.normal(size=n),
-                a_eq=a_eq,
-                b_eq=b_eq,
-                a_ub=a_ub,
-                b_ub=b_ub,
-                lower=np.full(n, -3.0),
-                upper=np.full(n, 3.0),
-            )
+        for lp in random_programs():
             sol = solve(lp)
             assert sol.status == "optimal"
             assert kkt_holds(lp, sol)
@@ -106,3 +144,101 @@ class TestSolve:
             LinearProgram("max", c=np.array([1.0]), a_ub=np.array([[1.0, 2.0]]), b_ub=np.array([1.0]))
         with pytest.raises(ValueError):
             LinearProgram("sideways", c=np.array([1.0]))
+        with pytest.raises(ValueError):
+            LinearProgram("max", c=np.zeros(0))
+
+
+def _with_residuals(lp, sol, **changes):
+    """``sol`` with some fields replaced and its residuals recomputed."""
+    sol = replace(sol, **changes)
+    residuals = _kkt_residuals(lp, sol.x, sol.duals_eq, sol.duals_ub, sol.duals_lower, sol.duals_upper)
+    return replace(sol, residuals=residuals)
+
+
+class TestQualityContract:
+    """``_check_quality`` rejects non-finite answers and wrong multipliers."""
+
+    @pytest.mark.parametrize("key", ["primal", "stationarity", "complementarity", "sign", "gap"])
+    def test_nan_residual_rejected(self, key):
+        lp = single_variable_box()
+        sol = solve(lp)
+        with pytest.raises(LpNumericalError, match="non-finite"):
+            lp_mod._check_quality(lp, replace(sol, residuals={**sol.residuals, key: np.nan}))
+
+    def test_nan_primal_rejected(self):
+        # max(0, nan) is 0, so a NaN point reads as primal feasible and complementary.
+        lp = single_variable_box()
+        with pytest.raises(LpNumericalError, match="non-finite"):
+            lp_mod._check_quality(lp, _with_residuals(lp, solve(lp), x=np.array([np.nan])))
+
+    def test_stationarity_residual_rejected(self):
+        lp = single_variable_box()
+        sol = solve(lp)
+        # Ten times the limit STATIONARITY_TOL * (1 + max|c|), with max|c| = 1.
+        residuals = {**sol.residuals, "stationarity": 20 * lp_mod.STATIONARITY_TOL}
+        with pytest.raises(LpNumericalError, match="stationarity"):
+            lp_mod._check_quality(lp, replace(sol, residuals=residuals))
+
+    def test_flipped_row_dual_sign_fails(self):
+        # The sign convention of the row duals is what stationarity pins.
+        flipped = 0
+        for lp in [single_variable_box(), min_sense_cover(), *random_programs()]:
+            sol = solve(lp)
+            if np.any(np.abs(sol.duals_ub) > 1e-6):
+                flipped += 1
+                with pytest.raises(LpNumericalError, match="stationarity"):
+                    lp_mod._check_quality(lp, _with_residuals(lp, sol, duals_ub=-sol.duals_ub))
+        assert flipped >= 10
+
+
+# The same programs through scipy's public ``linprog``: it drives the same
+# HiGHS binding, so the private ``_highspy._core`` contract that ``lp.linprog``
+# relies on is pinned here: a scipy that changes it fails these tests.
+_SCIPY_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def scipy_reference(lp):
+    sign = -1.0 if lp.sense == "max" else 1.0
+    res = scipy.optimize.linprog(
+        sign * lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+        bounds=np.column_stack([lp.lower, lp.upper]), method="highs",
+        options={"presolve": True, "primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10},
+    )
+    return _SCIPY_STATUS.get(res.status, f"scipy status {res.status}"), res
+
+
+def captured_programs(monkeypatch, run):
+    programs = []
+    inner = lp_mod.solve
+    monkeypatch.setattr(lp_mod, "solve", lambda lp: programs.append(lp) or inner(lp))
+    run()
+    monkeypatch.undo()
+    return programs
+
+
+def assert_matches_scipy(lp):
+    expected, res = scipy_reference(lp)
+    sol = solve(lp)
+    assert sol.status == expected
+    if expected == "optimal":
+        np.testing.assert_allclose(sol.x, res.x, rtol=0, atol=1e-9)
+        assert sol.objective == pytest.approx(float(lp.c @ res.x), rel=0, abs=1e-9)
+
+
+class TestScipyOracle:
+    @pytest.mark.parametrize("build", [single_variable_box, infeasible_row, unbounded, crossed_bounds,
+                                       random_box, min_sense_cover, two_bus_initial_cost])
+    def test_named_programs(self, build):
+        assert_matches_scipy(build())
+
+    def test_random_programs(self):
+        for lp in random_programs():
+            assert_matches_scipy(lp)
+
+    def test_dispatch_programs(self, monkeypatch):
+        markets = [two_bus_market(), *fleet_markets()]
+        programs = captured_programs(monkeypatch, lambda: [solve_dispatch(m) for m in markets])
+        assert len(programs) == len(markets)
+        for lp in programs:
+            assert_matches_scipy(lp)

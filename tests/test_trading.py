@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from gridtrade import two_bus_market
+from gridtrade import trading, two_bus_market
 from gridtrade.market import Market
 from gridtrade.market_io import write_trace
-from gridtrade.network import Line, Network, build_loading_matrix, check_feasible
+from gridtrade.network import Line, Network, ViolationReport, build_loading_matrix, check_feasible
 from gridtrade.participants import Participant, ScenarioSet, UtilityFunction
 from gridtrade.proposer import FullGroupProposer
 from gridtrade.trading import (
     Certificate,
     EngineConfig,
+    InfeasibleStateError,
     Trade,
     TradingState,
     announce,
@@ -261,6 +262,12 @@ class TestRunTrading:
         trade = Trade({"G9": np.array([1.0, 1.0]), "L": np.array([-1.0, -1.0])})
         with pytest.raises(KeyError, match="G9"):
             run_trading(market, config, ScriptedProposer(trade))
+
+    def test_infeasible_post_step_state_raises(self, market, config, monkeypatch):
+        overloaded = ViolationReport(((0, 0, 1.0),), (0.0, 0.0))
+        monkeypatch.setattr(trading, "check_feasible", lambda lm, x: overloaded)
+        with pytest.raises(InfeasibleStateError, match="post-step state infeasible"):
+            run_trading(market, config, FullGroupProposer())
 
     def test_initial_state_requires_zero_feasible(self):
         network = Network(1, (), reference_bus=0)
