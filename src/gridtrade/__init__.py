@@ -51,7 +51,6 @@ from .trading import (
     TradingState,
     announce,
     is_worthy,
-    nodal_injection,
     run_trading,
     so_step,
     validate_trade,

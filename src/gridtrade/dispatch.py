@@ -255,22 +255,23 @@ class EquilibriumReport:
 
 
 def _best_response_value(p: Participant, lam_at_bus: np.ndarray, w: np.ndarray) -> float:
-    """Exact maximum of the participant's price-taking objective."""
-    if p.timing == "DA":
-        lo, hi = p.bounds[0]
+    """Exact maximum of the participant's price-taking objective.
+
+    A day-ahead participant holds one injection across all scenarios, a
+    real-time one picks each scenario's alone; over each block of scenarios
+    sharing an injection the optimum lies at a bound or a breakpoint.
+    """
+    blocks = [range(len(w))] if p.timing == "DA" else [[s] for s in range(len(w))]
+    total = 0.0
+    for block in blocks:
+        lo, hi = p.bounds[block[0]]
         candidates = {lo, hi}
-        for s in range(len(w)):
+        for s in block:
             candidates.update(b for b in p.utility[s].breakpoints if lo < b < hi)
-        return max(
-            sum(lam_at_bus[s] * z + w[s] * p.utility[s].value(z) for s in range(len(w)))
+        total += max(
+            sum(lam_at_bus[s] * z + w[s] * p.utility[s].value(z) for s in block)
             for z in candidates
         )
-    total = 0.0
-    for s in range(len(w)):
-        lo, hi = p.bounds[s]
-        candidates = {lo, hi}
-        candidates.update(b for b in p.utility[s].breakpoints if lo < b < hi)
-        total += max(lam_at_bus[s] * z + w[s] * p.utility[s].value(z) for z in candidates)
     return total
 
 

@@ -9,6 +9,7 @@ runs with the same inputs produce byte-identical traces.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, IO
@@ -65,7 +66,13 @@ def _require(obj: dict, key: str, path: str) -> Any:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MarketFormatError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise MarketFormatError(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _integer(value: Any, path: str) -> int:
@@ -219,9 +226,10 @@ def parse_market(doc: Any) -> RunSpec:
         raise MarketFormatError("engine", "expected an object")
     max_steps = _integer(engine_sec.get("max_steps", 500), "engine.max_steps")
     engine_seed = _integer(engine_sec.get("seed", 0), "engine.seed")
+    epsilon = _number(engine_sec.get("epsilon", 1e-3), "engine.epsilon")
     try:
         engine = EngineConfig(
-            epsilon=float(engine_sec.get("epsilon", 1e-3)),
+            epsilon=epsilon,
             curtailment_mode=engine_sec.get("curtailment", "uniform"),
             max_steps=max_steps, seed=engine_seed,
         )

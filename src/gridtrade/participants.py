@@ -44,7 +44,7 @@ class ScenarioSet:
         object.__setattr__(self, "probabilities", probs)
         if not probs:
             raise ValueError("at least one scenario is required")
-        if any(p <= 0 for p in probs):
+        if any(not p > 0 for p in probs):
             raise ValueError("scenario probabilities must be positive")
         if abs(sum(probs) - 1.0) > PROBABILITY_TOL:
             raise ValueError(f"probabilities sum to {sum(probs)!r}, expected 1")
@@ -109,11 +109,6 @@ class UtilityFunction:
     @property
     def domain(self) -> tuple[float, float]:
         return self.breakpoints[0], self.breakpoints[-1]
-
-    @property
-    def is_degenerate(self) -> bool:
-        """True when some adjacent slopes tie, which blurs marginal pricing."""
-        return any(abs(m1 - m2) <= 1e-12 for m1, m2 in zip(self.slopes, self.slopes[1:]))
 
     def _check_domain(self, p: float) -> None:
         lo, hi = self.domain
@@ -200,7 +195,7 @@ class Participant:
             probs = tuple(float(p) for p in self.subjective_probabilities)
             if len(probs) != len(bounds):
                 raise ValueError(f"{self.id}: subjective probabilities must cover S scenarios")
-            if any(p <= 0 for p in probs) or abs(sum(probs) - 1.0) > PROBABILITY_TOL:
+            if any(not p > 0 for p in probs) or abs(sum(probs) - 1.0) > PROBABILITY_TOL:
                 raise ValueError(f"{self.id}: subjective probabilities must be positive and sum to 1")
             object.__setattr__(self, "subjective_probabilities", probs)
 

@@ -7,14 +7,18 @@ directions, injection bounds, and day-ahead commitment.  Imposing the
 announced directions inside the search (rather than filtering afterwards)
 guarantees the operator will accept a positive fraction of the trade.
 
-Only a whole-market search can certify termination; subset strategies fall
-back to one such search when their own attempts come up empty.
+One :class:`Proposer` serves every strategy.  Its sampler yields the groups
+a call searches first: none for the full group, one cycle of small subsets
+for exhaustive search, ``attempts`` random draws otherwise.  The call then
+ends with a whole-market search, the only search that can certify
+termination.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -27,10 +31,8 @@ from .trading import Certificate, Trade, TradingState
 
 __all__ = [
     "ProposerStrategy",
-    "GroupSampler",
+    "Proposer",
     "find_worthy_fd_trade",
-    "FullGroupProposer",
-    "SubsetProposer",
     "make_proposer",
 ]
 
@@ -53,45 +55,6 @@ class ProposerStrategy:
             raise ValueError("max_size must be >= 2")
         if self.attempts < 1:
             raise ValueError("attempts must be >= 1")
-
-
-class GroupSampler:
-    """Draws candidate trading groups according to a strategy.
-
-    Exhaustive mode walks all subsets of size 2..max_size in lexicographic
-    order across successive calls, then wraps around.  Random mode first
-    draws a size, then a subset, so every admissible subset has positive
-    probability.
-    """
-
-    def __init__(self, strategy: ProposerStrategy, participant_ids: tuple[str, ...]):
-        if len(participant_ids) < 2:
-            raise ValueError("need at least two participants to form groups")
-        self.strategy = strategy
-        self.ids = tuple(participant_ids)
-        self._cycle: "itertools.cycle | None" = None
-        if strategy.mode == "exhaustive_subsets":
-            subsets = [
-                combo
-                for size in range(2, min(strategy.max_size, len(self.ids)) + 1)
-                for combo in itertools.combinations(self.ids, size)
-            ]
-            self._subsets = subsets
-            self._cycle = itertools.cycle(subsets)
-
-    @property
-    def cycle_length(self) -> int:
-        return len(self._subsets) if self._cycle is not None else 1
-
-    def sample(self, rng: np.random.Generator) -> tuple[str, ...]:
-        mode = self.strategy.mode
-        if mode == "full_group":
-            return self.ids
-        if mode == "exhaustive_subsets":
-            return next(self._cycle)
-        size = int(rng.integers(2, min(self.strategy.max_size, len(self.ids)) + 1))
-        members = rng.choice(len(self.ids), size=size, replace=False)
-        return tuple(self.ids[i] for i in sorted(members))
 
 
 def find_worthy_fd_trade(
@@ -128,66 +91,67 @@ def find_worthy_fd_trade(
     return Trade({p.id: d for p, d in zip(members, deltas) if np.any(d != 0.0)}), optimum
 
 
-class FullGroupProposer:
-    """Always searches over the whole market; certifies when below epsilon."""
+class Proposer:
+    """Searches the strategy's groups in turn, then the whole market.
 
-    def __init__(self, lm: LoadingMatrix | None = None):
-        self._lm = lm
-
-    def _loading(self, market: Market) -> LoadingMatrix:
-        if self._lm is None:
-            self._lm = build_loading_matrix(market.network)
-        return self._lm
-
-    def propose(self, market, state, announcements, epsilon, rng):
-        trade, optimum = find_worthy_fd_trade(
-            market.participant_ids, state, announcements, epsilon, market, self._loading(market)
-        )
-        if trade is None:
-            return Certificate(optimum)
-        return trade
-
-
-class SubsetProposer:
-    """Tries small groups first; one whole-market search settles termination."""
+    Only the whole-market search can certify termination: when no earlier
+    group has a worthy trade, its optimum below epsilon is returned as a
+    :class:`Certificate`.
+    """
 
     def __init__(self, strategy: ProposerStrategy, lm: LoadingMatrix | None = None):
         self.strategy = strategy
         self._lm = lm
-        self._sampler: GroupSampler | None = None
+        self._subsets: tuple[Iterator[tuple[str, ...]], int] | None = None
         self._own_rng = (
             np.random.default_rng(strategy.seed) if strategy.seed is not None else None
         )
 
-    def _loading(self, market: Market) -> LoadingMatrix:
-        if self._lm is None:
-            self._lm = build_loading_matrix(market.network)
-        return self._lm
+    def groups(self, ids: tuple[str, ...], rng: np.random.Generator) -> Iterator[tuple[str, ...]]:
+        """The groups one ``propose`` call searches before the whole market.
+
+        Full group: none.  Exhaustive: one cycle through all subsets of size
+        2..max_size in lexicographic order, resuming where the last call
+        stopped.  Random: ``attempts`` draws of a size, then a subset of that
+        size, so every admissible subset has positive probability.  Groups
+        are drawn lazily, so a call that stops early consumes only what it
+        searched.  A market of one participant has no subsets to search.
+        """
+        strategy = self.strategy
+        top = min(strategy.max_size, len(ids))
+        if strategy.mode == "exhaustive_subsets":
+            if self._subsets is None:
+                subsets = [
+                    combo
+                    for size in range(2, top + 1)
+                    for combo in itertools.combinations(ids, size)
+                ]
+                self._subsets = itertools.cycle(subsets), len(subsets)
+            cycle, length = self._subsets
+            return itertools.islice(cycle, length)
+        if strategy.mode == "random_subsets" and top >= 2:
+            rng = self._own_rng if self._own_rng is not None else rng
+            return (_draw(ids, top, rng) for _ in range(strategy.attempts))
+        return iter(())
 
     def propose(self, market, state, announcements, epsilon, rng):
-        rng = self._own_rng if self._own_rng is not None else rng
-        if self._sampler is None:
-            self._sampler = GroupSampler(self.strategy, market.participant_ids)
-        lm = self._loading(market)
-        tries = (
-            self._sampler.cycle_length
-            if self.strategy.mode == "exhaustive_subsets"
-            else self.strategy.attempts
-        )
-        for _ in range(tries):
-            group = self._sampler.sample(rng)
-            trade, optimum = find_worthy_fd_trade(group, state, announcements, epsilon, market, lm)
+        if self._lm is None:
+            self._lm = build_loading_matrix(market.network)
+        for group in self.groups(market.participant_ids, rng):
+            trade, _ = find_worthy_fd_trade(group, state, announcements, epsilon, market, self._lm)
             if trade is not None:
                 return trade
         trade, optimum = find_worthy_fd_trade(
-            market.participant_ids, state, announcements, epsilon, market, lm
+            market.participant_ids, state, announcements, epsilon, market, self._lm
         )
-        if trade is None:
-            return Certificate(optimum)
-        return trade
+        return Certificate(optimum) if trade is None else trade
 
 
-def make_proposer(strategy: ProposerStrategy, lm: LoadingMatrix | None = None):
-    if strategy.mode == "full_group":
-        return FullGroupProposer(lm)
-    return SubsetProposer(strategy, lm)
+def _draw(ids: tuple[str, ...], top: int, rng: np.random.Generator) -> tuple[str, ...]:
+    size = int(rng.integers(2, top + 1))
+    members = rng.choice(len(ids), size=size, replace=False)
+    return tuple(ids[i] for i in sorted(members))
+
+
+def make_proposer(strategy: ProposerStrategy, lm: LoadingMatrix | None = None) -> Proposer:
+    return Proposer(strategy, lm)

@@ -42,7 +42,6 @@ __all__ = [
     "Certificate",
     "TradingResult",
     "InfeasibleStateError",
-    "nodal_injection",
     "validate_trade",
     "is_worthy",
     "so_step",
@@ -114,9 +113,6 @@ class TradingState:
             x=np.zeros((market.scenario_count, market.network.bus_count)),
         )
 
-    def welfare(self, market: Market) -> float:
-        return market.total_utility(dict(self.y))
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -148,11 +144,6 @@ class TradingResult:
     certified_bound: float | None
     steps: int
     final_welfare: float
-
-
-def nodal_injection(trade: Trade, market: Market) -> np.ndarray:
-    """Per-scenario nodal injections (S, N) induced by a trade."""
-    return market.aggregate_nodal(trade.plans)
 
 
 def validate_trade(trade: Trade, state: TradingState, market: Market) -> list[str]:
@@ -242,7 +233,7 @@ def _rejection(
     reasons: Iterable[str], step: int,
 ) -> tuple[TradeRecord, TradingState]:
     try:
-        q = nodal_injection(trade, market)
+        q = market.aggregate_nodal(trade.plans)
     except (KeyError, ValueError):
         q = np.zeros_like(state.x)
     record = TradeRecord(
@@ -282,7 +273,7 @@ def so_step(
     if not is_worthy(trade, state, config.epsilon, market)[0]:
         return _rejection(state, trade, market, lm, ["not epsilon-worthy"], k)
     trade = _normalize(trade, market)
-    q = nodal_injection(trade, market)
+    q = market.aggregate_nodal(trade.plans)
     if not is_feasible_direction(lm, state.x, q):
         return _rejection(state, trade, market, lm,
                           ["direction: increases loading on a binding line"], k)
@@ -358,5 +349,5 @@ def run_trading(
         converged=converged,
         certified_bound=certified,
         steps=steps,
-        final_welfare=state.welfare(market),
+        final_welfare=market.total_utility(dict(state.y)),
     )

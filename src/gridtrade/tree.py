@@ -3,10 +3,13 @@
 On a tree the DC model reduces to ordinary network flow: the flow on each
 line is the signed sum of injections on one side.  A feasible multilateral
 trade then equals a max flow from a synthetic source (feeding the supply
-buses) to a synthetic sink (draining the demand buses), and augmenting-path
-decomposition yields bilateral trades whose prefixes stay feasible.  A
-conformal decomposition never routes against the trade's own flow on any
-line, which makes every replay order feasible.
+buses) to a synthetic sink (draining the demand buses), and one
+augmenting-path routine peels off the bilateral trades.  Run on the line
+ratings over the accumulated state's flows, it keeps every prefix feasible
+(sequential decomposition).  Run on zero ratings over the negated trade
+flows, the room on each line is the trade's own remaining flow, so no
+component routes against it and every replay order is feasible (conformal
+decomposition).
 
 All arithmetic in this module is exact rational: prefix feasibility is
 asserted with zero tolerance and augmenting-path termination needs rational
@@ -15,6 +18,7 @@ capacities.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -26,7 +30,6 @@ from .participants import UtilityFunction
 
 __all__ = [
     "BilateralTrade",
-    "FlowGraph",
     "RedundancyCertificate",
     "SplitCopy",
     "NonTreeNetworkError",
@@ -192,52 +195,37 @@ def _feasible_trade(
     return p, base, flows
 
 
-@dataclass
-class FlowGraph:
-    """Residual flow network for routing a trade's supply to its demand.
+def _peel(
+    network: Network, p: list[Fraction], capacity: list[Fraction], flows: list[Fraction]
+) -> list[BilateralTrade]:
+    """Route ``p``'s supply to its demand one augmenting path at a time.
 
-    The synthetic source/sink edges are the ``supply`` and ``demand``
-    remainders (per-bus capacities equal to the trade's injections); the tree
-    lines carry the accumulated state's flows, so residual capacity in a
-    traversal direction is ``cap - orient * flow``.
+    The room on a line in a traversal direction is ``capacity - orient *
+    flow``.  Each path joins the smallest supply bus to the smallest demand
+    bus it reaches with room to spare, carries as much as the room, the
+    supply and the demand allow, and adds that to ``flows`` in place.
     """
-
-    network: Network
-    supply: dict[int, Fraction]
-    demand: dict[int, Fraction]
-    flow: list[Fraction]
-    adjacency: list
-
-    @classmethod
-    def for_trade(cls, network: Network, trade: Sequence, base_flows: list[Fraction]) -> "FlowGraph":
-        p = _to_fractions(trade)
-        return cls(
-            network=network,
-            supply={v: p[v] for v in range(network.bus_count) if p[v] > 0},
-            demand={v: -p[v] for v in range(network.bus_count) if p[v] < 0},
-            flow=list(base_flows),
-            adjacency=_adjacency(network),
-        )
-
-    def residual(self, path: list[tuple[int, int]]) -> Fraction:
-        caps = self.network.lines
-        return min(
-            (Fraction(caps[e].capacity) - orient * self.flow[e] for e, orient in path),
-            default=Fraction(0),
-        )
-
-    def augment(self, a: int, b: int, path: list[tuple[int, int]], qty: Fraction) -> None:
+    adj = _adjacency(network)
+    supply = {v: q for v, q in enumerate(p) if q > 0}
+    demand = {v: -q for v, q in enumerate(p) if q < 0}
+    components: list[BilateralTrade] = []
+    while supply:
+        for a, b in itertools.product(sorted(supply), sorted(demand)):
+            path = _tree_path(adj, a, b)
+            room = min(capacity[e] - orient * flows[e] for e, orient in path)
+            if room > 0:
+                break
+        else:  # pragma: no cover - impossible while the trade fits the room
+            raise RuntimeError("no augmenting path although supply remains")
+        qty = min(supply[a], demand[b], room)
         for e, orient in path:
-            self.flow[e] += orient * qty
-        self.supply[a] -= qty
-        self.demand[b] -= qty
-        if self.supply[a] == 0:
-            del self.supply[a]
-        if self.demand[b] == 0:
-            del self.demand[b]
-
-    def path(self, a: int, b: int) -> list[tuple[int, int]]:
-        return _tree_path(self.adjacency, a, b)
+            flows[e] += orient * qty
+        components.append(BilateralTrade(a, b, qty))
+        for side, bus in ((supply, a), (demand, b)):
+            side[bus] -= qty
+            if side[bus] == 0:
+                del side[bus]
+    return components
 
 
 def decompose_sequential(
@@ -247,33 +235,12 @@ def decompose_sequential(
 ) -> list[BilateralTrade]:
     """Bilateral trades summing to ``trade`` with every prefix feasible.
 
-    Augmenting-path construction on the residual network: line capacities are
-    offset by the flows of the accumulated state, then supply is routed to
-    demand one simple path at a time, smallest supply bus first, smallest
-    reachable demand bus second.  Each step stays inside the residual
-    capacities, which is exactly prefix feasibility.
+    Augmenting paths on the residual network: the room on each line is its
+    rating less the accumulated state's flow.  Each step stays inside that
+    room, which is exactly prefix feasibility.
     """
     p, base, _ = _feasible_trade(network, trade, accumulated)
-    graph = FlowGraph.for_trade(network, p, base)
-    components: list[BilateralTrade] = []
-    while graph.supply:
-        progressed = False
-        for a in sorted(graph.supply):
-            for b in sorted(graph.demand):
-                path = graph.path(a, b)
-                bottleneck = graph.residual(path)
-                if bottleneck <= 0:
-                    continue
-                qty = min(graph.supply[a], graph.demand[b], bottleneck)
-                graph.augment(a, b, path, qty)
-                components.append(BilateralTrade(a, b, qty))
-                progressed = True
-                break
-            if progressed:
-                break
-        if not progressed:  # pragma: no cover - impossible for feasible trades
-            raise RuntimeError("no augmenting path although supply remains")
-    return components
+    return _peel(network, p, [Fraction(line.capacity) for line in network.lines], base)
 
 
 def decompose_conformal(
@@ -283,49 +250,15 @@ def decompose_conformal(
 ) -> list[BilateralTrade]:
     """Bilateral trades that never oppose the trade's own flow on any line.
 
-    Built by walking the trade's flow from each supply bus downstream to a
-    demand bus and peeling off the bottleneck quantity.  Because each
-    component's flow has the same sign as the whole trade's flow on every
-    line, any application order keeps every prefix between the accumulated
-    state and the fully applied trade, hence feasible.
+    Augmenting paths with zero ratings over the negated trade flows: the
+    room on each line is the trade's own remaining flow in the direction
+    travelled.  Because each component's flow has the same sign as the
+    whole trade's flow on every line, any application order keeps every
+    prefix between the accumulated state and the fully applied trade, hence
+    feasible.
     """
-    p, _, remaining_flow = _feasible_trade(network, trade, accumulated)
-    adj = _adjacency(network)
-    supply = {v: p[v] for v in range(network.bus_count) if p[v] > 0}
-    demand = {v: -p[v] for v in range(network.bus_count) if p[v] < 0}
-    components: list[BilateralTrade] = []
-    while supply:
-        a = min(supply)
-        # Walk along positive remaining flow away from a until a bus with
-        # remaining demand; conservation guarantees the walk cannot stall.
-        path: list[tuple[int, int]] = []
-        node = a
-        visited = {a}
-        while node not in demand:
-            step = None
-            for v, line_idx, orient in adj[node]:
-                if v in visited:
-                    continue
-                if orient * remaining_flow[line_idx] > 0:
-                    step = (v, line_idx, orient)
-                    break
-            if step is None:  # pragma: no cover - conservation rules this out
-                raise RuntimeError("conformal walk stalled")
-            node, line_idx, orient = step
-            visited.add(node)
-            path.append((line_idx, orient))
-        qty = min(supply[a], demand[node], *(orient * remaining_flow[e] for e, orient in path)) \
-            if path else min(supply[a], demand[node])
-        for e, orient in path:
-            remaining_flow[e] -= orient * qty
-        components.append(BilateralTrade(a, node, qty))
-        supply[a] -= qty
-        demand[node] -= qty
-        if supply[a] == 0:
-            del supply[a]
-        if demand[node] == 0:
-            del demand[node]
-    return components
+    p, _, flows = _feasible_trade(network, trade, accumulated)
+    return _peel(network, p, [Fraction(0)] * network.line_count, [-f for f in flows])
 
 
 def decompose_profitable(

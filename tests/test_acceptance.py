@@ -21,7 +21,7 @@ from gridtrade.generators import random_interval_sequence, random_market, random
 from gridtrade.market import two_bus_market
 from gridtrade.market_io import write_trace
 from gridtrade.network import build_loading_matrix
-from gridtrade.proposer import FullGroupProposer
+from gridtrade.proposer import ProposerStrategy, make_proposer
 from gridtrade.robust import (
     IntervalState,
     accept_interval_trade,
@@ -71,7 +71,7 @@ def fleet():
     for market in fleet_markets():
         lm = build_loading_matrix(market.network)
         started = time.perf_counter()
-        result = run_trading(market, EngineConfig(epsilon=EPSILON), FullGroupProposer(lm), lm)
+        result = run_trading(market, EngineConfig(epsilon=EPSILON), make_proposer(ProposerStrategy(), lm), lm)
         solution = solve_dispatch(market, lm)
         elapsed = time.perf_counter() - started
         x = np.zeros((market.scenario_count, market.network.bus_count))
@@ -94,7 +94,7 @@ class TestAcceptance:
         with criterion(1, "two-bus golden run"):
             market = two_bus_market()
             started = time.perf_counter()
-            result = run_trading(market, EngineConfig(epsilon=EPSILON), FullGroupProposer())
+            result = run_trading(market, EngineConfig(epsilon=EPSILON), make_proposer(ProposerStrategy()))
             elapsed = time.perf_counter() - started
             assert elapsed <= 1.0
             assert result.converged, "termination must be certified"
@@ -278,7 +278,7 @@ class TestAcceptance:
             for attempt in range(2):
                 market = two_bus_market()
                 result = run_trading(
-                    market, EngineConfig(epsilon=EPSILON, seed=42), FullGroupProposer()
+                    market, EngineConfig(epsilon=EPSILON, seed=42), make_proposer(ProposerStrategy())
                 )
                 path = tmp_path / f"trace_{attempt}.jsonl"
                 with open(path, "w") as fp:

@@ -1,13 +1,19 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridtrade
 from gridtrade import trading
 from gridtrade.cli import main
 from gridtrade.dispatch import solve_dispatch
-from gridtrade.market_io import load_market
+from gridtrade.generators import random_market
+from gridtrade.market_io import load_market, market_to_jsonable
 from gridtrade.network import Network, ViolationReport, build_loading_matrix, check_feasible
 from gridtrade.proposer import ProposerStrategy, make_proposer
 from gridtrade.trading import EngineConfig, run_trading
@@ -104,6 +110,34 @@ class TestRun:
         assert code == 2
         assert f"engine.{key}: expected an integer" in err
 
+    @pytest.mark.parametrize("path,value", [
+        (("network", "lines", 0, "capacity"), math.inf),
+        (("network", "lines", 0, "capacity"), math.nan),
+        (("network", "lines", 0, "reactance"), math.inf),
+        pytest.param(("network", "lines", 0, "capacity"), 10**400, id="capacity-10**400"),
+        (("participants", 0, "utility", 0, "slope"), math.inf),
+        (("participants", 0, "utility", 0, "slope"), math.nan),
+        (("participants", 0, "utility", 1, "breakpoint"), math.inf),
+        (("participants", 0, "utility", 1, "breakpoint"), math.nan),
+        (("scenarios", "probabilities", 0), math.inf),
+        (("scenarios", "probabilities", 0), math.nan),
+        (("engine", "epsilon"), math.inf),
+        (("engine", "epsilon"), "0.001"),
+        (("engine", "epsilon"), True),
+    ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
+    def test_bad_number_is_input_error(self, capsys, tmp_path, path, value):
+        def edit(doc):
+            *keys, last = path
+            for key in keys:
+                doc = doc[key]
+            doc[last] = value
+
+        market = write_market(tmp_path, edit)
+        code, _, err = run_cli(capsys, "run", market, "--out", str(tmp_path / "o"))
+        field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+        assert code == 2
+        assert f"{field}: expected a" in err
+
     def test_determinism_across_runs(self, capsys, tmp_path):
         blobs = []
         for name in ("a", "b"):
@@ -161,6 +195,63 @@ class TestRun:
         code, _, err = run_cli(capsys, argv[0], market, *argv[1:])
         assert code == 2
         assert "participants" in err
+
+
+def run_per_hash_seed(make_argv) -> list[str]:
+    """Standard output of ``python -m gridtrade.cli`` run at once in two fresh
+    interpreters, string-hash seeds 1 and 2; ``make_argv(seed)`` gives the arguments."""
+    src = str(Path(gridtrade.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    procs = [
+        subprocess.Popen([sys.executable, "-m", "gridtrade.cli", *make_argv(seed)],
+                         env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for seed in ("1", "2")
+    ]
+    results = [proc.communicate(timeout=120) for proc in procs]
+    for proc, (_, err) in zip(procs, results):
+        assert proc.returncode == 0, err
+    return [out for out, _ in results]
+
+
+class TestDeterminismAcrossProcesses:
+    """Outputs must not depend on string hashing, which differs between processes."""
+
+    @pytest.mark.parametrize("proposer", ["random", "exhaustive"])
+    def test_run(self, tmp_path, proposer):
+        market = random_market(np.random.default_rng(7), max_buses=5, max_scenarios=3,
+                               max_participants=8)
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(market_to_jsonable(market)))
+        run_per_hash_seed(lambda seed: ["run", str(path), "--out", str(tmp_path / seed),
+                                        "--proposer", proposer, "--seed", "3"])
+        outputs = []
+        for seed in ("1", "2"):
+            report = json.loads((tmp_path / seed / "report.json").read_text())
+            del report["timing_sec"]
+            outputs.append(((tmp_path / seed / "trace.jsonl").read_bytes(), json.dumps(report)))
+        assert outputs[0] == outputs[1]
+
+    def test_decompose_conformal(self, tmp_path):
+        doc = {
+            "network": {
+                "buses": 5,
+                "lines": [{"from": u, "to": v, "reactance": 1.0, "capacity": 10.0}
+                          for u, v in ((1, 2), (2, 3), (2, 4), (4, 5))],
+                "reference_bus": 1,
+            },
+            "scenarios": {"probabilities": [1.0]},
+            "participants": [
+                {"id": "g", "bus": 1, "kind": "producer", "timing": "RT", "bounds": [[0, 10]],
+                 "utility": [{"breakpoint": 0, "slope": -5}, {"breakpoint": 10}]},
+            ],
+        }
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(doc))
+        first, second = run_per_hash_seed(
+            lambda seed: ["decompose", str(path), "--trade", "3,-1,2,-2,-2", "--mode", "conformal"])
+        assert len(json.loads(first)["components"]) >= 3
+        assert first == second
 
 
 class TestScenarioCapacities:

@@ -14,7 +14,7 @@ from gridtrade.generators import random_market
 from gridtrade.market import Market, two_bus_market
 from gridtrade.network import Line, Network, build_loading_matrix
 from gridtrade.participants import Participant, ScenarioSet, UtilityFunction
-from gridtrade.proposer import FullGroupProposer, find_worthy_fd_trade
+from gridtrade.proposer import ProposerStrategy, find_worthy_fd_trade, make_proposer
 from gridtrade.trading import EngineConfig, announce, run_trading
 
 from conftest import assert_plans_close, fleet_markets, kkt_report
@@ -211,7 +211,7 @@ class TestWelfareProgramMatrixForms:
     def curtailed_case(market):
         # One curtailed full-group step, so the search carries line rows.
         lm = build_loading_matrix(market.network)
-        result = run_trading(market, EngineConfig(max_steps=1), FullGroupProposer(lm), lm)
+        result = run_trading(market, EngineConfig(max_steps=1), make_proposer(ProposerStrategy(), lm), lm)
         assert result.state.records[0].gamma < 1.0
         state = result.state
         return lm, state, announce(state, lm)

@@ -26,6 +26,10 @@ class TestScenarioSet:
         with pytest.raises(ValueError, match="positive"):
             ScenarioSet((1.2, -0.2))
 
+    def test_nan_probability_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            ScenarioSet((np.nan, 1.0))
+
     def test_thirds_are_accepted(self):
         ScenarioSet((1 / 3, 1 / 3, 1 / 3))
 
@@ -44,10 +48,6 @@ class TestUtilityFunction:
     def test_domain_must_contain_zero(self):
         with pytest.raises(ValueError, match="contain 0"):
             UtilityFunction((5.0, 10.0), (1.0,))
-
-    def test_degenerate_flag_on_tied_slopes(self):
-        assert UtilityFunction((0.0, 1.0, 2.0), (3.0, 3.0)).is_degenerate
-        assert not UtilityFunction((0.0, 1.0, 2.0), (3.0, 1.0)).is_degenerate
 
     def test_marginals_at_breakpoint_are_one_sided(self):
         u = UtilityFunction((0.0, 5.0, 10.0), (4.0, 1.0))
@@ -166,6 +166,15 @@ class TestParticipantValidation:
     def test_da_bounds_must_match(self):
         with pytest.raises(ValueError, match="DA bounds"):
             Participant.producer("P", 0, "DA", (10.0, 20.0), 5.0)
+
+    def test_nan_subjective_probability_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            Participant(
+                "P", 0, "producer", "RT",
+                ((0.0, 10.0), (0.0, 10.0)),
+                (UtilityFunction((0.0, 10.0), (-1.0,)),) * 2,
+                subjective_probabilities=(np.nan, 1.0),
+            )
 
     def test_utility_domain_covers_bounds(self):
         with pytest.raises(ValueError, match="domain"):

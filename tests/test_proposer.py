@@ -6,13 +6,7 @@ from gridtrade.generators import random_market
 from gridtrade.market import Market
 from gridtrade.network import Network, build_loading_matrix, is_feasible_direction
 from gridtrade.participants import Participant, ScenarioSet
-from gridtrade.proposer import (
-    FullGroupProposer,
-    GroupSampler,
-    ProposerStrategy,
-    find_worthy_fd_trade,
-    make_proposer,
-)
+from gridtrade.proposer import ProposerStrategy, find_worthy_fd_trade, make_proposer
 from gridtrade.trading import (
     Certificate,
     EngineConfig,
@@ -47,14 +41,14 @@ def curtailed_state(market, lm, golden_plans):
 
 class TestGroupSampler:
     def test_full_group_returns_everyone(self, market):
-        sampler = GroupSampler(ProposerStrategy("full_group"), market.participant_ids)
-        assert sampler.sample(np.random.default_rng(0)) == market.participant_ids
+        proposer = make_proposer(ProposerStrategy("full_group"))
+        assert list(proposer.groups(market.participant_ids, np.random.default_rng(0))) == []
 
     def test_exhaustive_enumerates_all_pairs(self):
         ids = ("a", "b", "c", "d")
-        sampler = GroupSampler(ProposerStrategy("exhaustive_subsets", max_size=2), ids)
+        proposer = make_proposer(ProposerStrategy("exhaustive_subsets", max_size=2))
         rng = np.random.default_rng(0)
-        seen = {sampler.sample(rng) for _ in range(6)}
+        seen = set(proposer.groups(ids, rng))
         assert len(seen) == 6
         assert all(len(g) == 2 for g in seen)
 
@@ -63,11 +57,25 @@ class TestGroupSampler:
         strategy = ProposerStrategy("random_subsets", max_size=4, attempts=5)
         draws = []
         for _ in range(2):
-            sampler = GroupSampler(strategy, ids)
+            proposer = make_proposer(strategy)
             rng = np.random.default_rng(42)
-            draws.append([sampler.sample(rng) for _ in range(10)])
+            draws.append([g for _ in range(2) for g in proposer.groups(ids, rng)])
         assert draws[0] == draws[1]
         assert all(2 <= len(g) <= 4 for g in draws[0])
+
+    def test_exhaustive_resumes_where_the_last_call_stopped(self):
+        ids = ("a", "b", "c")
+        proposer = make_proposer(ProposerStrategy("exhaustive_subsets", max_size=2))
+        rng = np.random.default_rng(0)
+        assert next(proposer.groups(ids, rng)) == ("a", "b")
+        assert list(proposer.groups(ids, rng)) == [("a", "c"), ("b", "c"), ("a", "b")]
+
+    @pytest.mark.parametrize("mode", ["exhaustive_subsets", "random_subsets"])
+    def test_single_participant_certifies_by_whole_market_search(self, mode):
+        only = Participant.producer("a", 0, "RT", (10.0,), 5.0)
+        market = Market(Network(1, (), reference_bus=0), ScenarioSet((1.0,)), (only,))
+        result = run_trading(market, EngineConfig(), make_proposer(ProposerStrategy(mode)))
+        assert result.converged and result.steps == 0
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
@@ -121,9 +129,7 @@ class TestFindWorthyFdTrade:
             market.participant_ids, curtailed_state, announcements, 1e-3, market, lm
         )
         assert validate_trade(trade, curtailed_state, market) == []
-        from gridtrade.trading import nodal_injection
-
-        q = nodal_injection(trade, market)
+        q = market.aggregate_nodal(trade.plans)
         assert is_feasible_direction(lm, curtailed_state.x, q)
         worthy, delta = is_worthy(trade, curtailed_state, 1e-3, market)
         assert worthy and delta == pytest.approx(optimum, abs=1e-7)
@@ -154,7 +160,7 @@ class TestSubsetProposers:
         rng = np.random.default_rng(123)
         for _ in range(8):
             market = random_market(rng, max_buses=4, max_scenarios=3, max_participants=6)
-            result = run_trading(market, EngineConfig(epsilon=1e-3), FullGroupProposer())
+            result = run_trading(market, EngineConfig(epsilon=1e-3), make_proposer(ProposerStrategy()))
             assert result.converged
             solution = solve_dispatch(market)
             gap = welfare_gap(market, dict(result.state.y), solution)

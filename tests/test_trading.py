@@ -6,7 +6,7 @@ from gridtrade.market import Market
 from gridtrade.market_io import write_trace
 from gridtrade.network import Line, Network, ViolationReport, build_loading_matrix, check_feasible
 from gridtrade.participants import Participant, ScenarioSet, UtilityFunction
-from gridtrade.proposer import FullGroupProposer
+from gridtrade.proposer import ProposerStrategy, make_proposer
 from gridtrade.trading import (
     Certificate,
     EngineConfig,
@@ -15,7 +15,6 @@ from gridtrade.trading import (
     TradingState,
     announce,
     is_worthy,
-    nodal_injection,
     run_trading,
     so_step,
     validate_trade,
@@ -55,19 +54,19 @@ class ScriptedProposer:
 
 class TestNodalInjection:
     def test_two_bus_initial_trade(self, market, golden_plans):
-        q = nodal_injection(table_one_trade(golden_plans), market)
+        q = market.aggregate_nodal(table_one_trade(golden_plans).plans)
         np.testing.assert_allclose(q, [[150.0, -150.0], [100.0, -100.0]], atol=1e-12)
 
     def test_same_bus_trade_cancels(self, market):
         trade = Trade({"G1": np.array([10.0, 10.0]), "G2": np.array([-10.0, -10.0])})
-        np.testing.assert_allclose(nodal_injection(trade, market), 0.0, atol=0)
+        np.testing.assert_allclose(market.aggregate_nodal(trade.plans), 0.0, atol=0)
 
     def test_empty_trade_is_zero(self, market):
-        np.testing.assert_allclose(nodal_injection(Trade({}), market), 0.0, atol=0)
+        np.testing.assert_allclose(market.aggregate_nodal(Trade({}).plans), 0.0, atol=0)
 
     def test_unknown_participant_rejected(self, market):
         with pytest.raises(KeyError, match="G9"):
-            nodal_injection(Trade({"G9": np.array([1.0, -1.0])}), market)
+            market.aggregate_nodal(Trade({"G9": np.array([1.0, -1.0])}).plans)
 
     def test_non_finite_plan_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -191,7 +190,7 @@ class TestAnnounce:
 
 class TestRunTrading:
     def test_two_bus_golden_run(self, market, config, golden_plans):
-        result = run_trading(market, config, FullGroupProposer())
+        result = run_trading(market, config, make_proposer(ProposerStrategy()))
         assert result.converged and result.certified_bound <= config.epsilon
         assert_plans_close(result.state.y, golden_plans["final"])
         # Expected production cost 5000 behind the fixed consumption value.
@@ -203,14 +202,14 @@ class TestRunTrading:
         producer = Participant.producer("gen", 0, "RT", (100.0,), 20.0)
         consumer = Participant.load("dem", 0, "RT", (60.0,), 90.0)
         market = Market(network, scenarios, (producer, consumer))
-        result = run_trading(market, EngineConfig(epsilon=1e-6), FullGroupProposer())
+        result = run_trading(market, EngineConfig(epsilon=1e-6), make_proposer(ProposerStrategy()))
         accepted = [r for r in result.state.records if r.accepted]
         assert result.converged and len(accepted) == 1
         assert result.state.y["gen"][0] == pytest.approx(60.0)
         assert result.final_welfare == pytest.approx((90.0 - 20.0) * 60.0)
 
     def test_welfare_monotone_and_states_consistent(self, market, config):
-        result = run_trading(market, config, FullGroupProposer())
+        result = run_trading(market, config, make_proposer(ProposerStrategy()))
         lm = build_loading_matrix(market.network)
         y = {pid: np.zeros(market.scenario_count) for pid in market.participant_ids}
         welfare = market.total_utility(y)
@@ -231,7 +230,7 @@ class TestRunTrading:
     def test_replay_determinism(self, market, config, tmp_path):
         traces = []
         for run in range(2):
-            result = run_trading(market, config, FullGroupProposer())
+            result = run_trading(market, config, make_proposer(ProposerStrategy()))
             path = tmp_path / f"trace{run}.jsonl"
             with open(path, "w") as fp:
                 write_trace(result.state.records, fp)
@@ -239,12 +238,12 @@ class TestRunTrading:
         assert traces[0] == traces[1]
 
     def test_huge_epsilon_certifies_immediately(self, market):
-        result = run_trading(market, EngineConfig(epsilon=1e9), FullGroupProposer())
+        result = run_trading(market, EngineConfig(epsilon=1e9), make_proposer(ProposerStrategy()))
         assert result.converged and result.steps == 0
         assert not result.state.records
 
     def test_max_steps_flags_non_convergence(self, market):
-        result = run_trading(market, EngineConfig(epsilon=1e-3, max_steps=1), FullGroupProposer())
+        result = run_trading(market, EngineConfig(epsilon=1e-3, max_steps=1), make_proposer(ProposerStrategy()))
         assert not result.converged and result.steps == 1
 
     def test_invalid_proposals_recorded_as_rejections(self, market, config):
@@ -267,7 +266,7 @@ class TestRunTrading:
         overloaded = ViolationReport(((0, 0, 1.0),), (0.0, 0.0))
         monkeypatch.setattr(trading, "check_feasible", lambda lm, x: overloaded)
         with pytest.raises(InfeasibleStateError, match="post-step state infeasible"):
-            run_trading(market, config, FullGroupProposer())
+            run_trading(market, config, make_proposer(ProposerStrategy()))
 
     def test_initial_state_requires_zero_feasible(self):
         network = Network(1, (), reference_bus=0)
@@ -313,7 +312,7 @@ class TestHybridCurtailment:
 
     def test_hybrid_run_stays_feasible_and_converges(self, rt_market):
         config = EngineConfig(epsilon=1e-6, curtailment_mode="hybrid")
-        result = run_trading(rt_market, config, FullGroupProposer())
+        result = run_trading(rt_market, config, make_proposer(ProposerStrategy()))
         assert result.converged
         lm = build_loading_matrix(rt_market.network)
         assert check_feasible(lm, result.state.x).ok
