@@ -49,7 +49,10 @@ def _run_spec(args) -> market_io.RunSpec:
     spec = market_io.load_market(args.market)
     flags = {"epsilon": args.epsilon, "seed": args.seed, "max_steps": args.max_steps,
              "curtailment_mode": args.curtailment}
-    engine = replace(spec.engine, **{k: v for k, v in flags.items() if v is not None})
+    try:
+        engine = replace(spec.engine, **{k: v for k, v in flags.items() if v is not None})
+    except ValueError as exc:
+        raise market_io.MarketFormatError("run", str(exc)) from exc
     strategy = spec.strategy
     if args.proposer is not None:
         strategy = replace(strategy, mode=_PROPOSER_MODES[args.proposer])
@@ -160,13 +163,12 @@ def cmd_check_eq(args) -> int:
 
 def _decompose_one(args, network, values, state):
     if args.mode == "sequential":
-        return {"components": [_component_to_jsonable(c)
-                               for c in tree.decompose_sequential(network, values, state)]}
-    if args.mode == "conformal":
-        return {"components": [_component_to_jsonable(c)
-                               for c in tree.decompose_conformal(network, values, state)]}
-    alpha = [Fraction(part.strip()) for part in args.alpha.split(",")]
-    result = tree.decompose_profitable(network, values, alpha, state)
+        result = tree.decompose_sequential(network, values, state)
+    elif args.mode == "conformal":
+        result = tree.decompose_conformal(network, values, state)
+    else:
+        alpha = [Fraction(part.strip()) for part in args.alpha.split(",")]
+        result = tree.decompose_profitable(network, values, alpha, state)
     if isinstance(result, tree.RedundancyCertificate):
         return {
             "redundant": True,

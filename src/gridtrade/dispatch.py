@@ -320,7 +320,7 @@ def check_arrow_debreu(
         if sol.status != "optimal":
             raise lp.LpError(f"operator profit LP ended {sol.status}")
         so_slack += sol.objective - float(-prices[s] @ x[s])
-    so_scale = 1.0 + abs(float(np.abs(prices).sum())) * float(np.abs(lm.limits).max() if lm.limits.size else 0.0)
+    so_scale = 1.0 + abs(float(np.abs(prices).sum())) * float(np.abs(limits).max() if limits.size else 0.0)
     so_ok = so_slack <= _EQUILIBRIUM_TOL * so_scale
 
     clearing = float(np.max(np.abs(x - market.aggregate_nodal(dict(plans))), initial=0.0))

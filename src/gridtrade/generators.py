@@ -33,17 +33,16 @@ def random_network(
     rng: np.random.Generator,
     max_buses: int = 6,
     meshed: bool | None = None,
-    capacity_range: tuple[float, float] = (15.0, 110.0),
 ) -> Network:
     """Connected network: random tree plus optional chords.
 
-    The default capacity range is tight enough that a sizeable share of
+    Line capacities of 15-110 MW are tight enough that a sizeable share of
     random markets congest, which is what the trading-process tests need.
     """
     n = int(rng.integers(2, max_buses + 1))
 
     def cap() -> float:
-        return float(rng.uniform(*capacity_range))
+        return float(rng.uniform(15.0, 110.0))
 
     lines = []
     for v in range(1, n):
@@ -198,9 +197,8 @@ def random_interval_sequence(
     rng: np.random.Generator,
     market: Market,
     n_trades: int = 3,
-    max_corner_bits: int = 12,
 ) -> list[IntervalTrade]:
-    """Interval trades over the market's participants with bounded corner count."""
+    """Interval trades over the market's participants with at most 2**12 corners."""
     trades = []
     bits = 0
     ids = list(market.participant_ids)
@@ -211,7 +209,7 @@ def random_interval_sequence(
         for m in members:
             pid = ids[int(m)]
             center = float(rng.uniform(-20.0, 20.0))
-            width = float(rng.uniform(0.0, 15.0)) if bits < max_corner_bits else 0.0
+            width = float(rng.uniform(0.0, 15.0)) if bits < 12 else 0.0
             if width > 0:
                 bits += 1
             lower[pid] = center - width

@@ -4,7 +4,8 @@ HiGHS is called through the binding scipy bundles
 (``scipy.optimize._highspy._core``), with the model and options scipy's
 ``linprog(method="highs")`` would pass it.  Constraint matrices may be
 dense arrays or ``scipy.sparse`` matrices; the solution and its
-verification are the same for both.
+verification are the same for both.  An omitted constraint family is an
+empty one (no rows), so every routine below handles both families alike.
 
 Every consumer here needs duals, so the solution carries Lagrange
 multipliers in a single documented convention.  For the equivalent
@@ -76,6 +77,8 @@ class LinearProgram:
     """min or max of ``c @ x`` over ``A_eq x = b_eq``, ``A_ub x <= b_ub``, boxes.
 
     ``a_eq`` and ``a_ub`` are dense arrays or sparse matrices (kept as CSR).
+    An omitted constraint family is stored as an empty one: a ``(0, n)``
+    matrix and an empty right-hand side.
     """
 
     sense: str
@@ -98,16 +101,17 @@ class LinearProgram:
         for name, a, b in (("eq", self.a_eq, self.b_eq), ("ub", self.a_ub, self.b_ub)):
             if (a is None) != (b is None):
                 raise ValueError(f"a_{name} and b_{name} must be given together")
-            if a is not None:
-                is_sparse = sparse.issparse(a)
-                a = sparse.csr_matrix(a, dtype=float) if is_sparse else np.asarray(a, dtype=float)
-                b = np.asarray(b, dtype=float)
-                if a.ndim != 2 or a.shape[1] != n or b.shape != (a.shape[0],):
-                    raise ValueError(f"inconsistent {name} constraint dimensions")
-                if not (np.all(np.isfinite(a.data if is_sparse else a)) and np.all(np.isfinite(b))):
-                    raise ValueError(f"{name} constraints must be finite")
-                object.__setattr__(self, f"a_{name}", a)
-                object.__setattr__(self, f"b_{name}", b)
+            if a is None:
+                a, b = np.zeros((0, n)), np.zeros(0)
+            is_sparse = sparse.issparse(a)
+            a = sparse.csr_matrix(a, dtype=float) if is_sparse else np.asarray(a, dtype=float)
+            b = np.asarray(b, dtype=float)
+            if a.ndim != 2 or a.shape[1] != n or b.shape != (a.shape[0],):
+                raise ValueError(f"inconsistent {name} constraint dimensions")
+            if not (np.all(np.isfinite(a.data if is_sparse else a)) and np.all(np.isfinite(b))):
+                raise ValueError(f"{name} constraints must be finite")
+            object.__setattr__(self, f"a_{name}", a)
+            object.__setattr__(self, f"b_{name}", b)
         lower = np.full(n, -np.inf) if self.lower is None else np.asarray(self.lower, dtype=float)
         upper = np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float)
         if lower.shape != (n,) or upper.shape != (n,):
@@ -143,13 +147,11 @@ def linprog(lp: LinearProgram) -> tuple[str, _highs._Highs]:
     the min-equivalent cost.  A status other than optimal, infeasible or
     unbounded raises :class:`LpError`.
     """
-    parts = [a for a in (lp.a_ub, lp.a_eq) if a is not None]
+    parts = [lp.a_ub, lp.a_eq]
     if any(sparse.issparse(a) for a in parts):
         a = sparse.vstack(parts, format="csc")
     else:
-        a = sparse.csc_array(np.vstack(parts) if parts else np.zeros((0, lp.n_vars)))
-    b_ub = np.zeros(0) if lp.b_ub is None else lp.b_ub
-    b_eq = np.zeros(0) if lp.b_eq is None else lp.b_eq
+        a = sparse.csc_array(np.vstack(parts))
     model = _highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = lp.n_vars
     model.num_row_ = model.a_matrix_.num_row_ = a.shape[0]
@@ -160,8 +162,8 @@ def linprog(lp: LinearProgram) -> tuple[str, _highs._Highs]:
     model.col_cost_ = -lp.c if lp.sense == "max" else lp.c
     model.col_lower_ = lp.lower
     model.col_upper_ = lp.upper
-    model.row_lower_ = np.concatenate([np.full(b_ub.size, -np.inf), b_eq])
-    model.row_upper_ = np.concatenate([b_ub, b_eq])
+    model.row_lower_ = np.concatenate([np.full(lp.b_ub.size, -np.inf), lp.b_eq])
+    model.row_upper_ = np.concatenate([lp.b_ub, lp.b_eq])
     highs = _highs._Highs()
     highs.passOptions(_HIGHS_OPTIONS)
     if highs.passModel(model) == _highs.HighsStatus.kError:
@@ -183,11 +185,10 @@ def solve(lp: LinearProgram) -> LpSolution:
 
     solution = highs.getSolution()
     x = np.array(solution.col_value)
-    m_ub = 0 if lp.b_ub is None else lp.b_ub.size
     row_dual = -np.array(solution.row_dual)
     col_dual = np.array(solution.col_dual)
     col_status = np.array([int(s) for s in highs.getBasis().col_status])
-    duals_eq, duals_ub = row_dual[m_ub:], row_dual[:m_ub]
+    duals_eq, duals_ub = row_dual[lp.b_ub.size:], row_dual[:lp.b_ub.size]
     duals_lower = np.where(col_status == _AT_LOWER, col_dual, 0.0)
     duals_upper = -np.where(col_status == _AT_UPPER, col_dual, 0.0)
     sol = LpSolution(
@@ -213,21 +214,12 @@ def _kkt_residuals(
     mu_hi: np.ndarray,
 ) -> dict:
     c_max = lp.c if lp.sense == "max" else -lp.c
-    primal = 0.0
-    stationarity = c_max + mu_lo - mu_hi
-    complementarity = 0.0
-    dual_value = 0.0
-    if lp.a_eq is not None:
-        r = lp.a_eq @ x - lp.b_eq
-        primal = max(primal, float(np.max(np.abs(r), initial=0.0)))
-        stationarity = stationarity - lp.a_eq.T @ y_eq
-        dual_value += float(y_eq @ lp.b_eq)
-    if lp.a_ub is not None:
-        slack = lp.b_ub - lp.a_ub @ x
-        primal = max(primal, float(np.max(-slack, initial=0.0)))
-        stationarity = stationarity - lp.a_ub.T @ y_ub
-        complementarity = max(complementarity, float(np.max(np.abs(y_ub * slack), initial=0.0)))
-        dual_value += float(y_ub @ lp.b_ub)
+    r = lp.a_eq @ x - lp.b_eq
+    slack = lp.b_ub - lp.a_ub @ x
+    primal = max(float(np.max(np.abs(r), initial=0.0)), float(np.max(-slack, initial=0.0)))
+    stationarity = c_max + mu_lo - mu_hi - lp.a_eq.T @ y_eq - lp.a_ub.T @ y_ub
+    complementarity = float(np.max(np.abs(y_ub * slack), initial=0.0))
+    dual_value = float(y_eq @ lp.b_eq) + float(y_ub @ lp.b_ub)
     lo_finite = np.isfinite(lp.lower)
     hi_finite = np.isfinite(lp.upper)
     primal = max(primal, float(np.max((lp.lower - x)[lo_finite], initial=0.0)))

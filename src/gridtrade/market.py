@@ -73,10 +73,7 @@ class Market:
         return total
 
 
-def two_bus_market(
-    line_capacity: float = 120.0,
-    load_value: float = 1000.0,
-) -> Market:
+def two_bus_market(line_capacity: float = 120.0) -> Market:
     """Bundled demonstration market: two buses joined by one line.
 
     A day-ahead coal plant (cost 50, up to 200 MW) and a free wind farm
@@ -96,6 +93,6 @@ def two_bus_market(
         Participant.producer("G1", bus=0, timing="DA", capacity=(200.0, 200.0), marginal_cost=50.0),
         Participant.producer("G2", bus=0, timing="RT", capacity=(100.0, 50.0), marginal_cost=0.0),
         Participant.producer("G3", bus=1, timing="RT", capacity=(100.0, 100.0), marginal_cost=80.0),
-        Participant.load("L", bus=1, timing="DA", max_demand=(150.0, 150.0), value=load_value),
+        Participant.load("L", bus=1, timing="DA", max_demand=(150.0, 150.0), value=1000.0),
     )
     return Market(network, scenarios, participants)

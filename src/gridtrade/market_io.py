@@ -94,7 +94,8 @@ def _bus_index(value: Any, bus_count: int, path: str) -> int:
     return b - 1
 
 
-def _parse_network(section: Any, scenario_count: int, path: str = "network") -> Network:
+def _parse_network(section: Any, scenario_count: int) -> Network:
+    path = "network"
     buses = _integer(_require(section, "buses", path), f"{path}.buses")
     lines_json = _array(_require(section, "lines", path), f"{path}.lines")
     lines = []
@@ -236,10 +237,8 @@ def parse_market(doc: Any) -> RunSpec:
     except (TypeError, ValueError) as exc:
         raise MarketFormatError("engine", str(exc)) from exc
     prop_sec = engine_sec.get("proposer", {})
-    if isinstance(prop_sec, str):
-        prop_sec = {"mode": prop_sec}
     if not isinstance(prop_sec, dict):
-        raise MarketFormatError("engine.proposer", "expected an object or mode string")
+        raise MarketFormatError("engine.proposer", "expected an object")
     max_size = _integer(prop_sec.get("max_size", 2), "engine.proposer.max_size")
     attempts = _integer(prop_sec.get("attempts", 20), "engine.proposer.attempts")
     proposer_seed = prop_sec.get("seed")

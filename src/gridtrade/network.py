@@ -73,6 +73,13 @@ class Network:
 
     ``scenario_capacities``, when given, holds one row of line ratings per
     scenario and replaces each ``Line.capacity`` in that scenario.
+
+    Construction walks the bus graph depth first from bus 0, visiting
+    neighbours in ascending order.  ``walk_order`` lists the buses in visit
+    order; ``walk_links[v]`` is ``(parent bus, line index, orientation)``
+    for the line that reached ``v`` (``None`` for bus 0), with orientation
+    +1 when the line's positive direction runs from the parent to ``v``.
+    On a radial network these links are the whole network.
     """
 
     bus_count: int
@@ -97,7 +104,8 @@ class Network:
                     raise ValueError(f"line endpoint {b} out of range [0, {self.bus_count})")
         if not 0 <= self.reference_bus < self.bus_count:
             raise ValueError(f"reference_bus {self.reference_bus} out of range")
-        if not self._connected():
+        self._walk()
+        if len(self.walk_order) != self.bus_count:
             raise DisconnectedNetworkError("bus graph is not connected")
 
     @property
@@ -108,22 +116,25 @@ class Network:
     def is_tree(self) -> bool:
         return self.line_count == self.bus_count - 1
 
-    def _connected(self) -> bool:
-        if self.bus_count == 1:
-            return True
-        adj: list[list[int]] = [[] for _ in range(self.bus_count)]
-        for line in self.lines:
-            adj[line.from_bus].append(line.to_bus)
-            adj[line.to_bus].append(line.from_bus)
+    def _walk(self) -> None:
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.bus_count)]
+        for idx, line in enumerate(self.lines):
+            adj[line.from_bus].append((line.to_bus, idx, 1))
+            adj[line.to_bus].append((line.from_bus, idx, -1))
+        links: list[tuple[int, int, int] | None] = [None] * self.bus_count
+        order: list[int] = []
         seen = {0}
         stack = [0]
         while stack:
             u = stack.pop()
-            for v in adj[u]:
+            order.append(u)
+            for v, idx, orient in sorted(adj[u]):
                 if v not in seen:
                     seen.add(v)
+                    links[v] = (u, idx, orient)
                     stack.append(v)
-        return len(seen) == self.bus_count
+        object.__setattr__(self, "walk_order", tuple(order))
+        object.__setattr__(self, "walk_links", tuple(links))
 
     def incidence(self) -> np.ndarray:
         """Oriented incidence matrix, one row per line (+1 from, -1 to)."""
@@ -174,8 +185,11 @@ class LoadingMatrix:
         return self.rows.shape[1]
 
     def limits_for(self, scenario: int | None = None) -> np.ndarray:
-        if scenario is None or self.scenario_limits is None:
+        """One scenario's limits; ``scenario`` may be ``None`` only without ``scenario_limits``."""
+        if self.scenario_limits is None:
             return self.limits
+        if scenario is None:
+            raise ValueError("per-scenario limits need a scenario index")
         return self.scenario_limits[scenario]
 
     def stacked_limits(self, scenario_count: int) -> np.ndarray:
@@ -303,7 +317,8 @@ def binding_lines(lm: LoadingMatrix, x_s: np.ndarray, scenario: int | None = Non
     """One scenario's rows loaded within ``BINDING_TOL`` of the limit, ascending.
 
     ``x_s`` is a single scenario's injection vector and must be feasible
-    within ``BINDING_TOL`` against ``lm.limits_for(scenario)``.
+    within ``BINDING_TOL`` against ``lm.limits_for(scenario)``; a matrix
+    with ``scenario_limits`` needs ``scenario``, else ``ValueError``.
     """
     vec = np.asarray(x_s, dtype=float)
     if vec.shape != (lm.bus_count,):

@@ -209,14 +209,12 @@ class Participant:
         id: str,
         bus: int,
         timing: str,
-        capacity: "float | tuple[float, ...]",
+        capacity: tuple[float, ...],
         marginal_cost: float,
         subjective_probabilities: tuple[float, ...] | None = None,
-        scenario_count: int | None = None,
     ) -> "Participant":
-        caps = capacity if isinstance(capacity, tuple) else (float(capacity),) * (scenario_count or 1)
-        bounds = tuple((0.0, c) for c in caps)
-        util = tuple(UtilityFunction.constant_marginal(-marginal_cost, 0.0, c) for c in caps)
+        bounds = tuple((0.0, c) for c in capacity)
+        util = tuple(UtilityFunction.constant_marginal(-marginal_cost, 0.0, c) for c in capacity)
         return cls(id, bus, "producer", timing, bounds, util, subjective_probabilities)
 
     @classmethod
@@ -225,14 +223,12 @@ class Participant:
         id: str,
         bus: int,
         timing: str,
-        max_demand: "float | tuple[float, ...]",
+        max_demand: tuple[float, ...],
         value: float,
         subjective_probabilities: tuple[float, ...] | None = None,
-        scenario_count: int | None = None,
     ) -> "Participant":
-        dem = max_demand if isinstance(max_demand, tuple) else (float(max_demand),) * (scenario_count or 1)
-        bounds = tuple((-d, 0.0) for d in dem)
-        util = tuple(UtilityFunction.constant_marginal(-value, -d, 0.0) for d in dem)
+        bounds = tuple((-d, 0.0) for d in max_demand)
+        util = tuple(UtilityFunction.constant_marginal(-value, -d, 0.0) for d in max_demand)
         return cls(id, bus, "load", timing, bounds, util, subjective_probabilities)
 
     def weights(self, scenarios: ScenarioSet) -> np.ndarray:

@@ -55,6 +55,8 @@ class ProposerStrategy:
             raise ValueError("max_size must be >= 2")
         if self.attempts < 1:
             raise ValueError("attempts must be >= 1")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def find_worthy_fd_trade(

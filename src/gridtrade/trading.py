@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -124,10 +124,14 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.curtailment_mode not in ("uniform", "hybrid"):
             raise ValueError("curtailment_mode must be 'uniform' or 'hybrid'")
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be non-negative, got {self.max_steps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -148,14 +152,20 @@ class TradingResult:
 
 def validate_trade(trade: Trade, state: TradingState, market: Market) -> list[str]:
     """Empty list when acceptable, else one message per violation."""
-    problems: list[str] = []
     for pid in trade.plans:
         if pid not in state.y:
             raise KeyError(f"unknown participant id {pid!r}")
-    if not trade.group:
-        problems.append("degenerate: all increments are zero")
+    n_s = market.scenario_count
+    problems = [
+        f"shape: {pid} plan has {plan.size} entries, expected {n_s}"
+        for pid, plan in trade.plans.items()
+        if plan.size != n_s
+    ]
+    if problems:
         return problems
-    sums = np.zeros(market.scenario_count)
+    if not trade.group:
+        return ["degenerate: all increments are zero"]
+    sums = np.zeros(n_s)
     for plan in trade.plans.values():
         sums += plan
     for s, r in enumerate(sums):
@@ -197,8 +207,10 @@ def is_worthy(
 def _normalize(trade: Trade, market: Market) -> Trade:
     """Snap solver round-off: exact non-anticipation, then exact balance.
 
-    Residuals are already within the validation tolerances; this keeps them
-    from compounding across hundreds of accepted steps.
+    Each scenario's balance residual goes to the group's largest real-time
+    plan in that scenario, or to its largest plan when every member is
+    day-ahead.  Residuals are already within the validation tolerances;
+    this keeps them from compounding across hundreds of accepted steps.
     """
     plans = {pid: np.array(arr) for pid, arr in trade.plans.items()}
     for pid in list(plans):
@@ -206,20 +218,14 @@ def _normalize(trade: Trade, market: Market) -> Trade:
         if p.timing == "DA" and plans[pid].size > 1 and np.ptp(plans[pid]) != 0.0:
             plans[pid][:] = math.fsum(plans[pid]) / plans[pid].size
     group = [pid for pid in plans if np.any(plans[pid] != 0.0)]
-    if not group:
-        return Trade(plans)
-    rt_group = [pid for pid in group if market.participant(pid).timing == "RT"]
-    if rt_group:
-        for s in range(market.scenario_count):
-            residual = math.fsum(plans[pid][s] for pid in group)
-            if residual != 0.0:
-                target = max(rt_group, key=lambda pid: (abs(plans[pid][s]), pid))
-                plans[target][s] -= residual
-    else:
-        residual = math.fsum(plans[pid][0] for pid in group)
+    # An all-day-ahead group's plans are now constant, so every scenario
+    # moves the same member by the same amount and the plans stay constant.
+    targets = [pid for pid in group if market.participant(pid).timing == "RT"] or group
+    for s in range(market.scenario_count):
+        residual = math.fsum(plans[pid][s] for pid in group)
         if residual != 0.0:
-            target = max(group, key=lambda pid: (abs(plans[pid][0]), pid))
-            plans[target] -= residual
+            target = max(targets, key=lambda pid: (abs(plans[pid][s]), pid))
+            plans[target][s] -= residual
     return Trade(plans)
 
 
@@ -228,67 +234,58 @@ def announce(state: TradingState, lm: LoadingMatrix) -> tuple[tuple[int, ...], .
     return tuple(tuple(np.flatnonzero(rows).tolist()) for rows in binding_mask(lm, state.x))
 
 
-def _rejection(
-    state: TradingState, trade: Trade, market: Market, lm: LoadingMatrix,
-    reasons: Iterable[str], step: int,
-) -> tuple[TradeRecord, TradingState]:
-    try:
-        q = market.aggregate_nodal(trade.plans)
-    except (KeyError, ValueError):
-        q = np.zeros_like(state.x)
-    record = TradeRecord(
-        step=step,
-        trade=trade,
-        gamma=0.0,
-        accepted=False,
-        reasons=tuple(reasons),
-        nodal=q,
-        welfare_delta=0.0,
-        binding_after=announce(state, lm),
-    )
-    return record, replace(state, records=state.records + (record,))
-
-
 def so_step(
     state: TradingState,
     trade: Trade,
     config: EngineConfig,
     lm: LoadingMatrix,
     market: Market,
-    step: int | None = None,
 ) -> tuple[TradeRecord, TradingState]:
     """Operator decision on one submitted trade.
 
     Invalid trades, then trades worth less than ``config.epsilon`` to their
-    group, then wrong-direction trades are rejected with the state
-    unchanged; otherwise the trade is scaled by the ratio-test factor and
-    applied.  Scenario-wise factors are used only in hybrid mode and only
-    when no day-ahead participant is involved, since they would otherwise
-    break non-anticipation.
+    group, then wrong-direction trades, then trades with no headroom are
+    rejected with the state unchanged; otherwise the trade is scaled by the
+    ratio-test factor and applied.  Scenario-wise factors are used only in
+    hybrid mode and only when no day-ahead participant is involved, since
+    they would otherwise break non-anticipation.
     """
-    k = len(state.records) if step is None else step
-    problems = validate_trade(trade, state, market)
-    if problems:
-        return _rejection(state, trade, market, lm, problems, k)
-    if not is_worthy(trade, state, config.epsilon, market)[0]:
-        return _rejection(state, trade, market, lm, ["not epsilon-worthy"], k)
-    trade = _normalize(trade, market)
-    q = market.aggregate_nodal(trade.plans)
-    if not is_feasible_direction(lm, state.x, q):
-        return _rejection(state, trade, market, lm,
-                          ["direction: increases loading on a binding line"], k)
-
-    group_has_da = any(market.participant(pid).timing == "DA" for pid in trade.group)
-    gamma_by_scenario: tuple[float, ...] | None = None
-    if config.curtailment_mode == "hybrid" and not group_has_da:
-        gamma_vec = curtailment_factors(lm, state.x, q)
-        gamma_by_scenario = tuple(gamma_vec.tolist())
-        gamma = float(gamma_vec.min())
-    else:
-        gamma = curtailment_factor(lm, state.x, q)
-        gamma_vec = gamma
-    if gamma <= 0.0:
-        return _rejection(state, trade, market, lm, ["no headroom after ratio test"], k)
+    reasons = validate_trade(trade, state, market)
+    if not reasons and not is_worthy(trade, state, config.epsilon, market)[0]:
+        reasons = ["not epsilon-worthy"]
+    if not reasons:
+        trade = _normalize(trade, market)
+        q = market.aggregate_nodal(trade.plans)
+        if not is_feasible_direction(lm, state.x, q):
+            reasons = ["direction: increases loading on a binding line"]
+    if not reasons:
+        group_has_da = any(market.participant(pid).timing == "DA" for pid in trade.group)
+        gamma_by_scenario: tuple[float, ...] | None = None
+        if config.curtailment_mode == "hybrid" and not group_has_da:
+            gamma_vec = curtailment_factors(lm, state.x, q)
+            gamma_by_scenario = tuple(gamma_vec.tolist())
+            gamma = float(gamma_vec.min())
+        else:
+            gamma = curtailment_factor(lm, state.x, q)
+            gamma_vec = gamma
+        if gamma <= 0.0:
+            reasons = ["no headroom after ratio test"]
+    if reasons:
+        try:
+            q = market.aggregate_nodal(trade.plans)
+        except (KeyError, ValueError):
+            q = np.zeros_like(state.x)
+        record = TradeRecord(
+            step=len(state.records),
+            trade=trade,
+            gamma=0.0,
+            accepted=False,
+            reasons=tuple(reasons),
+            nodal=q,
+            welfare_delta=0.0,
+            binding_after=announce(state, lm),
+        )
+        return record, replace(state, records=state.records + (record,))
 
     new_y = {pid: np.array(arr) for pid, arr in state.y.items()}
     for pid, plan in trade.plans.items():
@@ -301,7 +298,7 @@ def so_step(
         delta += evaluate_utility(p, new_y[pid], w) - evaluate_utility(p, state.y[pid], w)
     interim = TradingState(y=new_y, x=new_x, records=state.records)
     record = TradeRecord(
-        step=k,
+        step=len(state.records),
         trade=trade,
         gamma=gamma,
         accepted=True,

@@ -1,10 +1,13 @@
 """Bilateral decomposition of multilateral trades on radial networks.
 
 On a tree the DC model reduces to ordinary network flow: the flow on each
-line is the signed sum of injections on one side.  A feasible multilateral
-trade then equals a max flow from a synthetic source (feeding the supply
-buses) to a synthetic sink (draining the demand buses), and one
-augmenting-path routine peels off the bilateral trades.  Run on the line
+line is the signed sum of injections on one side, the subtree it feeds in
+the network's depth-first walk from bus 0 (``Network.walk_order`` and
+``Network.walk_links``).  A feasible multilateral trade then equals a max
+flow from a synthetic source (feeding the supply buses) to a synthetic sink
+(draining the demand buses), and one augmenting-path routine peels off the
+bilateral trades; each path climbs the walk's parent links from both ends
+to their common ancestor.  Run on the line
 ratings over the accumulated state's flows, it keeps every prefix feasible
 (sequential decomposition).  Run on zero ratings over the negated trade
 flows, the room on each line is the trade's own remaining flow, so no
@@ -99,41 +102,20 @@ def _require_tree(network: Network) -> None:
         )
 
 
-def _adjacency(network: Network) -> list[list[tuple[int, int, int]]]:
-    """Per bus: sorted (neighbor, line index, orientation) triples.
-
-    Orientation is +1 when leaving along the line's positive direction.
+def _tree_path(network: Network, depth: list[int], start: int, goal: int) -> list[tuple[int, int]]:
+    """Unique path as (line index, orientation) steps between ``start`` and
+    ``goal``, climbing the network's walk links from the deeper end until the
+    two ends meet.  Orientation is +1 when the step runs along the line's
+    positive direction.
     """
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(network.bus_count)]
-    for idx, line in enumerate(network.lines):
-        adj[line.from_bus].append((line.to_bus, idx, 1))
-        adj[line.to_bus].append((line.from_bus, idx, -1))
-    for entries in adj:
-        entries.sort()
-    return adj
-
-
-def _tree_path(adj, start: int, goal: int) -> list[tuple[int, int]]:
-    """Unique path as (line index, orientation) steps from start to goal."""
-    parent: dict[int, tuple[int, int, int]] = {start: (-1, -1, 0)}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        if u == goal:
-            break
-        for v, line_idx, orient in adj[u]:
-            if v not in parent:
-                parent[v] = (u, line_idx, orient)
-                stack.append(v)
-    if goal not in parent:
-        raise NonTreeNetworkError("buses are not connected")
     path: list[tuple[int, int]] = []
-    node = goal
-    while node != start:
-        prev, line_idx, orient = parent[node]
-        path.append((line_idx, orient))
-        node = prev
-    path.reverse()
+    while start != goal:
+        if depth[start] >= depth[goal]:
+            start, line_idx, orient = network.walk_links[start]
+            path.append((line_idx, -orient))
+        else:
+            goal, line_idx, orient = network.walk_links[goal]
+            path.append((line_idx, orient))
     return path
 
 
@@ -145,31 +127,16 @@ def tree_flows(network: Network, injections: Sequence) -> list[Fraction]:
         raise ValueError("one injection per bus required")
     if sum(inj) != 0:
         raise ValueError("injections must balance exactly")
-    adj = _adjacency(network)
     flows = [Fraction(0)] * network.line_count
-    # Flow on each line equals the subtree injection sum on its from-side.
-    visited = [False] * network.bus_count
-    order: list[int] = []
-    parent_edge: dict[int, tuple[int, int, int]] = {}
-    stack = [0]
-    visited[0] = True
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for v, line_idx, orient in adj[u]:
-            if not visited[v]:
-                visited[v] = True
-                parent_edge[v] = (u, line_idx, orient)
-                stack.append(v)
+    # Flow on each line equals the injection sum of the subtree it feeds.
     subtree = list(inj)
-    for u in reversed(order):
-        if u in parent_edge:
-            parent, line_idx, orient = parent_edge[u]
-            # The subtree rooted at u exports its net injection toward the
-            # parent; orient +1 means the line's positive direction points
-            # parent -> u, so that export counts negatively.
-            flows[line_idx] -= orient * subtree[u]
-            subtree[parent] += subtree[u]
+    for u in reversed(network.walk_order[1:]):
+        parent, line_idx, orient = network.walk_links[u]
+        # The subtree rooted at u exports its net injection toward the
+        # parent; orient +1 means the line's positive direction points
+        # parent -> u, so that export counts negatively.
+        flows[line_idx] -= orient * subtree[u]
+        subtree[parent] += subtree[u]
     return flows
 
 
@@ -205,13 +172,15 @@ def _peel(
     bus it reaches with room to spare, carries as much as the room, the
     supply and the demand allow, and adds that to ``flows`` in place.
     """
-    adj = _adjacency(network)
+    depth = [0] * network.bus_count
+    for v in network.walk_order[1:]:
+        depth[v] = depth[network.walk_links[v][0]] + 1
     supply = {v: q for v, q in enumerate(p) if q > 0}
     demand = {v: -q for v, q in enumerate(p) if q < 0}
     components: list[BilateralTrade] = []
     while supply:
         for a, b in itertools.product(sorted(supply), sorted(demand)):
-            path = _tree_path(adj, a, b)
+            path = _tree_path(network, depth, a, b)
             room = min(capacity[e] - orient * flows[e] for e, orient in path)
             if room > 0:
                 break

@@ -110,6 +110,39 @@ class TestRun:
         assert code == 2
         assert f"engine.{key}: expected an integer" in err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--epsilon", "nan"), ("--epsilon", "-1"), ("--epsilon", "inf"),
+        ("--seed", "-1"), ("--max-steps", "-3"),
+    ])
+    def test_bad_run_flag_is_input_error(self, capsys, tmp_path, flag, value):
+        code, _, err = run_cli(
+            capsys, "run", MARKET_FILE, "--out", str(tmp_path / "o"), "--skip-oracle", flag, value
+        )
+        assert code == 2
+        assert "input error: run: " in err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("engine", "seed", -1), ("engine", "max_steps", -3), ("engine.proposer", "seed", -1),
+    ])
+    def test_negative_engine_setting_is_input_error(self, capsys, tmp_path, section, key, value):
+        def edit(doc):
+            target = doc["engine"]["proposer"] if section == "engine.proposer" else doc["engine"]
+            target[key] = value
+
+        market = write_market(tmp_path, edit)
+        code, _, err = run_cli(capsys, "run", market, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"{section}: {key} must be non-negative" in err
+
+    def test_proposer_mode_string_is_input_error(self, capsys, tmp_path):
+        def edit(doc):
+            doc["engine"]["proposer"] = "full_group"
+
+        market = write_market(tmp_path, edit)
+        code, _, err = run_cli(capsys, "run", market, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "engine.proposer: expected an object" in err
+
     @pytest.mark.parametrize("path,value", [
         (("network", "lines", 0, "capacity"), math.inf),
         (("network", "lines", 0, "capacity"), math.nan),

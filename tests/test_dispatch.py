@@ -158,6 +158,19 @@ class TestArrowDebreu:
         report = check_arrow_debreu(market, {}, np.zeros((1, 2)), np.zeros((1, 2)))
         assert report.verdict
 
+    def test_operator_slack_scaled_by_scenario_ratings(self):
+        # Ratings of 10 MW in the only scenario over a 1 MW base rating.  The
+        # operator could earn 1 $/MW on 0.001 MW more flow: a slack of 1e-3,
+        # inside 1e-6 * (1 + 201 * 10) but not 1e-6 * (1 + 201 * 1).
+        network = Network(2, (Line(0, 1, 1.0, 1.0),), reference_bus=0, scenario_capacities=((10.0,),))
+        gen = Participant.producer("gen", 0, "RT", (20.0,), 50.0)
+        dem = Participant.load("dem", 1, "RT", (20.0,), 200.0)
+        market = Market(network, ScenarioSet((1.0,)), (gen, dem))
+        plans = {"gen": np.array([9.999]), "dem": np.array([-9.999])}
+        report = check_arrow_debreu(market, plans, np.array([[9.999, -9.999]]), np.array([[100.0, 101.0]]))
+        assert report.so_slack == pytest.approx(1e-3)
+        assert report.so_ok
+
     def test_random_markets_first_welfare_theorem(self):
         rng = np.random.default_rng(77)
         for _ in range(6):

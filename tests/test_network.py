@@ -305,6 +305,11 @@ class TestScenarioLimits:
         assert binding_lines(lm, np.array([60.0, -60.0]), scenario=1) == (0,)
         assert binding_lines(lm, np.array([60.0, -60.0]), scenario=0) == ()
 
+    def test_binding_lines_needs_a_scenario_under_scenario_limits(self):
+        net = Network(2, (Line(0, 1, 1.0, 120.0),), reference_bus=1, scenario_capacities=((120.0,), (60.0,)))
+        with pytest.raises(ValueError, match="scenario index"):
+            binding_lines(build_loading_matrix(net), np.array([60.0, -60.0]))
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_announce_is_binding_lines_per_scenario(self, triangle_lm, data):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,15 @@ class ScriptedProposer:
 
     def propose(self, market, state, announcements, epsilon, rng):
         return self.trades.pop(0) if self.trades else Certificate(0.0)
+
+
+# Plans of the wrong length for the two-scenario market, and the operator's reasons.
+WRONG_LENGTH = [
+    ({"G2": [5.0], "L": [-5.0]},
+     ("shape: G2 plan has 1 entries, expected 2", "shape: L plan has 1 entries, expected 2")),
+    ({"G2": [5.0] * 3, "G3": [-5.0] * 3},
+     ("shape: G2 plan has 3 entries, expected 2", "shape: G3 plan has 3 entries, expected 2")),
+]
 
 
 class TestNodalInjection:
@@ -165,6 +176,41 @@ class TestSoStep:
         record, _ = so_step(state, Trade({"G1": np.array([5.0, 5.0])}), config, lm, market)
         assert not record.accepted and record.reasons
 
+    @pytest.mark.parametrize("plans,reasons", WRONG_LENGTH)
+    def test_wrong_length_plan_rejected(self, market, lm, config, plans, reasons):
+        state = TradingState.initial(market)
+        record, after = so_step(state, Trade(plans), config, lm, market)
+        assert not record.accepted and record.reasons == reasons
+        np.testing.assert_array_equal(record.nodal, np.zeros_like(state.x))
+        np.testing.assert_array_equal(after.x, state.x)
+        assert after.records == (record,)
+
+
+class TestNormalize:
+    def test_day_ahead_spread_snaps_to_its_exact_mean(self, market):
+        spread = np.array([10.0, 10.0 + 2e-12])
+        trade = Trade({"G1": spread, "G2": np.array([5.0, 5.0]), "L": np.array([-15.0, -15.0])})
+        out = trading._normalize(trade, market).plans["G1"]
+        np.testing.assert_array_equal(out, np.full(2, math.fsum(spread) / 2))
+
+    def test_residual_lands_on_largest_real_time_member_per_scenario(self, market):
+        plans = {"G2": np.array([5.0, 1.0]), "G3": np.array([1.0, 5.0]),
+                 "L": np.full(2, -6.000000001)}
+        out = trading._normalize(Trade(plans), market).plans
+        residual = [math.fsum(plan[s] for plan in plans.values()) for s in range(2)]
+        assert residual[0] != 0.0 and residual[1] != 0.0
+        np.testing.assert_array_equal(out["G2"], [5.0 - residual[0], 1.0])
+        np.testing.assert_array_equal(out["G3"], [1.0, 5.0 - residual[1]])
+        np.testing.assert_array_equal(out["L"], plans["L"])
+
+    def test_all_day_ahead_residual_lands_on_largest_member_and_stays_constant(self, market):
+        plans = {"G1": np.full(2, 7.0), "L": np.full(2, -6.9999999999)}
+        out = trading._normalize(Trade(plans), market).plans
+        residual = math.fsum([7.0, -6.9999999999])
+        assert residual != 0.0
+        np.testing.assert_array_equal(out["G1"], np.full(2, 7.0 - residual))
+        np.testing.assert_array_equal(out["L"], plans["L"])
+
 
 class TestAnnounce:
     def test_zero_state_announces_nothing(self, market, lm):
@@ -255,6 +301,14 @@ class TestRunTrading:
         assert not first.accepted
         assert first.reasons == ("local: G2 violates bounds", "local: L violates non-anticipation")
         assert not second.accepted and second.reasons[0].startswith("balance:")
+        assert all(not np.any(plan) for plan in result.state.y.values())
+
+    @pytest.mark.parametrize("plans,reasons", WRONG_LENGTH)
+    def test_wrong_length_proposal_recorded_as_rejection(self, market, config, plans, reasons):
+        result = run_trading(market, config, ScriptedProposer(Trade(plans)))
+        assert result.converged and result.steps == 1
+        (record,) = result.state.records
+        assert not record.accepted and record.reasons == reasons
         assert all(not np.any(plan) for plan in result.state.y.values())
 
     def test_unknown_participant_raises(self, market, config):
