@@ -3,29 +3,28 @@
 Subcommands: run, dispatch, prices, check-eq, decompose, robust-run.
 Exit codes: 0 success, 1 equilibrium verdict false, 2 input error,
 3 non-convergence within the step budget, 4 internal or numerical failure.
+Files, flags and vectors are parsed by ``market_io``; any problem with them
+raises ``MarketFormatError``, which ``main`` alone reports as
+``input error: <field>: <reason>`` with exit 2.
 Set GRIDTRADE_LOG to a logging level name for progress output.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 import time
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from . import dispatch as dispatch_mod
 from . import market_io, robust, tree
 from .lp import LpError
 from .network import build_loading_matrix
 from .proposer import make_proposer
-from .trading import InfeasibleStateError, run_trading
+from .trading import InfeasibleStateError, TradingState, run_trading
 
 log = logging.getLogger("gridtrade")
 
@@ -47,6 +46,10 @@ _PROPOSER_MODES = {"full": "full_group", "exhaustive": "exhaustive_subsets", "ra
 def _run_spec(args) -> market_io.RunSpec:
     """The file's run settings with the ``run`` flags that were given laid over them."""
     spec = market_io.load_market(args.market)
+    try:  # a run starts every participant at zero injection
+        TradingState.initial(spec.market)
+    except ValueError as exc:
+        raise market_io.MarketFormatError("participants", str(exc)) from exc
     flags = {"epsilon": args.epsilon, "seed": args.seed, "max_steps": args.max_steps,
              "curtailment_mode": args.curtailment}
     try:
@@ -144,10 +147,8 @@ def cmd_check_eq(args) -> int:
     solution = dispatch_mod.solve_dispatch(spec.market, lm)
     prices = solution.lambda_
     if args.prices is not None:
-        prices = np.asarray(json.loads(Path(args.prices).read_text()), dtype=float)
-        if prices.shape != solution.lambda_.shape:
-            print(f"prices: expected shape {solution.lambda_.shape}", file=sys.stderr)
-            return EXIT_INPUT
+        prices = market_io.parse_matrix(market_io.read_json(args.prices), prices.shape, "--prices",
+                                        "prices, one per bus")
     report = dispatch_mod.check_arrow_debreu(spec.market, solution.plans, solution.x, prices, lm=lm)
     doc = {
         "verdict": report.verdict,
@@ -161,13 +162,12 @@ def cmd_check_eq(args) -> int:
     return EXIT_OK if report.verdict else EXIT_VERDICT_FALSE
 
 
-def _decompose_one(args, network, values, state):
-    if args.mode == "sequential":
+def _decompose_one(mode, network, values, state, alpha):
+    if mode == "sequential":
         result = tree.decompose_sequential(network, values, state)
-    elif args.mode == "conformal":
+    elif mode == "conformal":
         result = tree.decompose_conformal(network, values, state)
     else:
-        alpha = [Fraction(part.strip()) for part in args.alpha.split(",")]
         result = tree.decompose_profitable(network, values, alpha, state)
     if isinstance(result, tree.RedundancyCertificate):
         return {
@@ -184,34 +184,19 @@ def cmd_decompose(args) -> int:
     spec = market_io.load_market(args.market)
     network = spec.market.network
     if args.mode == "profitable" and args.alpha is None:
-        print("--alpha is required for profitable mode", file=sys.stderr)
-        return EXIT_INPUT
+        raise market_io.MarketFormatError("--alpha", "required for profitable mode")
+    trades = [market_io.parse_vector(t, network.bus_count, "--trade") for t in args.trade]
+    states = [market_io.parse_vector(s, network.bus_count, "--state") for s in args.state or ()] or [None]
+    if len(states) == 1:
+        states = states * len(trades)
+    elif len(states) != len(trades):
+        raise market_io.MarketFormatError("--state", "give one vector, or one per --trade")
+    alpha = None if args.alpha is None else market_io.parse_vector(args.alpha, network.bus_count, "--alpha")
     try:
-        trades = [[Fraction(part.strip()) for part in spec_str.split(",")]
-                  for spec_str in args.trade]
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"--trade: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    for values in trades:
-        if len(values) != network.bus_count:
-            print(f"--trade: expected {network.bus_count} per-bus values", file=sys.stderr)
-            return EXIT_INPUT
-    states = [None] * len(trades)
-    if args.state:
-        parsed = [[Fraction(part.strip()) for part in s.split(",")] for s in args.state]
-        if len(parsed) == 1:
-            states = parsed * len(trades)
-        elif len(parsed) == len(trades):
-            states = parsed
-        else:
-            print("--state: give one vector, or one per --trade", file=sys.stderr)
-            return EXIT_INPUT
-    try:
-        docs = [_decompose_one(args, network, values, state)
+        docs = [_decompose_one(args.mode, network, values, state, alpha)
                 for values, state in zip(trades, states)]
-    except (tree.NonTreeNetworkError, ValueError) as exc:
-        print(f"decompose: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except ValueError as exc:  # NonTreeNetworkError included
+        raise market_io.MarketFormatError("decompose", str(exc)) from exc
     # Scenario-indexed trades decompose independently; a single vector keeps
     # the flat layout.
     print(market_io.dumps(docs[0] if len(docs) == 1 else {"scenarios": docs}))
@@ -230,12 +215,10 @@ def _component_to_jsonable(c: tree.BilateralTrade) -> dict:
 def cmd_robust_run(args) -> int:
     spec = market_io.load_market(args.market)
     if not spec.interval_trades:
-        print("market file has no interval_trades section", file=sys.stderr)
-        return EXIT_INPUT
+        raise market_io.MarketFormatError("interval_trades", "robust-run needs a nonempty section")
     if spec.market.network.scenario_capacities is not None:
         # Robust curtailment checks one set of line limits for all scenarios.
-        print("robust-run does not support network.scenario_capacities", file=sys.stderr)
-        return EXIT_INPUT
+        raise market_io.MarketFormatError("network.scenario_capacities", "robust-run does not support them")
     lm = build_loading_matrix(spec.market.network)
     state = robust.IntervalState.initial(spec.market.network.bus_count)
     for trade in spec.interval_trades:

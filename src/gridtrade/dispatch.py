@@ -251,7 +251,6 @@ class EquilibriumReport:
     clearing_residual: float
     clearing_ok: bool
     verdict: bool
-    tol: float
 
 
 def _best_response_value(p: Participant, lam_at_bus: np.ndarray, w: np.ndarray) -> float:
@@ -334,5 +333,4 @@ def check_arrow_debreu(
         clearing_residual=clearing,
         clearing_ok=clearing_ok,
         verdict=all(participant_ok.values()) and so_ok and clearing_ok,
-        tol=_EQUILIBRIUM_TOL,
     )

@@ -1,4 +1,8 @@
-"""Market file loading, validation, and canonical JSON output.
+"""Input parsing, validation, and canonical JSON output.
+
+Values from outside (market files, other JSON files through ``read_json`` and
+``parse_matrix``, command-line vectors through ``parse_vector``) are checked
+here; each problem raises :class:`MarketFormatError` naming its field or flag.
 
 Market files are JSON with 1-based bus indices (as humans label diagrams);
 everything in memory is 0-based.  Numbers are serialised with 12 significant
@@ -11,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Any, IO
 
@@ -28,6 +33,9 @@ __all__ = [
     "RunSpec",
     "load_market",
     "parse_market",
+    "read_json",
+    "parse_matrix",
+    "parse_vector",
     "market_to_jsonable",
     "canonical",
     "dumps",
@@ -38,7 +46,7 @@ __all__ = [
 
 
 class MarketFormatError(ValueError):
-    """Schema problem with a precise field path for diagnostics."""
+    """Problem with an outside value, naming its field path, flag or file."""
 
     def __init__(self, field: str, message: str):
         self.field = field
@@ -87,6 +95,32 @@ def _array(value: Any, path: str) -> list:
     return value
 
 
+def _numbers(value: Any, path: str) -> tuple[float, ...]:
+    return tuple(_number(v, f"{path}[{k}]") for k, v in enumerate(_array(value, path)))
+
+
+def parse_matrix(value: Any, shape: tuple[int, int], path: str, columns: str) -> tuple[tuple[float, ...], ...]:
+    """One row per scenario of finite numbers; ``columns`` names a row's entries."""
+    rows = tuple(_numbers(row, f"{path}[{s}]") for s, row in enumerate(_array(value, path)))
+    if len(rows) != shape[0]:
+        raise MarketFormatError(path, f"expected {shape[0]} rows, one per scenario")
+    for s, row in enumerate(rows):
+        if len(row) != shape[1]:
+            raise MarketFormatError(f"{path}[{s}]", f"expected {shape[1]} {columns}")
+    return rows
+
+
+def parse_vector(text: str, length: int, flag: str) -> list[Fraction]:
+    """Comma-separated exact values such as ``5/2,-3/2,-1``, one per bus."""
+    try:
+        values = [Fraction(part.strip()) for part in text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MarketFormatError(flag, f"expected exact numbers such as 5/2 or -1.5, got {text!r}") from exc
+    if len(values) != length:
+        raise MarketFormatError(flag, f"expected {length} comma-separated per-bus values, got {len(values)}")
+    return values
+
+
 def _bus_index(value: Any, bus_count: int, path: str) -> int:
     b = _integer(value, path)
     if not 1 <= b <= bus_count:
@@ -112,19 +146,10 @@ def _parse_network(section: Any, scenario_count: int) -> Network:
     ref = _bus_index(_require(section, "reference_bus", path), buses, f"{path}.reference_bus")
     caps = None
     if "scenario_capacities" in section:
-        p = f"{path}.scenario_capacities"
-        rows = _array(section["scenario_capacities"], p)
-        if len(rows) != scenario_count:
-            raise MarketFormatError(p, f"expected {scenario_count} rows, one per scenario")
-        caps = []
-        for s, row in enumerate(rows):
-            row = _array(row, f"{p}[{s}]")
-            if len(row) != len(lines):
-                raise MarketFormatError(f"{p}[{s}]", f"expected {len(lines)} ratings, one per line")
-            caps.append(tuple(_number(v, f"{p}[{s}][{l}]") for l, v in enumerate(row)))
+        caps = parse_matrix(section["scenario_capacities"], (scenario_count, len(lines)),
+                            f"{path}.scenario_capacities", "ratings, one per line")
     try:
-        return Network(bus_count=buses, lines=tuple(lines), reference_bus=ref,
-                       scenario_capacities=None if caps is None else tuple(caps))
+        return Network(bus_count=buses, lines=tuple(lines), reference_bus=ref, scenario_capacities=caps)
     except ValueError as exc:
         raise MarketFormatError(path, str(exc)) from exc
 
@@ -154,16 +179,8 @@ def _parse_participant(rec: Any, bus_count: int, n_scenarios: int, path: str) ->
     pid = _require(rec, "id", path)
     if not isinstance(pid, str) or not pid:
         raise MarketFormatError(f"{path}.id", "must be a non-empty string")
-    bounds_json = _array(_require(rec, "bounds", path), f"{path}.bounds")
-    if len(bounds_json) != n_scenarios:
-        raise MarketFormatError(f"{path}.bounds", f"expected {n_scenarios} per-scenario intervals")
-    bounds = []
-    for s, pair in enumerate(bounds_json):
-        p = f"{path}.bounds[{s}]"
-        pair = _array(pair, p)
-        if len(pair) != 2:
-            raise MarketFormatError(p, "expected [lower, upper]")
-        bounds.append((_number(pair[0], f"{p}[0]"), _number(pair[1], f"{p}[1]")))
+    bounds = parse_matrix(_require(rec, "bounds", path), (n_scenarios, 2), f"{path}.bounds",
+                          "numbers, [lower, upper]")
     util_spec = _require(rec, "utility", path)
     util_list = _array(util_spec, f"{path}.utility")
     if util_list and isinstance(util_list[0], list):
@@ -175,17 +192,14 @@ def _parse_participant(rec: Any, bus_count: int, n_scenarios: int, path: str) ->
         utility = (shared,) * n_scenarios
     subjective = rec.get("subjective_probabilities")
     if subjective is not None:
-        subjective = tuple(
-            _number(v, f"{path}.subjective_probabilities[{s}]")
-            for s, v in enumerate(_array(subjective, f"{path}.subjective_probabilities"))
-        )
+        subjective = _numbers(subjective, f"{path}.subjective_probabilities")
     try:
         return Participant(
             id=pid,
             bus=_bus_index(_require(rec, "bus", path), bus_count, f"{path}.bus"),
             kind=_require(rec, "kind", path),
             timing=_require(rec, "timing", path),
-            bounds=tuple(bounds),
+            bounds=bounds,
             utility=utility,
             subjective_probabilities=subjective,
         )
@@ -193,14 +207,33 @@ def _parse_participant(rec: Any, bus_count: int, n_scenarios: int, path: str) ->
         raise MarketFormatError(path, str(exc)) from exc
 
 
+def _as_given(value: Any, path: str) -> Any:
+    return value
+
+
+# File key -> (field, parser) for the run settings; the dataclasses validate
+# the parsed values and hold the defaults for every key a file leaves out.
+_ENGINE_KEYS = {"epsilon": ("epsilon", _number), "curtailment": ("curtailment_mode", _as_given),
+                "max_steps": ("max_steps", _integer), "seed": ("seed", _integer)}
+_PROPOSER_KEYS = {"mode": ("mode", _as_given), "max_size": ("max_size", _integer),
+                  "attempts": ("attempts", _integer), "seed": ("seed", _integer)}
+
+
+def _settings(section: Any, path: str, keys: dict, cls: type) -> Any:
+    if not isinstance(section, dict):
+        raise MarketFormatError(path, "expected an object")
+    given = {field: parse(section[key], f"{path}.{key}") for key, (field, parse) in keys.items() if key in section}
+    try:
+        return cls(**given)
+    except (TypeError, ValueError) as exc:
+        raise MarketFormatError(path, str(exc)) from exc
+
+
 def parse_market(doc: Any) -> RunSpec:
     if not isinstance(doc, dict):
         raise MarketFormatError("$", "top level must be a JSON object")
     scen_sec = _require(doc, "scenarios", "")
-    probs = tuple(
-        _number(v, f"scenarios.probabilities[{i}]")
-        for i, v in enumerate(_array(_require(scen_sec, "probabilities", "scenarios"), "scenarios.probabilities"))
-    )
+    probs = _numbers(_require(scen_sec, "probabilities", "scenarios"), "scenarios.probabilities")
     names = scen_sec.get("names")
     if names is not None:
         names = tuple(str(x) for x in _array(names, "scenarios.names"))
@@ -223,36 +256,8 @@ def parse_market(doc: Any) -> RunSpec:
         raise MarketFormatError("participants", str(exc)) from exc
 
     engine_sec = doc.get("engine", {})
-    if not isinstance(engine_sec, dict):
-        raise MarketFormatError("engine", "expected an object")
-    max_steps = _integer(engine_sec.get("max_steps", 500), "engine.max_steps")
-    engine_seed = _integer(engine_sec.get("seed", 0), "engine.seed")
-    epsilon = _number(engine_sec.get("epsilon", 1e-3), "engine.epsilon")
-    try:
-        engine = EngineConfig(
-            epsilon=epsilon,
-            curtailment_mode=engine_sec.get("curtailment", "uniform"),
-            max_steps=max_steps, seed=engine_seed,
-        )
-    except (TypeError, ValueError) as exc:
-        raise MarketFormatError("engine", str(exc)) from exc
-    prop_sec = engine_sec.get("proposer", {})
-    if not isinstance(prop_sec, dict):
-        raise MarketFormatError("engine.proposer", "expected an object")
-    max_size = _integer(prop_sec.get("max_size", 2), "engine.proposer.max_size")
-    attempts = _integer(prop_sec.get("attempts", 20), "engine.proposer.attempts")
-    proposer_seed = prop_sec.get("seed")
-    if proposer_seed is not None:
-        proposer_seed = _integer(proposer_seed, "engine.proposer.seed")
-    try:
-        strategy = ProposerStrategy(
-            mode=prop_sec.get("mode", "full_group"),
-            max_size=max_size,
-            attempts=attempts,
-            seed=proposer_seed,
-        )
-    except (TypeError, ValueError) as exc:
-        raise MarketFormatError("engine.proposer", str(exc)) from exc
+    engine = _settings(engine_sec, "engine", _ENGINE_KEYS, EngineConfig)
+    strategy = _settings(engine_sec.get("proposer", {}), "engine.proposer", _PROPOSER_KEYS, ProposerStrategy)
 
     interval_trades = []
     for i, rec in enumerate(_array(doc.get("interval_trades", []), "interval_trades")):
@@ -261,9 +266,11 @@ def parse_market(doc: Any) -> RunSpec:
         upper = _require(rec, "upper", p)
         if not isinstance(lower, dict) or not isinstance(upper, dict):
             raise MarketFormatError(p, "lower/upper must map participant ids to MW")
-        for pid in set(lower) | set(upper):
+        for pid in sorted(set(lower) | set(upper)):
             if pid not in market.participant_ids:
                 raise MarketFormatError(p, f"unknown participant id {pid!r}")
+        lower = {pid: _number(v, f"{p}.lower.{pid}") for pid, v in lower.items()}
+        upper = {pid: _number(v, f"{p}.upper.{pid}") for pid, v in upper.items()}
         try:
             interval_trades.append(IntervalTrade(lower=lower, upper=upper))
         except ValueError as exc:
@@ -272,19 +279,23 @@ def parse_market(doc: Any) -> RunSpec:
     return RunSpec(market, engine, strategy, tuple(interval_trades))
 
 
-def load_market(path: "str | Path") -> RunSpec:
+def read_json(path: "str | Path") -> Any:
+    """The JSON document in the file at ``path``."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise MarketFormatError(str(path), f"cannot read file: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MarketFormatError(
             str(path), f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    return parse_market(doc)
+
+
+def load_market(path: "str | Path") -> RunSpec:
+    return parse_market(read_json(path))
 
 
 def _utility_to_jsonable(u: UtilityFunction) -> list:

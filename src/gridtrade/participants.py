@@ -119,21 +119,15 @@ class UtilityFunction:
         self._check_domain(p)
         return self._interp(self.breakpoints, self._values, float(p))
 
-    def marginals(self, p: float, tol: float = 0.0) -> tuple[float, float]:
+    def marginals(self, p: float) -> tuple[float, float]:
         """One-sided derivatives ``(left, right)`` at ``p``, clamped to the domain.
 
         Equal away from breakpoints; at a domain endpoint both sides report
-        the interior segment's slope.  ``tol`` snaps ``p`` onto a breakpoint
-        within that distance, which optimality checks need because solver
-        output lands on kinks only up to round-off.
+        the interior segment's slope.
         """
         self._check_domain(p)
         p = float(p)
         bps, slp = self.breakpoints, self.slopes
-        if tol > 0.0:
-            j = min(range(len(bps)), key=lambda k: abs(bps[k] - p))
-            if abs(bps[j] - p) <= tol:
-                p = bps[j]
         seg_left = min(max(bisect.bisect_left(bps, p) - 1, 0), len(slp) - 1)
         seg_right = min(max(bisect.bisect_right(bps, p) - 1, 0), len(slp) - 1)
         return slp[seg_left], slp[seg_right]

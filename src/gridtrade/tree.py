@@ -146,17 +146,12 @@ def _feasible_trade(
     """The trade, the accumulated state's flows and the trade's flows, once the
     trade is known to balance and to fit the line ratings on top of that state.
     """
-    _require_tree(network)
+    p = _to_fractions(trade)
+    flows = tree_flows(network, p)
     if network.scenario_capacities is not None:
         # A decomposition checks one set of ratings; per-scenario ones would go unchecked.
         raise ValueError("decomposition checks one set of line ratings, not scenario_capacities")
-    p = _to_fractions(trade)
-    if len(p) != network.bus_count:
-        raise ValueError("trade must have one entry per bus")
-    if sum(p) != 0:
-        raise ValueError("trade must balance exactly")
     base = tree_flows(network, accumulated) if accumulated is not None else [Fraction(0)] * network.line_count
-    flows = tree_flows(network, p)
     if any(abs(b + f) > Fraction(line.capacity) for b, f, line in zip(base, flows, network.lines)):
         raise ValueError("trade is not feasible at the accumulated state")
     return p, base, flows

@@ -73,7 +73,9 @@ def kkt_report(market, solution, lm, atol=1e-6):
             lam = solution.lambda_[s, p.bus]
             eta = solution.eta_upper[p.id][s] - solution.eta_lower[p.id][s]
             nu = solution.zeta.get(p.id, np.zeros(market.scenario_count))[s]
-            left, right = p.utility[s].marginals(plan[s], tol=1e-6)
+            # Solver output lands on a kink only up to round-off: snap within 1e-6.
+            kink = min(p.utility[s].breakpoints, key=lambda b: abs(b - plan[s]))
+            left, right = p.utility[s].marginals(kink if abs(kink - plan[s]) <= 1e-6 else plan[s])
             lo = w[s] * right + lam - eta - nu
             hi = w[s] * left + lam - eta - nu
             if not (lo <= atol and hi >= -atol):

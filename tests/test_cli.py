@@ -171,6 +171,16 @@ class TestRun:
         assert code == 2
         assert f"{field}: expected a" in err
 
+    def test_zero_state_not_locally_feasible_is_input_error(self, capsys, tmp_path):
+        def must_run(doc):
+            doc["participants"][0]["bounds"] = [[10.0, 200.0], [10.0, 200.0]]
+
+        market = write_market(tmp_path, must_run)
+        code, stdout, err = run_cli(capsys, "run", market, "--out", str(tmp_path / "o"))
+        assert code == 2 and stdout == ""
+        assert err.startswith("input error: participants: G1: zero injection is not locally feasible")
+        assert not (tmp_path / "o").exists()
+
     def test_determinism_across_runs(self, capsys, tmp_path):
         blobs = []
         for name in ("a", "b"):
@@ -342,6 +352,39 @@ class TestDispatchCommands:
         assert code == 0
         assert json.loads(stdout)["verdict"] is True
 
+    def test_dispatch_of_infeasible_market_reports_status(self, capsys, tmp_path):
+        def oversupply(doc):
+            # G1 must inject at least 300 MW; the load can absorb 150 MW at most.
+            doc["participants"][0]["bounds"] = [[300.0, 400.0], [300.0, 400.0]]
+            doc["participants"][0]["utility"] = [{"breakpoint": 0.0, "slope": -50.0},
+                                                 {"breakpoint": 400.0}]
+
+        code, stdout, _ = run_cli(capsys, "dispatch", write_market(tmp_path, oversupply))
+        assert code == 0
+        assert json.loads(stdout) == {"status": "infeasible"}
+
+    @pytest.mark.parametrize("text,field,reason", [
+        (None, "missing.json", "cannot read file"),
+        ("[[18, 48], [32", "prices.json", "invalid JSON"),
+        ('[[1, 2], [3, "x"]]', "--prices[1][1]", "expected a number, got 'x'"),
+        ('{"a": 1}', "--prices", "expected an array, got dict"),
+        ("[[NaN, 48], [32, 32]]", "--prices[0][0]", "expected a finite number, got nan"),
+        ("[[18, 48], [32, Infinity]]", "--prices[1][1]", "expected a finite number, got inf"),
+        ("[[true, 2], [3, 4]]", "--prices[0][0]", "expected a number, got True"),
+        ('[["18", 48], [32, 32]]', "--prices[0][0]", "expected a number, got '18'"),
+        ("[[18, 48]]", "--prices", "expected 2 rows"),
+        ("[[18, 48, 0], [32, 32]]", "--prices[0]", "expected 2 prices"),
+    ], ids=["missing", "invalid-json", "string", "object", "nan", "infinity", "boolean",
+            "numeric-string", "rows", "columns"])
+    def test_check_eq_bad_prices_is_input_error(self, capsys, tmp_path, text, field, reason):
+        path = tmp_path / ("missing.json" if text is None else "prices.json")
+        if text is not None:
+            path.write_text(text)
+        code, stdout, err = run_cli(capsys, "check-eq", MARKET_FILE, "--prices", str(path))
+        assert code == 2 and stdout == ""
+        assert err.startswith("input error: ")
+        assert f"{field}: {reason}" in err
+
     def test_check_eq_fails_on_perturbed_prices(self, capsys, tmp_path):
         prices = [[18.0, 49.0], [32.0, 32.0]]
         path = tmp_path / "prices.json"
@@ -396,6 +439,43 @@ class TestDecomposeCommand:
     def test_wrong_length_trade_rejected(self, capsys, path_market):
         code, _, err = run_cli(capsys, "decompose", path_market, "--trade", "5,-5")
         assert code == 2
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--state", "abc"], "--state"),
+        (["--state", "1/0,0"], "--state"),
+        (["--state", "1,2,3"], "--state"),
+        (["--state", "0,0", "--state", "0,0"], "--state"),
+        (["--trade", "5,x"], "--trade"),
+        (["--mode", "profitable", "--alpha", "1/0,2"], "--alpha"),
+        (["--mode", "profitable", "--alpha", "1,2,3"], "--alpha"),
+    ], ids=["state-text", "state-zero-denominator", "state-length", "state-count", "trade-text",
+            "alpha-zero-denominator", "alpha-length"])
+    def test_bad_vector_flag_is_input_error(self, capsys, flags, field):
+        code, stdout, err = run_cli(capsys, "decompose", MARKET_FILE, "--trade", "5,-5", *flags)
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"input error: {field}: ")
+
+    def test_profitable_mode_emits_profitable_components(self, capsys, path_market):
+        code, stdout, _ = run_cli(capsys, "decompose", path_market, "--trade", "5,-2,-3",
+                                  "--mode", "profitable", "--alpha", "3,1,2")
+        assert code == 0
+        comps = json.loads(stdout)["components"]
+        assert {(c["supply_bus"], c["demand_bus"], c["quantity_exact"]) for c in comps} == {
+            (1, 2, "2"), (1, 3, "3"),
+        }
+
+    def test_profitable_mode_emits_redundancy_certificate(self, capsys, path_market):
+        # Moving 2 MW from bus 1 (worth 3) to bus 2 (worth 4) loses 2; the trade earns 4.
+        code, stdout, _ = run_cli(capsys, "decompose", path_market, "--trade", "5,-2,-3",
+                                  "--mode", "profitable", "--alpha", "3,4,1")
+        assert code == 0
+        assert json.loads(stdout) == {
+            "redundant": True,
+            "dropped": {"supply_bus": 1, "demand_bus": 2, "quantity": 2.0, "quantity_exact": "2"},
+            "remaining_trade": ["3", "0", "-3"],
+            "original_profit": 4.0,
+            "remaining_profit": 6.0,
+        }
 
     def test_fractional_values_accepted(self, capsys, path_market):
         code, stdout, _ = run_cli(
@@ -454,3 +534,20 @@ class TestRobustRunCommand:
     def test_missing_interval_section_is_input_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "robust-run", MARKET_FILE, "--out", str(tmp_path / "o"))
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["80", math.nan, True, None], ids=repr)
+    def test_bad_interval_bound_is_input_error(self, capsys, tmp_path, value):
+        def edit(doc):
+            doc["interval_trades"] = [{"lower": {"G2": value, "L": -100.0},
+                                       "upper": {"G2": 100.0, "L": -80.0}}]
+
+        market = write_market(tmp_path, edit)
+        code, stdout, err = run_cli(capsys, "robust-run", market, "--out", str(tmp_path / "o"))
+        assert code == 2 and stdout == ""
+        assert err.startswith("input error: interval_trades[0].lower.G2: expected a")
+
+    def test_bundled_robust_market(self, capsys, tmp_path):
+        market = Path(MARKET_FILE).with_name("two_bus_robust.json")
+        code, stdout, _ = run_cli(capsys, "robust-run", str(market), "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert json.loads(stdout)["accepted"] == 2

@@ -176,6 +176,20 @@ class TestSoStep:
         record, _ = so_step(state, Trade({"G1": np.array([5.0, 5.0])}), config, lm, market)
         assert not record.accepted and record.reasons
 
+    def test_trade_below_epsilon_rejected(self, market, lm, config):
+        # Balanced and locally feasible, but worth 1000 $/MW * 1e-7 MW = 1e-4 $ < epsilon.
+        state = TradingState.initial(market)
+        tiny = Trade({"G2": np.array([1e-7, 1e-7]), "L": np.array([-1e-7, -1e-7])})
+        assert validate_trade(tiny, state, market) == []
+        assert is_worthy(tiny, state, 0.0, market)[1] == pytest.approx(1e-4)
+        record, after = so_step(state, tiny, config, lm, market)
+        assert not record.accepted and record.gamma == 0.0
+        assert record.reasons == ("not epsilon-worthy",)
+        for pid, v in state.y.items():
+            np.testing.assert_array_equal(after.y[pid], v)
+        np.testing.assert_array_equal(after.x, state.x)
+        assert after.records == (record,)
+
     @pytest.mark.parametrize("plans,reasons", WRONG_LENGTH)
     def test_wrong_length_plan_rejected(self, market, lm, config, plans, reasons):
         state = TradingState.initial(market)
