@@ -17,7 +17,6 @@ import os
 import sys
 import time
 from dataclasses import replace
-from pathlib import Path
 
 from . import dispatch as dispatch_mod
 from . import market_io, robust, tree
@@ -64,6 +63,7 @@ def _run_spec(args) -> market_io.RunSpec:
 
 def cmd_run(args) -> int:
     spec = _run_spec(args)
+    out_dir = market_io.output_dir(args.out)
     lm = build_loading_matrix(spec.market.network)
     proposer = make_proposer(spec.strategy, lm)
     started = time.perf_counter()
@@ -81,8 +81,6 @@ def cmd_run(args) -> int:
             spec.market, solution.plans, solution.x, solution.lambda_, lm=lm
         ).verdict
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "trace.jsonl", "w") as fp:
         market_io.write_trace(result.state.records, fp)
     report = market_io.result_to_jsonable(result, spec.market, oracle_gap)
@@ -134,7 +132,6 @@ def cmd_prices(args) -> int:
         quotes.append(row)
     doc = {
         "lambda": [list(row) for row in solution.lambda_],
-        "raw_duals": [list(row) for row in solution.lambda_],
         "marginal_quotes": quotes,
     }
     print(market_io.dumps(doc))
@@ -219,12 +216,11 @@ def cmd_robust_run(args) -> int:
     if spec.market.network.scenario_capacities is not None:
         # Robust curtailment checks one set of line limits for all scenarios.
         raise market_io.MarketFormatError("network.scenario_capacities", "robust-run does not support them")
+    out_dir = market_io.output_dir(args.out)
     lm = build_loading_matrix(spec.market.network)
     state = robust.IntervalState.initial(spec.market.network.bus_count)
     for trade in spec.interval_trades:
         _, state = robust.accept_interval_trade(state, trade, lm, spec.market)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "robust_trace.jsonl", "w") as fp:
         for step, record in enumerate(state.records):
             doc = {

@@ -1,8 +1,9 @@
 """Input parsing, validation, and canonical JSON output.
 
 Values from outside (market files, other JSON files through ``read_json`` and
-``parse_matrix``, command-line vectors through ``parse_vector``) are checked
-here; each problem raises :class:`MarketFormatError` naming its field or flag.
+``parse_matrix``, command-line vectors through ``parse_vector``, output
+directories through ``output_dir``) are checked here; each problem raises
+:class:`MarketFormatError` naming its field or flag.
 
 Market files are JSON with 1-based bus indices (as humans label diagrams);
 everything in memory is 0-based.  Numbers are serialised with 12 significant
@@ -36,6 +37,7 @@ __all__ = [
     "read_json",
     "parse_matrix",
     "parse_vector",
+    "output_dir",
     "market_to_jsonable",
     "canonical",
     "dumps",
@@ -292,6 +294,16 @@ def read_json(path: "str | Path") -> Any:
         raise MarketFormatError(
             str(path), f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def output_dir(path: "str | Path") -> Path:
+    """The directory at ``path``, created if missing; a path that cannot be one is an input error."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise MarketFormatError("--out", f"cannot create directory: {exc}") from exc
+    return path
 
 
 def load_market(path: "str | Path") -> RunSpec:

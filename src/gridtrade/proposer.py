@@ -12,6 +12,19 @@ a call searches first: none for the full group, one cycle of small subsets
 for exhaustive search, ``attempts`` random draws otherwise.  The call then
 ends with a whole-market search, the only search that can certify
 termination.
+
+Most sampled pairs have nothing worth trading, so a pair is screened before
+its LP.  A balanced pair trade moves one variable per scenario,
+``t[s] = d_a[s] = -d_b[s]`` (one ``t`` for all scenarios when a member is
+day-ahead).  Each announced row becomes a sign limit on ``t[s]``, so the
+pair's best gain is a concave piecewise-linear maximum over an interval,
+attained at an interval end or a shifted utility breakpoint:
+:func:`pair_bound` scans those candidates exactly.  The LP is skipped when
+that optimum is below ``epsilon - _SCREEN_MARGIN``, where it could only
+return nothing.  Rows whose coefficient on ``t`` is within
+``_COEF_TOL * max|H|`` of zero are dropped, which only relaxes the scan;
+where the scan does not apply (bounds crossed by round-off) the LP runs.
+Trades and certificates still come from the LP alone.
 """
 
 from __future__ import annotations
@@ -34,9 +47,17 @@ __all__ = [
     "Proposer",
     "find_worthy_fd_trade",
     "make_proposer",
+    "PairTables",
+    "pair_bound",
 ]
 
 _ENTRY_EPS = 1e-11
+# A pair's LP is skipped when its scanned optimum is below epsilon minus
+# this margin ($), which covers the round-off of the scan and of HiGHS's
+# objective.  Announced rows with |coefficient| at most _COEF_TOL * max|H|
+# are dropped from the scan.
+_SCREEN_MARGIN = 1e-8
+_COEF_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,6 +114,93 @@ def find_worthy_fd_trade(
     return Trade({p.id: d for p, d in zip(members, deltas) if np.any(d != 0.0)}), optimum
 
 
+@dataclass(frozen=True, eq=False)
+class PairTables:
+    """One market's per-participant arrays for :func:`pair_bound`.
+
+    Utilities are padded to ``K`` segments by repeating the last one, so
+    ``min_k(intercepts + slopes * p)`` is still each scenario's value.
+    """
+
+    index: dict[str, int]
+    bus: np.ndarray  # (P,)
+    day_ahead: np.ndarray  # (P,)
+    weights: np.ndarray  # (P, S)
+    lower: np.ndarray  # (P, S)
+    upper: np.ndarray  # (P, S)
+    slopes: np.ndarray  # (P, S, K)
+    intercepts: np.ndarray  # (P, S, K)
+    breakpoints: np.ndarray  # (P, S, K + 1)
+
+    @classmethod
+    def of(cls, market: Market) -> "PairTables":
+        parts = market.participants
+        segments = [[u.segments() for u in p.utility] for p in parts]
+        k = max(m.size for row in segments for m, _ in row)
+
+        def padded(values, size):
+            values = np.asarray(values, dtype=float)
+            return np.concatenate([values, np.repeat(values[-1:], size - values.size)])
+
+        bounds = np.array([p.bounds for p in parts], dtype=float)
+        return cls(
+            index={p.id: i for i, p in enumerate(parts)},
+            bus=np.array([p.bus for p in parts]),
+            day_ahead=np.array([p.timing == "DA" for p in parts]),
+            weights=np.array([p.weights(market.scenarios) for p in parts]),
+            lower=bounds[:, :, 0],
+            upper=bounds[:, :, 1],
+            slopes=np.array([[padded(m, k) for m, _ in row] for row in segments]),
+            intercepts=np.array([[padded(a, k) for _, a in row] for row in segments]),
+            breakpoints=np.array([[padded(u.breakpoints, k + 1) for u in p.utility] for p in parts]),
+        )
+
+    def value(self, i: int, plans: np.ndarray) -> np.ndarray:
+        """Participant ``i``'s utility at ``plans`` of shape ``(S, C)``."""
+        return np.min(self.intercepts[i][:, None] + self.slopes[i][:, None] * plans[..., None], axis=-1)
+
+
+def pair_bound(
+    tables: PairTables,
+    pair: tuple[str, str],
+    state: TradingState,
+    announcements: tuple[tuple[int, ...], ...],
+    lm: LoadingMatrix,
+) -> float | None:
+    """The pair's best utility gain by breakpoint scan, or ``None`` where it does not apply.
+
+    Equals :func:`find_worthy_fd_trade`'s optimum for the pair up to
+    round-off, or exceeds it where announced rows with a coefficient
+    within ``_COEF_TOL * max|H|`` of zero were dropped.
+    """
+    a, b = pair
+    i, j = tables.index[a], tables.index[b]
+    ya, yb = state.y[a], state.y[b]
+    lower = np.maximum(tables.lower[i] - ya, yb - tables.upper[j])
+    upper = np.minimum(tables.upper[i] - ya, yb - tables.lower[j])
+    rows = np.concatenate(announcements).astype(int)
+    if rows.size:
+        scenario = np.repeat(np.arange(ya.size), [len(r) for r in announcements])
+        coef = lm.rows[rows, tables.bus[i]] - lm.rows[rows, tables.bus[j]]
+        tol = _COEF_TOL * np.max(np.abs(lm.rows))
+        np.minimum.at(upper, scenario[coef > tol], 0.0)
+        np.maximum.at(lower, scenario[coef < -tol], 0.0)
+    shifts = np.concatenate([tables.breakpoints[i] - ya[:, None], yb[:, None] - tables.breakpoints[j]], axis=1)
+    shared = tables.day_ahead[i] or tables.day_ahead[j]
+    if shared:
+        lower, upper, shifts = lower.max(keepdims=True), upper.min(keepdims=True), shifts.reshape(1, -1)
+    if np.any(lower > upper):
+        return None
+    t = np.clip(np.column_stack([lower, upper, np.zeros_like(lower), shifts]), lower[:, None], upper[:, None])
+    ya, yb = ya[:, None], yb[:, None]
+    gain = (
+        tables.weights[i][:, None] * (tables.value(i, ya + t) - tables.value(i, ya))
+        + tables.weights[j][:, None] * (tables.value(j, yb - t) - tables.value(j, yb))
+    )
+    # A shared t takes one candidate in every scenario; otherwise each scenario picks its own.
+    return float(gain.sum(axis=0).max() if shared else gain.max(axis=1).sum())
+
+
 class Proposer:
     """Searches the strategy's groups in turn, then the whole market.
 
@@ -104,10 +212,25 @@ class Proposer:
     def __init__(self, strategy: ProposerStrategy, lm: LoadingMatrix | None = None):
         self.strategy = strategy
         self._lm = lm
+        self._market: Market | None = None
+        self._tables: PairTables | None = None
         self._subsets: tuple[Iterator[tuple[str, ...]], int] | None = None
         self._own_rng = (
             np.random.default_rng(strategy.seed) if strategy.seed is not None else None
         )
+
+    def _bind(self, market: Market) -> None:
+        """Rebuild what is cached per market when ``market`` is not the last one seen.
+
+        A loading matrix given to the constructor serves the first market.
+        """
+        if market is self._market:
+            return
+        if self._market is not None or self._lm is None:
+            self._lm = build_loading_matrix(market.network)
+        self._market = market
+        self._tables = None
+        self._subsets = None
 
     def groups(self, ids: tuple[str, ...], rng: np.random.Generator) -> Iterator[tuple[str, ...]]:
         """The groups one ``propose`` call searches before the whole market.
@@ -137,9 +260,14 @@ class Proposer:
         return iter(())
 
     def propose(self, market, state, announcements, epsilon, rng):
-        if self._lm is None:
-            self._lm = build_loading_matrix(market.network)
+        self._bind(market)
         for group in self.groups(market.participant_ids, rng):
+            if len(group) == 2:
+                if self._tables is None:
+                    self._tables = PairTables.of(market)
+                bound = pair_bound(self._tables, group, state, announcements, self._lm)
+                if bound is not None and bound < epsilon - _SCREEN_MARGIN:
+                    continue
             trade, _ = find_worthy_fd_trade(group, state, announcements, epsilon, market, self._lm)
             if trade is not None:
                 return trade

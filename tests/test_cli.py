@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gridtrade
-from gridtrade import trading
+from gridtrade import cli, robust, trading
 from gridtrade.cli import main
 from gridtrade.dispatch import solve_dispatch
 from gridtrade.generators import random_market
@@ -80,6 +80,15 @@ class TestRun:
         code, _, stderr = run_cli(capsys, "run", MARKET_FILE, "--out", str(tmp_path / "o"))
         assert code == 4
         assert "post-step state infeasible" in stderr
+
+    def test_out_naming_a_file_is_input_error_before_trading(self, capsys, tmp_path, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        monkeypatch.setattr(cli, "run_trading", lambda *args: pytest.fail("traded before --out check"))
+        code, stdout, err = run_cli(capsys, "run", MARKET_FILE, "--out", str(taken), "--skip-oracle")
+        assert code == 2 and stdout == ""
+        assert err.startswith("input error: --out: cannot create directory")
+        assert taken.read_text() == "keep"
 
     def test_malformed_json_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -342,7 +351,7 @@ class TestDispatchCommands:
         assert code == 0
         doc = json.loads(stdout)
         assert doc["lambda"] == [[18.0, 48.0], [32.0, 32.0]]
-        assert doc["raw_duals"] == doc["lambda"]
+        assert "raw_duals" not in doc
         assert doc["marginal_quotes"][0][1] == 48.0
         assert doc["marginal_quotes"][1][1] == 32.0
         assert doc["marginal_quotes"][0][0] is None
@@ -545,6 +554,17 @@ class TestRobustRunCommand:
         code, stdout, err = run_cli(capsys, "robust-run", market, "--out", str(tmp_path / "o"))
         assert code == 2 and stdout == ""
         assert err.startswith("input error: interval_trades[0].lower.G2: expected a")
+
+    def test_out_naming_a_file_is_input_error_before_trading(self, capsys, tmp_path, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        monkeypatch.setattr(robust, "accept_interval_trade",
+                            lambda *args: pytest.fail("traded before --out check"))
+        market = Path(MARKET_FILE).with_name("two_bus_robust.json")
+        code, stdout, err = run_cli(capsys, "robust-run", str(market), "--out", str(taken))
+        assert code == 2 and stdout == ""
+        assert err.startswith("input error: --out: cannot create directory")
+        assert taken.read_text() == "keep"
 
     def test_bundled_robust_market(self, capsys, tmp_path):
         market = Path(MARKET_FILE).with_name("two_bus_robust.json")

@@ -1,12 +1,24 @@
+import io
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from gridtrade import proposer as proposer_mod
 from gridtrade import solve_dispatch, two_bus_market, welfare_gap
 from gridtrade.generators import random_market
 from gridtrade.market import Market
+from gridtrade.market_io import write_trace
 from gridtrade.network import Network, build_loading_matrix, is_feasible_direction
 from gridtrade.participants import Participant, ScenarioSet
-from gridtrade.proposer import ProposerStrategy, find_worthy_fd_trade, make_proposer
+from gridtrade.proposer import (
+    PairTables,
+    ProposerStrategy,
+    find_worthy_fd_trade,
+    make_proposer,
+    pair_bound,
+)
 from gridtrade.trading import (
     Certificate,
     EngineConfig,
@@ -213,3 +225,140 @@ class TestCertifiedGap:
         sizes = (market.network.bus_count, market.scenario_count, len(market.participants))
         assert sizes == (18, 16, 31)
         self.check_every_step(market)
+
+
+def rated_subjective(market, rng):
+    """``market`` with per-scenario line ratings and every other member's own beliefs."""
+    lines = market.network.lines
+    caps = None
+    if lines:
+        nominal = np.array([line.capacity for line in lines])
+        caps = nominal * rng.uniform(0.5, 1.0, size=(market.scenario_count, len(lines)))
+    beliefs = tuple(np.roll(market.scenarios.as_array(), 1))
+    participants = tuple(
+        replace(p, subjective_probabilities=beliefs) if k % 2 else p
+        for k, p in enumerate(market.participants)
+    )
+    return Market(replace(market.network, scenario_capacities=caps), market.scenarios, participants)
+
+
+class PairChecker:
+    """Runs the wrapped proposer after comparing every pair's scan with its LP."""
+
+    def __init__(self, inner, lm):
+        self.inner, self.lm = inner, lm
+        self.seen = {"day_ahead": 0, "same_bus": 0, "signed": 0, "subjective": 0}
+
+    def propose(self, market, state, announcements, epsilon, rng):
+        tables = PairTables.of(market)
+        rows = np.concatenate(announcements).astype(int)
+        for pair in itertools.combinations(market.participant_ids, 2):
+            bound = pair_bound(tables, pair, state, announcements, self.lm)
+            _, optimum = find_worthy_fd_trade(pair, state, announcements, epsilon, market, self.lm)
+            if bound is None:  # bounds crossed by round-off: the pair goes to the LP
+                continue
+            assert abs(bound - optimum) <= 1e-9, (pair, bound, optimum)
+            members = [market.participant(pid) for pid in pair]
+            buses = [p.bus for p in members]
+            self.seen["day_ahead"] += any(p.timing == "DA" for p in members)
+            self.seen["same_bus"] += buses[0] == buses[1] and rows.size > 0
+            self.seen["signed"] += bool(np.any(self.lm.rows[rows, buses[0]] != self.lm.rows[rows, buses[1]]))
+            self.seen["subjective"] += any(p.subjective_probabilities is not None for p in members)
+        return self.inner.propose(market, state, announcements, epsilon, rng)
+
+
+def counting_searches(monkeypatch) -> list:
+    """Patch the trade search to record each searched group; returns the record."""
+    searches = []
+    search = proposer_mod.find_worthy_fd_trade
+
+    def counted(group, *args):
+        searches.append(group)
+        return search(group, *args)
+
+    monkeypatch.setattr(proposer_mod, "find_worthy_fd_trade", counted)
+    return searches
+
+
+def traced_run(monkeypatch, market, strategy, config):
+    """Trace text, certificate and search count of one run with a fresh proposer."""
+    with monkeypatch.context() as patch:
+        searches = counting_searches(patch)
+        result = run_trading(market, config, make_proposer(strategy))
+    buf = io.StringIO()
+    write_trace(result.state.records, buf)
+    return buf.getvalue(), result.certified_bound, len(searches)
+
+
+class TestPairScreen:
+    def test_bound_equals_pair_optimum_along_fleet_runs(self):
+        # Every pair at every state of full-group runs on a quarter of the
+        # fleet, plain and with per-scenario ratings and subjective
+        # probabilities.  Same-bus pairs have a coefficient of exactly 0.
+        rng = np.random.default_rng(5)
+        checked = {"day_ahead": 0, "same_bus": 0, "signed": 0, "subjective": 0}
+        for market in fleet_markets()[::4]:
+            for variant in (market, rated_subjective(market, rng)):
+                lm = build_loading_matrix(variant.network)
+                inner = make_proposer(ProposerStrategy("full_group"), lm)
+                checker = PairChecker(inner, lm)
+                assert run_trading(variant, EngineConfig(epsilon=1e-3), checker, lm).converged
+                for kind, count in checker.seen.items():
+                    checked[kind] += count
+        assert min(checked.values()) >= 100, checked
+
+    @pytest.mark.parametrize("strategy,config", [
+        (ProposerStrategy("exhaustive_subsets", max_size=2), EngineConfig(epsilon=1e-3)),
+        (ProposerStrategy("random_subsets", max_size=3, attempts=6, seed=3),
+         EngineConfig(epsilon=1e-3, curtailment_mode="hybrid")),
+    ], ids=["exhaustive", "random_hybrid"])
+    def test_traces_match_unscreened_runs(self, monkeypatch, strategy, config):
+        skipped = 0
+        for market in fleet_markets()[::5]:
+            screened = traced_run(monkeypatch, market, strategy, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(proposer_mod, "pair_bound", lambda *args: None)
+                unscreened = traced_run(patch, market, strategy, config)
+            assert screened[:2] == unscreened[:2]
+            skipped += unscreened[2] - screened[2]
+        assert skipped > 0
+
+    def test_crossed_bounds_fall_back_to_the_lp(self, monkeypatch):
+        # a sits 1e-12 MW above its upper bound and b at its own: a pair
+        # trade must lower a and raise b, so the scan's interval is empty.
+        a = Participant.producer("a", 0, "RT", (100.0,), 40.0)
+        b = Participant.producer("b", 0, "RT", (100.0,), 30.0)
+        network = Network(1, (), reference_bus=0)
+        market = Market(network, ScenarioSet((1.0,)), (a, b))
+        lm = build_loading_matrix(network)
+        state = TradingState(y={"a": np.array([100.0 + 1e-12]), "b": np.array([100.0])},
+                             x=np.array([[200.0 + 1e-12]]))
+        assert pair_bound(PairTables.of(market), ("a", "b"), state, ((),), lm) is None
+        proposer = make_proposer(ProposerStrategy("exhaustive_subsets", max_size=2), lm)
+        searches = counting_searches(monkeypatch)
+        outcome = proposer.propose(market, state, ((),), 1e-3, np.random.default_rng(0))
+        # At a state the scan covers, the pair's LP is skipped.
+        searches.append("interior")
+        inside = TradingState(y={"a": np.array([50.0]), "b": np.array([50.0])}, x=np.array([[100.0]]))
+        proposer.propose(market, inside, ((),), 1e3, np.random.default_rng(0))
+        assert searches == [("a", "b"), ("a", "b"), "interior", ("a", "b")]
+        assert isinstance(outcome, Certificate) and outcome.optimum == pytest.approx(0.0, abs=1e-9)
+
+
+class TestProposerReuse:
+    @pytest.mark.parametrize("mode", ["full_group", "exhaustive_subsets"])
+    def test_one_proposer_serves_markets_of_different_topology(self, mode):
+        fleet = fleet_markets()
+        four_bus = next(m for m in fleet if m.network.bus_count == 4)
+        other_four_bus = next(
+            m for m in fleet if m.network.bus_count == 4 and m.network.lines != four_bus.network.lines
+        )
+        strategy = ProposerStrategy(mode, max_size=2)
+        config = EngineConfig(epsilon=1e-3)
+        shared = make_proposer(strategy)
+        for market in (two_bus_market(), four_bus, other_four_bus):
+            reused = run_trading(market, config, shared)
+            fresh = run_trading(market, config, make_proposer(strategy))
+            assert reused.steps == fresh.steps and reused.certified_bound == fresh.certified_bound
+            for pid, plan in fresh.state.y.items():
+                np.testing.assert_array_equal(reused.state.y[pid], plan)
