@@ -72,14 +72,15 @@ class DispatchSolution:
 
 # Welfare LPs with at most this many dense cells (rows x columns) get a dense
 # matrix, larger ones a CSR matrix.  On the small LPs of a trading run
-# (acceptance markets up to 13k cells, subset searches around 1.3k)
-# scipy.sparse costs more than it saves.  For a 36 x 36 subset search that
-# takes 1.5 ms end to end when dense, building the CSR matrices takes 0.18 ms
-# against 0.02 ms, stacking them into HiGHS's CSC matrix about 0.6 ms more,
-# and the KKT products 0.27 ms against 0.14 ms (means over 500 searches on a
-# 2-vCPU host).  The 20-bus full-group searches (1.7M cells and up) and large
-# dispatch LPs (27M cells) are under 1% nonzero, and densely they spend most
-# of their time filling and converting zeros.
+# (acceptance markets up to 13k cells, subset searches around 1.6k)
+# scipy.sparse costs more than it saves.  Over 500 subset_hybrid searches
+# (median 44 x 36), welfare_program takes 0.26-0.29 ms dense against
+# 0.62-0.74 ms with CSR, lp.linprog's column arrays 0.06 ms against 0.09-0.10
+# ms, the KKT products 0.10 ms against 0.23-0.29 ms, and lp.solve end to end
+# 1.05-1.18 ms against 1.39-1.65 ms (means of two rounds on a 2-vCPU host).
+# The 20-bus full-group searches (1.7M cells and up) and large dispatch LPs
+# (27M cells) are under 1% nonzero, and densely they spend most of their time
+# filling and converting zeros.
 _DENSE_CELLS = 250_000
 
 # MW a quoting injection keeps from its bounds and breakpoints; relative

@@ -7,6 +7,14 @@ dense arrays or ``scipy.sparse`` matrices; the solution and its
 verification are the same for both.  An omitted constraint family is an
 empty one (no rows), so every routine below handles both families alike.
 
+The model reaches HiGHS as one column-wise ``HighsLp``.  Its
+``start``/``index``/``value`` arrays are the CSC form of the ``a_ub`` rows
+stacked over the ``a_eq`` rows, built with numpy: ``np.nonzero`` on the
+transposed stack when both parts are dense, one stable sort of the stored
+entries by column otherwise.  Every array is handed over as a Python list,
+which the binding copies faster than a numpy array it reads element by
+element.  Nothing is kept between calls: each solve builds a fresh model.
+
 Every consumer here needs duals, so the solution carries Lagrange
 multipliers in a single documented convention.  For the equivalent
 maximisation form (``sense="min"`` is solved by negating the objective)
@@ -147,23 +155,19 @@ def linprog(lp: LinearProgram) -> tuple[str, _highs._Highs]:
     the min-equivalent cost.  A status other than optimal, infeasible or
     unbounded raises :class:`LpError`.
     """
-    parts = [lp.a_ub, lp.a_eq]
-    if any(sparse.issparse(a) for a in parts):
-        a = sparse.vstack(parts, format="csc")
-    else:
-        a = sparse.csc_array(np.vstack(parts))
+    start, index, value = _columns([lp.a_ub, lp.a_eq], lp.n_vars)
     model = _highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = lp.n_vars
-    model.num_row_ = model.a_matrix_.num_row_ = a.shape[0]
+    model.num_row_ = model.a_matrix_.num_row_ = lp.b_ub.size + lp.b_eq.size
     model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = a.indptr
-    model.a_matrix_.index_ = a.indices
-    model.a_matrix_.value_ = a.data
-    model.col_cost_ = -lp.c if lp.sense == "max" else lp.c
-    model.col_lower_ = lp.lower
-    model.col_upper_ = lp.upper
-    model.row_lower_ = np.concatenate([np.full(lp.b_ub.size, -np.inf), lp.b_eq])
-    model.row_upper_ = np.concatenate([lp.b_ub, lp.b_eq])
+    model.a_matrix_.start_ = start
+    model.a_matrix_.index_ = index
+    model.a_matrix_.value_ = value
+    model.col_cost_ = (-lp.c if lp.sense == "max" else lp.c).tolist()
+    model.col_lower_ = lp.lower.tolist()
+    model.col_upper_ = lp.upper.tolist()
+    model.row_lower_ = [-np.inf] * lp.b_ub.size + lp.b_eq.tolist()
+    model.row_upper_ = lp.b_ub.tolist() + lp.b_eq.tolist()
     highs = _highs._Highs()
     highs.passOptions(_HIGHS_OPTIONS)
     if highs.passModel(model) == _highs.HighsStatus.kError:
@@ -177,6 +181,37 @@ def linprog(lp: LinearProgram) -> tuple[str, _highs._Highs]:
     return _STATUS[status], highs
 
 
+def _columns(parts: list, n: int) -> tuple[list[int], list[int], list[float]]:
+    """Column-wise ``(start, index, value)`` of the parts stacked by rows.
+
+    These are the ``indptr``, ``indices`` and ``data`` of the stack's
+    ``scipy.sparse`` CSC form: row indices ascend within each column, zeros
+    of a dense part are left out and entries a sparse part stores (explicit
+    zeros too) are kept.
+    """
+    if not any(sparse.issparse(a) for a in parts):
+        stack = np.vstack(parts).T
+        cols, rows = np.nonzero(stack)
+        values = stack[cols, rows]
+    else:
+        triplets = []
+        offset = 0
+        for a in parts:
+            if sparse.issparse(a):
+                r, c, v = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr)), a.indices, a.data
+            else:
+                r, c = np.nonzero(a)
+                v = a[r, c]
+            triplets.append((r + offset, c, v))
+            offset += a.shape[0]
+        rows, cols, values = (np.concatenate(t) for t in zip(*triplets))
+        order = np.argsort(cols, kind="stable")
+        rows, cols, values = rows[order], cols[order], values[order]
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
+    return start.tolist(), rows.tolist(), values.tolist()
+
+
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve ``lp``; on success the KKT residual contract is checked."""
     status, highs = linprog(lp)
@@ -187,7 +222,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     x = np.array(solution.col_value)
     row_dual = -np.array(solution.row_dual)
     col_dual = np.array(solution.col_dual)
-    col_status = np.array([int(s) for s in highs.getBasis().col_status])
+    col_status = np.fromiter(map(int, highs.getBasis().col_status), dtype=int, count=lp.n_vars)
     duals_eq, duals_ub = row_dual[lp.b_ub.size:], row_dual[:lp.b_ub.size]
     duals_lower = np.where(col_status == _AT_LOWER, col_dual, 0.0)
     duals_upper = -np.where(col_status == _AT_UPPER, col_dual, 0.0)

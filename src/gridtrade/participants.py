@@ -13,7 +13,9 @@ unless it carries a subjective override) or the market's, for welfare.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,11 +68,15 @@ class ScenarioSet:
 class UtilityFunction:
     """Concave piecewise-linear utility of injection, anchored at zero.
 
-    ``breakpoints`` are strictly increasing and bracket the domain;
-    ``slopes[j]`` is the marginal value on ``[breakpoints[j], breakpoints[j+1]]``
-    and the sequence must be nonincreasing (strictly decreasing for a
-    non-degenerate function).  The domain must contain 0 so the anchor
-    ``value(0) == 0`` is well defined.
+    ``breakpoints`` are finite and strictly increasing and bracket the
+    domain; ``slopes[j]`` is the finite marginal value on
+    ``[breakpoints[j], breakpoints[j+1]]`` and the sequence must be
+    nonincreasing (strictly decreasing for a non-degenerate function).  The
+    domain must contain 0 so the anchor ``value(0) == 0`` is well defined.
+
+    The breakpoint values, per-segment rates and :meth:`segments` arrays are
+    computed on first use and cached, so building a market stays cheap and
+    valuing a plan repeats no arithmetic.
     """
 
     breakpoints: tuple[float, ...]
@@ -83,23 +89,44 @@ class UtilityFunction:
         object.__setattr__(self, "slopes", slp)
         if len(bps) < 2 or len(slp) != len(bps) - 1:
             raise ValueError("need K >= 2 breakpoints and K-1 slopes")
+        if not all(map(math.isfinite, bps + slp)):
+            raise ValueError("breakpoints and slopes must be finite")
         if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if any(m2 > m1 + 1e-12 for m1, m2 in zip(slp, slp[1:])):
             raise ValueError("slopes must be nonincreasing (concavity)")
         if not bps[0] <= 0.0 <= bps[-1]:
             raise ValueError("domain must contain 0 for value normalisation")
-        values = [0.0] * len(bps)
-        for j in range(1, len(bps)):
-            values[j] = values[j - 1] + slp[j - 1] * (bps[j] - bps[j - 1])
-        offset = self._interp(bps, values, 0.0)
-        object.__setattr__(self, "_values", tuple(v - offset for v in values))
 
     @staticmethod
     def _interp(bps: tuple[float, ...], values: tuple[float, ...] | list[float], p: float) -> float:
         j = max(bisect.bisect_right(bps, p) - 1, 0)
         j = min(j, len(bps) - 2)
         return values[j] + (values[j + 1] - values[j]) / (bps[j + 1] - bps[j]) * (p - bps[j])
+
+    @cached_property
+    def _values(self) -> tuple[float, ...]:
+        """Value at each breakpoint, anchored so that ``value(0) == 0``."""
+        bps, slp = self.breakpoints, self.slopes
+        values = [0.0] * len(bps)
+        for j in range(1, len(bps)):
+            values[j] = values[j - 1] + slp[j - 1] * (bps[j] - bps[j - 1])
+        offset = self._interp(bps, values, 0.0)
+        return tuple(v - offset for v in values)
+
+    @cached_property
+    def _rates(self) -> tuple[float, ...]:
+        """Per-segment rate, computed with ``_interp``'s operations so ``value`` matches it."""
+        bps, v = self.breakpoints, self._values
+        return tuple((v[j + 1] - v[j]) / (bps[j + 1] - bps[j]) for j in range(len(bps) - 1))
+
+    @cached_property
+    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
+        m = np.asarray(self.slopes)
+        a = np.asarray(self._values[:-1]) - m * np.asarray(self.breakpoints[:-1])
+        m.setflags(write=False)
+        a.setflags(write=False)
+        return m, a
 
     @classmethod
     def constant_marginal(cls, slope: float, lower: float, upper: float) -> "UtilityFunction":
@@ -116,8 +143,14 @@ class UtilityFunction:
             raise ValueError(f"injection {p} outside utility domain [{lo}, {hi}]")
 
     def value(self, p: float) -> float:
-        self._check_domain(p)
-        return self._interp(self.breakpoints, self._values, float(p))
+        """``_interp`` at ``p`` from the cached rates; same operations, same bits."""
+        p = float(p)
+        bps = self.breakpoints
+        if not bps[0] - 1e-9 <= p <= bps[-1] + 1e-9:
+            raise ValueError(f"injection {p} outside utility domain [{bps[0]}, {bps[-1]}]")
+        # Searching the interior breakpoints clamps the segment to [0, K - 2].
+        j = bisect.bisect_right(bps, p, 1, len(bps) - 1) - 1
+        return self._values[j] + self._rates[j] * (p - bps[j])
 
     def marginals(self, p: float) -> tuple[float, float]:
         """One-sided derivatives ``(left, right)`` at ``p``, clamped to the domain.
@@ -133,11 +166,11 @@ class UtilityFunction:
         return slp[seg_left], slp[seg_right]
 
     def segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-segment ``(slopes, intercepts)`` with value(p) = min(a + m p)."""
-        m = np.asarray(self.slopes)
-        b = np.asarray(self.breakpoints[:-1])
-        v = np.asarray(self._values[:-1])
-        return m, v - m * b
+        """Per-segment ``(slopes, intercepts)`` with value(p) = min(a + m p).
+
+        The same read-only arrays are returned on every call.
+        """
+        return self._segments
 
 
 _KINDS = ("producer", "load")
@@ -237,11 +270,16 @@ def evaluate_utility(participant: Participant, plan: np.ndarray, weights: np.nda
     plan = np.asarray(plan, dtype=float)
     if plan.shape != (participant.scenario_count,):
         raise ValueError("plan must have one entry per scenario")
-    for s, p in enumerate(plan):
-        lo, hi = participant.bounds[s]
+    plan = plan.tolist()
+    for s, (p, (lo, hi)) in enumerate(zip(plan, participant.bounds)):
         if not lo - LOCAL_TOL <= p <= hi + LOCAL_TOL:
             raise ValueError(f"{participant.id}: plan {p} outside bounds [{lo}, {hi}] in scenario {s}")
-    return float(sum(w * u.value(p) for w, u, p in zip(weights, participant.utility, plan, strict=True)))
+    # An explicit left fold: from Python 3.12 ``sum`` compensates float
+    # rounding, which would move the last bits of every valuation.
+    total = 0.0
+    for w, u, p in zip(np.asarray(weights, dtype=float).tolist(), participant.utility, plan, strict=True):
+        total += w * u.value(p)
+    return total
 
 
 def local_feasible(participant: Participant, plan: np.ndarray) -> bool:

@@ -103,6 +103,10 @@ def find_worthy_fd_trade(
     program = welfare_program(
         market, members, y, lm, announcements, [np.zeros(len(rows)) for rows in announcements]
     )
+    # A plan may sit past its bound by round-off (within LOCAL_TOL); the
+    # search's box must still contain d = 0, so staying put stays feasible.
+    np.minimum(program.lower, 0.0, out=program.lower)
+    np.maximum(program.upper, 0.0, out=program.upper)
     sol = lp.solve(program)
     if sol.status != "optimal":
         raise lp.LpError(f"trade search LP ended with status {sol.status}")

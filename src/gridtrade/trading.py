@@ -16,7 +16,7 @@ when ``max_steps`` is exhausted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -56,9 +56,14 @@ class InfeasibleStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class Trade:
-    """Sparse map of participant id to per-scenario injection increments."""
+    """Sparse map of participant id to per-scenario injection increments.
+
+    ``group`` lists, in id order, the participants whose increments are not
+    all zero.
+    """
 
     plans: Mapping[str, np.ndarray]
+    group: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         clean: dict[str, np.ndarray] = {}
@@ -66,15 +71,12 @@ class Trade:
             arr = np.array(self.plans[pid], dtype=float)
             if arr.ndim != 1:
                 raise ValueError(f"{pid}: plan must be a per-scenario vector")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{pid}: plan entries must be finite")
             arr.setflags(write=False)
             clean[pid] = arr
         object.__setattr__(self, "plans", clean)
-
-    @property
-    def group(self) -> tuple[str, ...]:
-        return tuple(pid for pid, arr in self.plans.items() if np.any(arr != 0.0))
+        object.__setattr__(self, "group", tuple(pid for pid, arr in clean.items() if arr.any()))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy import sparse
 
 from gridtrade import lp as lp_mod
 from gridtrade import two_bus_market
@@ -242,3 +243,58 @@ class TestScipyOracle:
         assert len(programs) == len(markets)
         for lp in programs:
             assert_matches_scipy(lp)
+
+
+def _sparse_with_zeros(rng, m, n):
+    """CSR matrix whose stored entries include explicit zeros."""
+    a = sparse.random(m, n, density=0.4, format="csr", random_state=rng)
+    a.data[::3] = 0.0
+    return a
+
+
+def _dense_with_zeros(rng, m, n):
+    return np.where(rng.random((m, n)) < 0.5, 0.0, rng.normal(size=(m, n)))
+
+
+class TestColumns:
+    """``linprog`` hands HiGHS exactly the CSC arrays of the stacked ``a_ub``, ``a_eq``."""
+
+    @staticmethod
+    def assert_csc(lp):
+        parts = [lp.a_ub, lp.a_eq]
+        if any(sparse.issparse(a) for a in parts):
+            ref = sparse.vstack(parts, format="csc")
+        else:
+            ref = sparse.csc_array(np.vstack(parts))
+        start, index, value = lp_mod._columns(parts, lp.n_vars)
+        assert start == ref.indptr.tolist()
+        assert index == ref.indices.tolist()
+        assert value == ref.data.tolist()
+
+    @pytest.mark.parametrize("ub, eq", [
+        ("dense", "dense"), ("dense", None), (None, "dense"), (None, None),
+        ("csr", "csr"), ("csr", None), (None, "csr"), ("csr", "dense"), ("dense", "csr"),
+    ])
+    def test_matches_scipy_csc(self, ub, eq):
+        rng = np.random.default_rng(5)
+        make = {"dense": _dense_with_zeros, "csr": _sparse_with_zeros}
+        for n in (1, 4, 9):
+            a_ub = make[ub](rng, 5, n) if ub else None
+            a_eq = make[eq](rng, 3, n) if eq else None
+            lp = LinearProgram(
+                "max", c=np.ones(n),
+                a_ub=a_ub, b_ub=None if a_ub is None else np.ones(5),
+                a_eq=a_eq, b_eq=None if a_eq is None else np.zeros(3),
+            )
+            self.assert_csc(lp)
+
+    def test_explicit_zeros_are_kept(self):
+        a = sparse.csr_matrix((np.array([0.0, 2.0]), np.array([1, 0]), np.array([0, 2])), shape=(1, 2))
+        lp = LinearProgram("max", c=np.ones(2), a_ub=a, b_ub=np.ones(1))
+        assert lp_mod._columns([lp.a_ub, lp.a_eq], 2) == ([0, 1, 2], [0, 0], [2.0, 0.0])
+        self.assert_csc(lp)
+
+    def test_dispatch_programs(self, monkeypatch):
+        markets = [two_bus_market(), *fleet_markets()[:10]]
+        for lp in captured_programs(monkeypatch, lambda: [solve_dispatch(m) for m in markets]):
+            self.assert_csc(lp)

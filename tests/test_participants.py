@@ -49,6 +49,51 @@ class TestUtilityFunction:
         with pytest.raises(ValueError, match="contain 0"):
             UtilityFunction((5.0, 10.0), (1.0,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("breakpoints, slopes", [
+        (lambda x: (-10.0, x, 10.0), lambda x: (-1.0, -2.0)),
+        (lambda x: (0.0, 5.0, x), lambda x: (-1.0, -2.0)),
+        (lambda x: (-10.0, 0.0, 10.0), lambda x: (x, -2.0)),
+        (lambda x: (-10.0, 0.0, 10.0), lambda x: (-1.0, x)),
+    ], ids=["inner-breakpoint", "last-breakpoint", "first-slope", "last-slope"])
+    def test_non_finite_entries_rejected(self, breakpoints, slopes, bad):
+        with pytest.raises(ValueError, match="finite"):
+            UtilityFunction(breakpoints(bad), slopes(bad))
+
+    def test_constants_are_computed_on_first_use(self):
+        u = UtilityFunction((-10.0, 0.0, 10.0), (5.0, 2.0))
+        assert not {"_values", "_rates", "_segments"} & set(vars(u))
+        u.value(1.0)
+        assert {"_values", "_rates"} <= set(vars(u))
+
+    def test_segments_are_cached_read_only_arrays(self):
+        u = UtilityFunction((-10.0, 0.0, 10.0), (5.0, 2.0))
+        m, a = u.segments()
+        again = u.segments()
+        assert again[0] is m and again[1] is a
+        np.testing.assert_array_equal(m, [5.0, 2.0])
+        np.testing.assert_array_equal(a, [0.0, 0.0])
+        for arr in (m, a):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_value_matches_interpolation_bit_for_bit(self, data):
+        lo = data.draw(st.floats(-1e3, 0.0))
+        hi = data.draw(st.floats(0.0, 1e3))
+        assume(lo < hi)
+        inner = data.draw(st.lists(st.floats(lo, hi), max_size=4))
+        bps = tuple(sorted({lo, hi, *inner}))
+        slopes = data.draw(st.lists(st.floats(-100.0, 100.0), min_size=len(bps) - 1,
+                                    max_size=len(bps) - 1))
+        u = UtilityFunction(bps, tuple(sorted(slopes, reverse=True)))
+        for p in (*bps, 0.0, lo - 1e-9, hi + 1e-9):
+            assert u.value(p) == UtilityFunction._interp(u.breakpoints, u._values, p)
+        for p in (np.nextafter(lo - 1e-9, -np.inf), np.nextafter(hi + 1e-9, np.inf)):
+            with pytest.raises(ValueError, match="outside utility domain"):
+                u.value(p)
+
     def test_marginals_at_breakpoint_are_one_sided(self):
         u = UtilityFunction((0.0, 5.0, 10.0), (4.0, 1.0))
         assert u.marginals(5.0) == (4.0, 1.0)

@@ -135,6 +135,20 @@ class TestFindWorthyFdTrade:
                                               build_loading_matrix(network))
         assert trade is None and optimum == pytest.approx(0.0, abs=1e-9)
 
+    def test_plan_past_its_bound_by_round_off_still_searches(self):
+        # a sits 1e-10 MW above its 100 MW bound, inside LOCAL_TOL, and b at
+        # its own bound, so no pair trade can pull a back inside.  The search's
+        # box still contains d = 0, so it certifies instead of failing.
+        network = Network(1, (), reference_bus=0)
+        a = Participant.producer("a", 0, "RT", (100.0,), 40.0)
+        b = Participant.producer("b", 0, "RT", (100.0,), 30.0)
+        market = Market(network, ScenarioSet((1.0,)), (a, b))
+        state = TradingState(y={"a": np.array([100.0 + 1e-10]), "b": np.array([100.0])},
+                             x=np.array([[200.0 + 1e-10]]))
+        trade, optimum = find_worthy_fd_trade(("a", "b"), state, ((),), 1e-3, market,
+                                              build_loading_matrix(network))
+        assert trade is None and optimum == pytest.approx(0.0, abs=1e-9)
+
     def test_returned_trade_is_valid_and_directional(self, market, lm, curtailed_state):
         announcements = announce(curtailed_state, lm)
         trade, optimum = find_worthy_fd_trade(
