@@ -96,12 +96,19 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _dispatch_or_status(market, lm=None, **fields):
+    """The market's dispatch, or ``None`` once a market without one has printed its status."""
+    try:
+        return dispatch_mod.solve_dispatch(market, lm)
+    except dispatch_mod.DispatchInfeasibleError as exc:
+        print(market_io.dumps({"status": exc.status, **fields}))
+        return None
+
+
 def cmd_dispatch(args) -> int:
     spec = market_io.load_market(args.market)
-    try:
-        solution = dispatch_mod.solve_dispatch(spec.market)
-    except dispatch_mod.DispatchInfeasibleError as exc:
-        print(market_io.dumps({"status": exc.status}))
+    solution = _dispatch_or_status(spec.market)
+    if solution is None:
         return EXIT_OK
     doc = {
         "status": "optimal",
@@ -123,7 +130,9 @@ def cmd_dispatch(args) -> int:
 
 def cmd_prices(args) -> int:
     spec = market_io.load_market(args.market)
-    solution = dispatch_mod.solve_dispatch(spec.market)
+    solution = _dispatch_or_status(spec.market)
+    if solution is None:
+        return EXIT_OK
     quotes = []
     for s in range(spec.market.scenario_count):
         row = []
@@ -140,13 +149,16 @@ def cmd_prices(args) -> int:
 
 def cmd_check_eq(args) -> int:
     spec = market_io.load_market(args.market)
-    lm = build_loading_matrix(spec.market.network)
-    solution = dispatch_mod.solve_dispatch(spec.market, lm)
-    prices = solution.lambda_
-    if args.prices is not None:
-        prices = market_io.parse_matrix(market_io.read_json(args.prices), prices.shape, "--prices",
-                                        "prices, one per bus")
-    report = dispatch_mod.check_arrow_debreu(spec.market, solution.plans, solution.x, prices, lm=lm)
+    market = spec.market
+    prices = None if args.prices is None else market_io.parse_matrix(
+        market_io.read_json(args.prices), (market.scenario_count, market.network.bus_count), "--prices",
+        "prices, one per bus")
+    lm = build_loading_matrix(market.network)
+    solution = _dispatch_or_status(market, lm, verdict=False)
+    if solution is None:
+        return EXIT_VERDICT_FALSE
+    prices = solution.lambda_ if prices is None else prices
+    report = dispatch_mod.check_arrow_debreu(market, solution.plans, solution.x, prices, lm=lm)
     doc = {
         "verdict": report.verdict,
         "participant_ok": report.participant_ok,
@@ -300,7 +312,7 @@ def main(argv=None) -> int:
     except market_io.MarketFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (LpError, InfeasibleStateError, dispatch_mod.DispatchInfeasibleError, ArithmeticError) as exc:
+    except (LpError, InfeasibleStateError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

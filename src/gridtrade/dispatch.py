@@ -4,15 +4,17 @@ The dispatch LP maximises total expected utility over participant plans,
 with the piecewise-linear utilities expressed through epigraph variables and
 the network entering through one loading row per line direction and
 scenario.  The trade search poses the same program for one group around its
-current plans, so :func:`welfare_program` builds both.  The contingent nodal
-prices come from the system-balance duals ``gamma`` and loading-row duals
-``beta``: ``lambda[s, n] = -(gamma[s] + sum_r beta[s, r] H[r, n])`` is the
-marginal expected system cost of delivering one more MW at bus ``n`` in
-scenario ``s``.
+current plans, so :func:`welfare_program` builds both, from the members'
+rows of the market's utility table (``market.table``).  The contingent
+nodal prices come from the system-balance duals ``gamma`` and loading-row
+duals ``beta``: ``lambda[s, n] = -(gamma[s] + sum_r beta[s, r] H[r, n])``
+is the marginal expected system cost of delivering one more MW at bus ``n``
+in scenario ``s``.
 
 The equilibrium checker is deliberately independent of the dispatch LP for
 the participant side: each participant's price-taking problem is separable
-and piecewise linear, so it is maximised exactly by scanning breakpoints.
+and piecewise linear, so it is maximised exactly by scanning the bounds and
+breakpoints in the participant's table row, and the LP is never read.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from scipy import sparse
 from . import lp
 from .market import Market
 from .network import LoadingMatrix, build_loading_matrix
-from .participants import Participant, evaluate_utility
+from .participants import UtilityTable, evaluate_utility
 
 __all__ = [
     "DispatchSolution",
@@ -91,7 +93,7 @@ _EQUILIBRIUM_TOL = 1e-6
 
 def welfare_program(
     market: Market,
-    members: Sequence[Participant],
+    members: Sequence[int],
     y: np.ndarray,
     lm: LoadingMatrix,
     line_rows: Sequence[Sequence[int]],
@@ -99,30 +101,30 @@ def welfare_program(
 ) -> lp.LinearProgram:
     """Maximise the members' expected utility at ``y + d`` over increments ``d``.
 
-    ``y`` holds the members' current plans, shape ``(M, S)``.  Variables are
-    the increments ``d`` (member-major, then scenario) followed by the
-    utility epigraph values ``u``.  Rows, in order: ``u - m d <= a + m y``
-    per utility segment; loading rows ``line_rows[s]`` over each scenario's
-    increments, bounded by ``line_rhs[s]``; ``d[s] = d[s + 1]`` chains per
-    day-ahead member; balance ``sum d[s] = 0`` per scenario.  Working in
-    increments keeps ``y`` on the right-hand side, so no ``z - y`` cancels.
+    ``members`` are rows of ``market.table`` and ``y`` holds their current
+    plans, shape ``(M, S)``.  Variables are the increments ``d``
+    (member-major, then scenario) followed by the utility epigraph values
+    ``u``.  Rows, in order: ``u - m d <= a + m y`` per utility segment;
+    loading rows ``line_rows[s]`` over each scenario's increments, bounded by
+    ``line_rhs[s]``; ``d[s] = d[s + 1]`` chains per day-ahead member; balance
+    ``sum d[s] = 0`` per scenario.  Working in increments keeps ``y`` on the
+    right-hand side, so no ``z - y`` cancels.
     """
-    if not members:
+    members = np.asarray(members, dtype=int)
+    if not members.size:
         raise ValueError("the welfare program needs at least one member")
-    n_m, n_s = len(members), market.scenario_count
+    table = market.table
+    n_m, n_s = members.size, market.scenario_count
     n_d = n_m * n_s
     y = np.asarray(y, dtype=float).reshape(n_d)
-    bounds = np.array([p.bounds for p in members], dtype=float).reshape(n_d, 2)
-    weights = np.concatenate([p.weights(market.scenarios) for p in members])
-
-    segments = [p.utility[s].segments() for p in members for s in range(n_s)]
-    slopes = np.concatenate([m for m, _ in segments])
-    intercepts = np.concatenate([a for _, a in segments])
-    owner = np.repeat(np.arange(n_d), [m.size for m, _ in segments])
+    real = table.real[members]
+    slopes = table.slopes[members][real]
+    intercepts = table.intercepts[members][real]
+    owner = np.repeat(np.arange(n_d), real.sum(axis=-1).ravel())
     n_seg = owner.size
     line_scenario = np.repeat(np.arange(n_s), [len(rows) for rows in line_rows])
     n_line = line_scenario.size
-    loading = lm.rows[np.concatenate(line_rows).astype(int)][:, [p.bus for p in members]]
+    loading = lm.rows[np.concatenate(line_rows).astype(int)][:, table.bus[members]]
     seg = np.arange(n_seg)
     ub_rows = np.concatenate([seg, seg, np.repeat(n_seg + np.arange(n_line), n_m)])
     ub_cols = np.concatenate([
@@ -130,9 +132,7 @@ def welfare_program(
     ])
     ub_vals = np.concatenate([np.ones(n_seg), -slopes, loading.ravel()])
 
-    da_first = (
-        n_s * np.flatnonzero([p.timing == "DA" for p in members])[:, None] + np.arange(n_s - 1)
-    ).ravel()
+    da_first = (n_s * np.flatnonzero(table.day_ahead[members])[:, None] + np.arange(n_s - 1)).ravel()
     n_chain = da_first.size
     chain = np.arange(n_chain)
     eq_rows = np.concatenate([chain, chain, n_chain + np.arange(n_d) % n_s])
@@ -141,14 +141,13 @@ def welfare_program(
 
     dense = (n_seg + n_line + n_chain + n_s) * 2 * n_d <= _DENSE_CELLS
     return lp.LinearProgram(
-        sense="max",
-        c=np.concatenate([np.zeros(n_d), weights]),
+        c=np.concatenate([np.zeros(n_d), table.weights[members].ravel()]),
         a_eq=_matrix(eq_rows, eq_cols, eq_vals, (n_chain + n_s, 2 * n_d), dense),
         b_eq=np.zeros(n_chain + n_s),
         a_ub=_matrix(ub_rows, ub_cols, ub_vals, (n_seg + n_line, 2 * n_d), dense),
         b_ub=np.concatenate([intercepts + slopes * y[owner], *line_rhs]),
-        lower=np.concatenate([bounds[:, 0] - y, np.full(n_d, -np.inf)]),
-        upper=np.concatenate([bounds[:, 1] - y, np.full(n_d, np.inf)]),
+        lower=np.concatenate([table.lower[members].ravel() - y, np.full(n_d, -np.inf)]),
+        upper=np.concatenate([table.upper[members].ravel() - y, np.full(n_d, np.inf)]),
     )
 
 
@@ -168,7 +167,7 @@ def solve_dispatch(market: Market, lm: LoadingMatrix | None = None) -> DispatchS
     parts = market.participants
     n_i, n_s, n_rows = len(parts), market.scenario_count, lm.rows.shape[0]
     program = welfare_program(
-        market, parts, np.zeros((n_i, n_s)), lm,
+        market, np.arange(n_i), np.zeros((n_i, n_s)), lm,
         [range(n_rows)] * n_s, lm.stacked_limits(n_s),
     )
     sol = lp.solve(program)
@@ -254,25 +253,21 @@ class EquilibriumReport:
     verdict: bool
 
 
-def _best_response_value(p: Participant, lam_at_bus: np.ndarray, w: np.ndarray) -> float:
-    """Exact maximum of the participant's price-taking objective.
+def _best_response(table: UtilityTable, i: int, lam_at_bus: np.ndarray) -> float:
+    """Exact maximum of participant ``i``'s price-taking objective.
 
     A day-ahead participant holds one injection across all scenarios, a
-    real-time one picks each scenario's alone; over each block of scenarios
-    sharing an injection the optimum lies at a bound or a breakpoint.
+    real-time one picks each scenario's alone.  Either way the optimum lies
+    at a bound or at a breakpoint clipped into the bounds, so those are scanned.
     """
-    blocks = [range(len(w))] if p.timing == "DA" else [[s] for s in range(len(w))]
-    total = 0.0
-    for block in blocks:
-        lo, hi = p.bounds[block[0]]
-        candidates = {lo, hi}
-        for s in block:
-            candidates.update(b for b in p.utility[s].breakpoints if lo < b < hi)
-        total += max(
-            sum(lam_at_bus[s] * z + w[s] * p.utility[s].value(z) for s in block)
-            for z in candidates
-        )
-    return total
+    lower, upper = table.lower[i][:, None], table.upper[i][:, None]
+    z = np.concatenate([lower, upper, table.breakpoints[i]], axis=1)
+    shared = table.day_ahead[i]
+    if shared:  # every scenario scans every scenario's candidates
+        z = np.tile(z.reshape(1, -1), (z.shape[0], 1))
+    z = np.clip(z, lower, upper)
+    gain = lam_at_bus[:, None] * z + table.weights[i][:, None] * table.value(i, z)
+    return float(gain.sum(axis=0).max() if shared else gain.max(axis=1).sum())
 
 
 def check_arrow_debreu(
@@ -296,27 +291,19 @@ def check_arrow_debreu(
     x = np.asarray(x, dtype=float)
     participant_ok: dict[str, bool] = {}
     participant_slack: dict[str, float] = {}
-    for p in market.participants:
-        w = p.weights(market.scenarios)
+    for i, p in enumerate(market.participants):
         lam = prices[:, p.bus]
         plan = np.asarray(plans[p.id], dtype=float)
-        actual = float(lam @ plan) + evaluate_utility(p, plan, w)
-        best = _best_response_value(p, lam, w)
+        actual = float(lam @ plan) + evaluate_utility(p, plan, market.table.weights[i])
+        best = _best_response(market.table, i, lam)
         slack = best - actual
         participant_slack[p.id] = float(slack)
         participant_ok[p.id] = slack <= _EQUILIBRIUM_TOL * (1.0 + abs(best))
 
     so_slack = 0.0
     for s in range(market.scenario_count):
-        program = lp.LinearProgram(
-            sense="max",
-            c=-prices[s],
-            a_eq=np.ones((1, market.network.bus_count)),
-            b_eq=np.zeros(1),
-            a_ub=lm.rows,
-            b_ub=limits[s],
-        )
-        sol = lp.solve(program)
+        sol = lp.solve(lp.LinearProgram(c=-prices[s], a_eq=np.ones((1, market.network.bus_count)),
+                                        b_eq=np.zeros(1), a_ub=lm.rows, b_ub=limits[s]))
         if sol.status != "optimal":
             raise lp.LpError(f"operator profit LP ended {sol.status}")
         so_slack += sol.objective - float(-prices[s] @ x[s])

@@ -15,22 +15,21 @@ entries by column otherwise.  Every array is handed over as a Python list,
 which the binding copies faster than a numpy array it reads element by
 element.  Nothing is kept between calls: each solve builds a fresh model.
 
-Every consumer here needs duals, so the solution carries Lagrange
-multipliers in a single documented convention.  For the equivalent
-maximisation form (``sense="min"`` is solved by negating the objective)
-an optimal solution satisfies
+Every program is a maximisation of ``c @ x``, and every consumer here needs
+duals, so the solution carries Lagrange multipliers in a single documented
+convention.  An optimal solution satisfies
 
     c  =  A_eq^T y_eq  +  A_ub^T y_ub  -  mu_lower  +  mu_upper,
 
-with ``y_ub, mu_lower, mu_upper >= 0`` and complementary slackness.  For a
-maximisation, ``y_eq`` is then the shadow price of the equality right-hand
-side and ``y_ub`` the (nonnegative) shadow price of relaxing a row limit.
+with ``y_ub, mu_lower, mu_upper >= 0`` and complementary slackness:
+``y_eq`` is the shadow price of the equality right-hand side and ``y_ub``
+the (nonnegative) shadow price of relaxing a row limit.
 
-HiGHS minimises ``-c @ x`` for a maximisation (``c @ x`` otherwise) and
-reports minimisation duals, so for both senses ``y = -row_dual`` (split
-into the ``a_ub`` rows, then the ``a_eq`` rows), ``mu_lower = col_dual``
-for columns nonbasic at their lower bound and ``mu_upper = -col_dual`` for
-those at their upper bound; every other bound multiplier is zero.
+HiGHS minimises ``-c @ x`` and reports minimisation duals, so
+``y = -row_dual`` (split into the ``a_ub`` rows, then the ``a_eq`` rows),
+``mu_lower = col_dual`` for columns nonbasic at their lower bound and
+``mu_upper = -col_dual`` for those at their upper bound; every other bound
+multiplier is zero.
 """
 
 from __future__ import annotations
@@ -82,14 +81,13 @@ class LpNumericalError(LpError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min or max of ``c @ x`` over ``A_eq x = b_eq``, ``A_ub x <= b_ub``, boxes.
+    """Maximise ``c @ x`` over ``A_eq x = b_eq``, ``A_ub x <= b_ub``, boxes.
 
     ``a_eq`` and ``a_ub`` are dense arrays or sparse matrices (kept as CSR).
     An omitted constraint family is stored as an empty one: a ``(0, n)``
     matrix and an empty right-hand side.
     """
 
-    sense: str
     c: np.ndarray
     a_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
@@ -99,8 +97,6 @@ class LinearProgram:
     upper: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.sense not in ("max", "min"):
-            raise ValueError("sense must be 'max' or 'min'")
         c = np.asarray(self.c, dtype=float)
         if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
             raise ValueError("objective must be a finite, nonempty vector")
@@ -152,7 +148,7 @@ def linprog(lp: LinearProgram) -> tuple[str, _highs._Highs]:
     The model is ``row_lower <= A x <= row_upper`` with the ``a_ub`` rows
     first (``row_lower = -inf``) and the ``a_eq`` rows after them
     (``row_lower = row_upper = b_eq``), column bounds ``lower``/``upper`` and
-    the min-equivalent cost.  A status other than optimal, infeasible or
+    the cost ``-c``.  A status other than optimal, infeasible or
     unbounded raises :class:`LpError`.
     """
     start, index, value = _columns([lp.a_ub, lp.a_eq], lp.n_vars)
@@ -163,7 +159,7 @@ def linprog(lp: LinearProgram) -> tuple[str, _highs._Highs]:
     model.a_matrix_.start_ = start
     model.a_matrix_.index_ = index
     model.a_matrix_.value_ = value
-    model.col_cost_ = (-lp.c if lp.sense == "max" else lp.c).tolist()
+    model.col_cost_ = (-lp.c).tolist()
     model.col_lower_ = lp.lower.tolist()
     model.col_upper_ = lp.upper.tolist()
     model.row_lower_ = [-np.inf] * lp.b_ub.size + lp.b_eq.tolist()
@@ -248,11 +244,10 @@ def _kkt_residuals(
     mu_lo: np.ndarray,
     mu_hi: np.ndarray,
 ) -> dict:
-    c_max = lp.c if lp.sense == "max" else -lp.c
     r = lp.a_eq @ x - lp.b_eq
     slack = lp.b_ub - lp.a_ub @ x
     primal = max(float(np.max(np.abs(r), initial=0.0)), float(np.max(-slack, initial=0.0)))
-    stationarity = c_max + mu_lo - mu_hi - lp.a_eq.T @ y_eq - lp.a_ub.T @ y_ub
+    stationarity = lp.c + mu_lo - mu_hi - lp.a_eq.T @ y_eq - lp.a_ub.T @ y_ub
     complementarity = float(np.max(np.abs(y_ub * slack), initial=0.0))
     dual_value = float(y_eq @ lp.b_eq) + float(y_ub @ lp.b_ub)
     lo_finite = np.isfinite(lp.lower)
@@ -265,13 +260,12 @@ def _kkt_residuals(
         float(np.max(np.abs(mu_hi[hi_finite] * (lp.upper - x)[hi_finite]), initial=0.0)),
     )
     dual_value += float(mu_hi[hi_finite] @ lp.upper[hi_finite]) - float(mu_lo[lo_finite] @ lp.lower[lo_finite])
-    obj_max = float(c_max @ x)
     return {
         "primal": primal,
         "stationarity": float(np.max(np.abs(stationarity), initial=0.0)),
         "complementarity": complementarity,
         "sign": float(max(np.max(-y_ub, initial=0.0), np.max(-mu_lo, initial=0.0), np.max(-mu_hi, initial=0.0))),
-        "gap": abs(dual_value - obj_max),
+        "gap": abs(dual_value - float(lp.c @ x)),
     }
 
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
 from .network import Line, Network
-from .participants import Participant, ScenarioSet, evaluate_utility
+from .participants import Participant, ScenarioSet, UtilityTable, evaluate_utility
 
 __all__ = ["Market", "two_bus_market"]
 
@@ -38,6 +39,11 @@ class Market:
     @property
     def scenario_count(self) -> int:
         return self.scenarios.count
+
+    @cached_property
+    def table(self) -> UtilityTable:
+        """The roster as arrays, in participant order; built on first use."""
+        return UtilityTable.of(self.participants, self.scenarios)
 
     @property
     def participant_ids(self) -> tuple[str, ...]:

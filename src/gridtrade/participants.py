@@ -23,6 +23,7 @@ __all__ = [
     "ScenarioSet",
     "UtilityFunction",
     "Participant",
+    "UtilityTable",
     "evaluate_utility",
     "local_feasible",
     "PROBABILITY_TOL",
@@ -263,6 +264,53 @@ class Participant:
         if self.subjective_probabilities is not None:
             return np.asarray(self.subjective_probabilities)
         return scenarios.as_array()
+
+
+@dataclass(frozen=True, eq=False)
+class UtilityTable:
+    """A roster's utilities, bounds and weights as arrays, one row per participant.
+
+    Each utility's :meth:`UtilityFunction.segments` are padded to ``K`` by
+    repeating the last one, so ``min_k(intercepts + slopes * p)`` is still
+    its value; ``real`` marks the segments that are not padding.
+    """
+
+    index: dict[str, int]
+    bus: np.ndarray  # (P,)
+    day_ahead: np.ndarray  # (P,)
+    weights: np.ndarray  # (P, S), each participant's own
+    lower: np.ndarray  # (P, S)
+    upper: np.ndarray  # (P, S)
+    slopes: np.ndarray  # (P, S, K)
+    intercepts: np.ndarray  # (P, S, K)
+    breakpoints: np.ndarray  # (P, S, K + 1)
+    real: np.ndarray  # (P, S, K)
+
+    @classmethod
+    def of(cls, participants: tuple[Participant, ...], scenarios: ScenarioSet) -> "UtilityTable":
+        segments = [[u.segments() for u in p.utility] for p in participants]
+        k = max(m.size for row in segments for m, _ in row)
+
+        def padded(values, size):
+            return np.pad(values, (0, size - len(values)), mode="edge")
+
+        bounds = np.array([p.bounds for p in participants], dtype=float)
+        return cls(
+            index={p.id: i for i, p in enumerate(participants)},
+            bus=np.array([p.bus for p in participants]),
+            day_ahead=np.array([p.timing == "DA" for p in participants]),
+            weights=np.array([p.weights(scenarios) for p in participants]),
+            lower=bounds[:, :, 0],
+            upper=bounds[:, :, 1],
+            slopes=np.array([[padded(m, k) for m, _ in row] for row in segments]),
+            intercepts=np.array([[padded(a, k) for _, a in row] for row in segments]),
+            breakpoints=np.array([[padded(u.breakpoints, k + 1) for u in p.utility] for p in participants]),
+            real=np.array([[np.arange(k) < m.size for m, _ in row] for row in segments]),
+        )
+
+    def value(self, i: int, plans: np.ndarray) -> np.ndarray:
+        """Participant ``i``'s utility at ``plans`` of shape ``(S, C)``."""
+        return np.min(self.intercepts[i][:, None] + self.slopes[i][:, None] * plans[..., None], axis=-1)
 
 
 def evaluate_utility(participant: Participant, plan: np.ndarray, weights: np.ndarray) -> float:

@@ -19,9 +19,10 @@ its LP.  A balanced pair trade moves one variable per scenario,
 day-ahead).  Each announced row becomes a sign limit on ``t[s]``, so the
 pair's best gain is a concave piecewise-linear maximum over an interval,
 attained at an interval end or a shifted utility breakpoint:
-:func:`pair_bound` scans those candidates exactly.  The LP is skipped when
-that optimum is below ``epsilon - _SCREEN_MARGIN``, where it could only
-return nothing.  Rows whose coefficient on ``t`` is within
+:func:`pair_bound` scans those candidates exactly in the market's utility
+table (``market.table``), the arrays the LP is built from too.  The LP is
+skipped when that optimum is below ``epsilon - _SCREEN_MARGIN``, where it
+could only return nothing.  Rows whose coefficient on ``t`` is within
 ``_COEF_TOL * max|H|`` of zero are dropped, which only relaxes the scan;
 where the scan does not apply (bounds crossed by round-off) the LP runs.
 Trades and certificates still come from the LP alone.
@@ -39,7 +40,7 @@ from . import lp
 from .dispatch import welfare_program
 from .market import Market
 from .network import LoadingMatrix, build_loading_matrix
-from .participants import evaluate_utility
+from .participants import UtilityTable, evaluate_utility
 from .trading import Certificate, Trade, TradingState
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "Proposer",
     "find_worthy_fd_trade",
     "make_proposer",
-    "PairTables",
     "pair_bound",
 ]
 
@@ -95,10 +95,12 @@ def find_worthy_fd_trade(
     improvement available to this group at this state, so a value below
     ``epsilon`` from the full group certifies termination.
     """
-    members = [market.participant(pid) for pid in sorted(set(group))]
-    y = np.array([state.y[p.id] for p in members])
+    ids = sorted(set(group))
+    table = market.table
+    members = [table.index[pid] for pid in ids]
+    y = np.array([state.y[pid] for pid in ids])
     base_utility = sum(
-        evaluate_utility(p, plan, p.weights(market.scenarios)) for p, plan in zip(members, y)
+        evaluate_utility(market.participants[i], plan, table.weights[i]) for i, plan in zip(members, y)
     )
     program = welfare_program(
         market, members, y, lm, announcements, [np.zeros(len(rows)) for rows in announcements]
@@ -115,57 +117,11 @@ def find_worthy_fd_trade(
         return None, optimum
     deltas = sol.x[: y.size].reshape(y.shape)
     deltas[np.abs(deltas) < _ENTRY_EPS] = 0.0
-    return Trade({p.id: d for p, d in zip(members, deltas) if np.any(d != 0.0)}), optimum
-
-
-@dataclass(frozen=True, eq=False)
-class PairTables:
-    """One market's per-participant arrays for :func:`pair_bound`.
-
-    Utilities are padded to ``K`` segments by repeating the last one, so
-    ``min_k(intercepts + slopes * p)`` is still each scenario's value.
-    """
-
-    index: dict[str, int]
-    bus: np.ndarray  # (P,)
-    day_ahead: np.ndarray  # (P,)
-    weights: np.ndarray  # (P, S)
-    lower: np.ndarray  # (P, S)
-    upper: np.ndarray  # (P, S)
-    slopes: np.ndarray  # (P, S, K)
-    intercepts: np.ndarray  # (P, S, K)
-    breakpoints: np.ndarray  # (P, S, K + 1)
-
-    @classmethod
-    def of(cls, market: Market) -> "PairTables":
-        parts = market.participants
-        segments = [[u.segments() for u in p.utility] for p in parts]
-        k = max(m.size for row in segments for m, _ in row)
-
-        def padded(values, size):
-            values = np.asarray(values, dtype=float)
-            return np.concatenate([values, np.repeat(values[-1:], size - values.size)])
-
-        bounds = np.array([p.bounds for p in parts], dtype=float)
-        return cls(
-            index={p.id: i for i, p in enumerate(parts)},
-            bus=np.array([p.bus for p in parts]),
-            day_ahead=np.array([p.timing == "DA" for p in parts]),
-            weights=np.array([p.weights(market.scenarios) for p in parts]),
-            lower=bounds[:, :, 0],
-            upper=bounds[:, :, 1],
-            slopes=np.array([[padded(m, k) for m, _ in row] for row in segments]),
-            intercepts=np.array([[padded(a, k) for _, a in row] for row in segments]),
-            breakpoints=np.array([[padded(u.breakpoints, k + 1) for u in p.utility] for p in parts]),
-        )
-
-    def value(self, i: int, plans: np.ndarray) -> np.ndarray:
-        """Participant ``i``'s utility at ``plans`` of shape ``(S, C)``."""
-        return np.min(self.intercepts[i][:, None] + self.slopes[i][:, None] * plans[..., None], axis=-1)
+    return Trade({pid: d for pid, d in zip(ids, deltas) if np.any(d != 0.0)}), optimum
 
 
 def pair_bound(
-    tables: PairTables,
+    table: UtilityTable,
     pair: tuple[str, str],
     state: TradingState,
     announcements: tuple[tuple[int, ...], ...],
@@ -178,19 +134,19 @@ def pair_bound(
     within ``_COEF_TOL * max|H|`` of zero were dropped.
     """
     a, b = pair
-    i, j = tables.index[a], tables.index[b]
+    i, j = table.index[a], table.index[b]
     ya, yb = state.y[a], state.y[b]
-    lower = np.maximum(tables.lower[i] - ya, yb - tables.upper[j])
-    upper = np.minimum(tables.upper[i] - ya, yb - tables.lower[j])
+    lower = np.maximum(table.lower[i] - ya, yb - table.upper[j])
+    upper = np.minimum(table.upper[i] - ya, yb - table.lower[j])
     rows = np.concatenate(announcements).astype(int)
     if rows.size:
         scenario = np.repeat(np.arange(ya.size), [len(r) for r in announcements])
-        coef = lm.rows[rows, tables.bus[i]] - lm.rows[rows, tables.bus[j]]
+        coef = lm.rows[rows, table.bus[i]] - lm.rows[rows, table.bus[j]]
         tol = _COEF_TOL * np.max(np.abs(lm.rows))
         np.minimum.at(upper, scenario[coef > tol], 0.0)
         np.maximum.at(lower, scenario[coef < -tol], 0.0)
-    shifts = np.concatenate([tables.breakpoints[i] - ya[:, None], yb[:, None] - tables.breakpoints[j]], axis=1)
-    shared = tables.day_ahead[i] or tables.day_ahead[j]
+    shifts = np.concatenate([table.breakpoints[i] - ya[:, None], yb[:, None] - table.breakpoints[j]], axis=1)
+    shared = table.day_ahead[i] or table.day_ahead[j]
     if shared:
         lower, upper, shifts = lower.max(keepdims=True), upper.min(keepdims=True), shifts.reshape(1, -1)
     if np.any(lower > upper):
@@ -198,8 +154,8 @@ def pair_bound(
     t = np.clip(np.column_stack([lower, upper, np.zeros_like(lower), shifts]), lower[:, None], upper[:, None])
     ya, yb = ya[:, None], yb[:, None]
     gain = (
-        tables.weights[i][:, None] * (tables.value(i, ya + t) - tables.value(i, ya))
-        + tables.weights[j][:, None] * (tables.value(j, yb - t) - tables.value(j, yb))
+        table.weights[i][:, None] * (table.value(i, ya + t) - table.value(i, ya))
+        + table.weights[j][:, None] * (table.value(j, yb - t) - table.value(j, yb))
     )
     # A shared t takes one candidate in every scenario; otherwise each scenario picks its own.
     return float(gain.sum(axis=0).max() if shared else gain.max(axis=1).sum())
@@ -217,7 +173,6 @@ class Proposer:
         self.strategy = strategy
         self._lm = lm
         self._market: Market | None = None
-        self._tables: PairTables | None = None
         self._subsets: tuple[Iterator[tuple[str, ...]], int] | None = None
         self._own_rng = (
             np.random.default_rng(strategy.seed) if strategy.seed is not None else None
@@ -233,7 +188,6 @@ class Proposer:
         if self._market is not None or self._lm is None:
             self._lm = build_loading_matrix(market.network)
         self._market = market
-        self._tables = None
         self._subsets = None
 
     def groups(self, ids: tuple[str, ...], rng: np.random.Generator) -> Iterator[tuple[str, ...]]:
@@ -267,9 +221,7 @@ class Proposer:
         self._bind(market)
         for group in self.groups(market.participant_ids, rng):
             if len(group) == 2:
-                if self._tables is None:
-                    self._tables = PairTables.of(market)
-                bound = pair_bound(self._tables, group, state, announcements, self._lm)
+                bound = pair_bound(market.table, group, state, announcements, self._lm)
                 if bound is not None and bound < epsilon - _SCREEN_MARGIN:
                     continue
             trade, _ = find_worthy_fd_trade(group, state, announcements, epsilon, market, self._lm)

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,17 @@ def fleet_markets():
         )
         for k in range(FLEET_SIZE)
     ]
+
+
+def medium_full_markets(seed: int = 1):
+    """The benchmark's ``medium_full`` markets at ``seed``, drawn by ``bench/workloads.py``."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return workloads.MEDIUM.markets(seed)
 
 
 @pytest.fixture(scope="session")

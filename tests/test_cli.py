@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gridtrade
-from gridtrade import cli, robust, trading
+from gridtrade import cli, market_io, robust, trading
 from gridtrade.cli import main
 from gridtrade.dispatch import solve_dispatch
 from gridtrade.generators import random_market
@@ -38,6 +38,13 @@ def write_market(tmp_path, edit):
 
 def rate_line_120_60(doc):
     doc["network"]["scenario_capacities"] = [[120.0], [60.0]]
+
+
+def oversupply(doc):
+    # G1 must inject at least 300 MW; the load can absorb 150 MW at most.
+    doc["participants"][0]["bounds"] = [[300.0, 400.0], [300.0, 400.0]]
+    doc["participants"][0]["utility"] = [{"breakpoint": 0.0, "slope": -50.0},
+                                         {"breakpoint": 400.0}]
 
 
 class TestRun:
@@ -362,15 +369,25 @@ class TestDispatchCommands:
         assert json.loads(stdout)["verdict"] is True
 
     def test_dispatch_of_infeasible_market_reports_status(self, capsys, tmp_path):
-        def oversupply(doc):
-            # G1 must inject at least 300 MW; the load can absorb 150 MW at most.
-            doc["participants"][0]["bounds"] = [[300.0, 400.0], [300.0, 400.0]]
-            doc["participants"][0]["utility"] = [{"breakpoint": 0.0, "slope": -50.0},
-                                                 {"breakpoint": 400.0}]
-
         code, stdout, _ = run_cli(capsys, "dispatch", write_market(tmp_path, oversupply))
         assert code == 0
         assert json.loads(stdout) == {"status": "infeasible"}
+
+    @pytest.mark.parametrize("command,code,doc", [
+        ("prices", 0, {"status": "infeasible"}),
+        ("check-eq", 1, {"status": "infeasible", "verdict": False}),
+    ])
+    def test_infeasible_market_is_an_answer_not_a_failure(self, capsys, tmp_path, command, code, doc):
+        result = run_cli(capsys, command, write_market(tmp_path, oversupply))
+        assert result == (code, market_io.dumps(doc) + "\n", "")
+
+    def test_check_eq_bad_prices_on_infeasible_market_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "prices.json"
+        path.write_text("[[18, 48]]")
+        code, stdout, err = run_cli(capsys, "check-eq", write_market(tmp_path, oversupply),
+                                    "--prices", str(path))
+        assert code == 2 and stdout == ""
+        assert err.startswith("input error: --prices: expected 2 rows")
 
     @pytest.mark.parametrize("text,field,reason", [
         (None, "missing.json", "cannot read file"),

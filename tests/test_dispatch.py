@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -181,6 +183,51 @@ class TestArrowDebreu:
             assert welfare_gap(market, solution.plans, solution) <= 1e-6
 
 
+def best_response_reference(p: Participant, lam_at_bus: np.ndarray, w: np.ndarray) -> float:
+    """The price-taking optimum by a scalar scan of bounds and breakpoints, one candidate at a time."""
+    blocks = [range(len(w))] if p.timing == "DA" else [[s] for s in range(len(w))]
+    total = 0.0
+    for block in blocks:
+        lo, hi = p.bounds[block[0]]
+        candidates = {lo, hi}
+        for s in block:
+            candidates.update(b for b in p.utility[s].breakpoints if lo < b < hi)
+        total += max(
+            sum(lam_at_bus[s] * z + w[s] * p.utility[s].value(z) for s in block)
+            for z in candidates
+        )
+    return total
+
+
+def with_own_beliefs(market: Market) -> Market:
+    """``market`` with every other participant trading on rolled scenario probabilities."""
+    beliefs = tuple(np.roll(market.scenarios.as_array(), 1))
+    participants = tuple(
+        replace(p, subjective_probabilities=beliefs) if k % 2 else p
+        for k, p in enumerate(market.participants)
+    )
+    return Market(market.network, market.scenarios, participants)
+
+
+class TestBestResponse:
+    def test_table_scan_matches_scalar_scan(self):
+        # At the dispatch prices and at randomly perturbed ones, on every fleet market.
+        rng = np.random.default_rng(29)
+        seen = {"DA": 0, "RT": 0, "subjective": 0}
+        for plain in fleet_markets():
+            market = with_own_beliefs(plain)
+            lam = solve_dispatch(market).lambda_
+            perturbed = lam * rng.uniform(0.5, 1.5, size=lam.shape) + rng.normal(0.0, 5.0, size=lam.shape)
+            for prices in (lam, perturbed):
+                for i, p in enumerate(market.participants):
+                    best = dispatch._best_response(market.table, i, prices[:, p.bus])
+                    reference = best_response_reference(p, prices[:, p.bus], p.weights(market.scenarios))
+                    assert abs(best - reference) <= 1e-9 * (1 + abs(reference)), (p.id, best, reference)
+                    seen[p.timing] += 1
+                    seen["subjective"] += p.subjective_probabilities is not None
+        assert min(seen.values()) >= 100, seen
+
+
 class TestDualConsistency:
     def test_kkt_system_on_two_bus(self, two_bus, two_bus_dispatch):
         lm = build_loading_matrix(two_bus.network)
@@ -240,7 +287,7 @@ class TestWelfareProgramMatrixForms:
             monkeypatch.setattr(dispatch, "_DENSE_CELLS", cells)
             n_p, n_s = len(market.participants), market.scenario_count
             program = dispatch.welfare_program(
-                market, market.participants, np.zeros((n_p, n_s)), lm,
+                market, np.arange(n_p), np.zeros((n_p, n_s)), lm,
                 [range(lm.rows.shape[0])] * n_s, [lm.limits_for(s) for s in range(n_s)],
             )
             assert isinstance(program.a_ub, form) and isinstance(program.a_eq, form)

@@ -15,8 +15,7 @@ from conftest import fleet_markets
 
 def kkt_holds(lp, sol, atol=1e-6):
     """Independent stationarity check in the documented max-form convention."""
-    c_max = lp.c if lp.sense == "max" else -lp.c
-    resid = c_max + sol.duals_lower - sol.duals_upper
+    resid = lp.c + sol.duals_lower - sol.duals_upper
     if lp.a_eq is not None:
         resid = resid - lp.a_eq.T @ sol.duals_eq
     if lp.a_ub is not None:
@@ -25,33 +24,33 @@ def kkt_holds(lp, sol, atol=1e-6):
 
 
 def single_variable_box():
-    return LinearProgram("max", c=np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([3.0]),
+    return LinearProgram(c=np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([3.0]),
                          lower=np.array([0.0]))
 
 
 def infeasible_row():
-    return LinearProgram("max", c=np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([0.0]),
+    return LinearProgram(c=np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([0.0]),
                          lower=np.array([1.0]))
 
 
 def unbounded():
-    return LinearProgram("max", c=np.array([1.0]))
+    return LinearProgram(c=np.array([1.0]))
 
 
 def crossed_bounds():
-    return LinearProgram("max", c=np.array([1.0]), lower=np.array([2.0]), upper=np.array([1.0]))
+    return LinearProgram(c=np.array([1.0]), lower=np.array([2.0]), upper=np.array([1.0]))
 
 
 def random_box():
     c = np.random.default_rng(3).normal(size=4)
-    return LinearProgram("max", c=c, lower=np.full(4, -5.0), upper=np.full(4, 5.0))
+    return LinearProgram(c=c, lower=np.full(4, -5.0), upper=np.full(4, 5.0))
 
 
 def min_sense_cover():
-    # min x1 + 2 x2 s.t. x1 + x2 >= 1 (as -x1 - x2 <= -1), x >= 0
+    # min x1 + 2 x2 s.t. x1 + x2 >= 1 (as -x1 - x2 <= -1), x >= 0, posed as
+    # max -x1 - 2 x2.
     return LinearProgram(
-        "min",
-        c=np.array([1.0, 2.0]),
+        c=np.array([-1.0, -2.0]),
         a_ub=np.array([[-1.0, -1.0]]),
         b_ub=np.array([-1.0]),
         lower=np.zeros(2),
@@ -63,9 +62,9 @@ def two_bus_initial_cost():
     # 150 MW demand is substituted into the balance rows.  Expected cost
     # 4100 and the merit-order plan are pinned by the hand-derived
     # piecewise cost c(p1) = 5600 - 30 p1 on [0, 50], 18 p1 + 3200 after.
+    # The LP maximises the negated cost.
     return LinearProgram(
-        "min",
-        c=np.array([50.0, 0.0, 0.0, 48.0, 32.0]),
+        c=-np.array([50.0, 0.0, 0.0, 48.0, 32.0]),
         a_eq=np.array([
             [1.0, 1.0, 0.0, 1.0, 0.0],
             [1.0, 0.0, 1.0, 0.0, 1.0],
@@ -88,8 +87,7 @@ def random_programs():
         a_ub = rng.normal(size=(m_ub, n))
         b_ub = a_ub @ x0 + rng.uniform(0.1, 2.0, size=m_ub)
         yield LinearProgram(
-            "max" if k % 2 == 0 else "min",
-            c=rng.normal(size=n),
+            c=(1.0 if k % 2 == 0 else -1.0) * rng.normal(size=n),
             a_eq=a_eq,
             b_eq=b_eq,
             a_ub=a_ub,
@@ -123,12 +121,12 @@ class TestSolve:
     def test_min_sense_duals(self):
         lp = min_sense_cover()
         sol = solve(lp)
-        assert sol.objective == pytest.approx(1.0)
+        assert sol.objective == pytest.approx(-1.0)
         assert kkt_holds(lp, sol)
 
     def test_initial_cost_minimisation_for_two_bus_market(self):
         sol = solve(two_bus_initial_cost())
-        assert sol.objective == pytest.approx(4100.0, abs=1e-7)
+        assert sol.objective == pytest.approx(-4100.0, abs=1e-7)
         np.testing.assert_allclose(sol.x, [50.0, 100.0, 50.0, 0.0, 50.0], atol=1e-7)
 
     def test_kkt_on_random_programs(self):
@@ -142,11 +140,9 @@ class TestSolve:
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
-            LinearProgram("max", c=np.array([1.0]), a_ub=np.array([[1.0, 2.0]]), b_ub=np.array([1.0]))
+            LinearProgram(c=np.array([1.0]), a_ub=np.array([[1.0, 2.0]]), b_ub=np.array([1.0]))
         with pytest.raises(ValueError):
-            LinearProgram("sideways", c=np.array([1.0]))
-        with pytest.raises(ValueError):
-            LinearProgram("max", c=np.zeros(0))
+            LinearProgram(c=np.zeros(0))
 
 
 def _with_residuals(lp, sol, **changes):
@@ -199,9 +195,8 @@ _SCIPY_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 def scipy_reference(lp):
-    sign = -1.0 if lp.sense == "max" else 1.0
     res = scipy.optimize.linprog(
-        sign * lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+        -lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
         bounds=np.column_stack([lp.lower, lp.upper]), method="highs",
         options={"presolve": True, "primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10},
@@ -282,7 +277,7 @@ class TestColumns:
             a_ub = make[ub](rng, 5, n) if ub else None
             a_eq = make[eq](rng, 3, n) if eq else None
             lp = LinearProgram(
-                "max", c=np.ones(n),
+                c=np.ones(n),
                 a_ub=a_ub, b_ub=None if a_ub is None else np.ones(5),
                 a_eq=a_eq, b_eq=None if a_eq is None else np.zeros(3),
             )
@@ -290,7 +285,7 @@ class TestColumns:
 
     def test_explicit_zeros_are_kept(self):
         a = sparse.csr_matrix((np.array([0.0, 2.0]), np.array([1, 0]), np.array([0, 2])), shape=(1, 2))
-        lp = LinearProgram("max", c=np.ones(2), a_ub=a, b_ub=np.ones(1))
+        lp = LinearProgram(c=np.ones(2), a_ub=a, b_ub=np.ones(1))
         assert lp_mod._columns([lp.a_ub, lp.a_eq], 2) == ([0, 1, 2], [0, 0], [2.0, 0.0])
         self.assert_csc(lp)
 

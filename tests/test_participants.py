@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gridtrade.market import Market
+from gridtrade.market import Market, two_bus_market
 from gridtrade.network import Network
 from gridtrade.participants import (
     Participant,
@@ -12,6 +12,8 @@ from gridtrade.participants import (
     evaluate_utility,
     local_feasible,
 )
+
+from conftest import fleet_markets, medium_full_markets
 
 SCENARIOS = ScenarioSet((0.6, 0.4))
 MARKET_WEIGHTS = SCENARIOS.as_array()
@@ -163,6 +165,44 @@ class TestTotalUtility:
     def test_out_of_bounds_plan_rejected(self, subjective):
         with pytest.raises(ValueError, match="outside bounds"):
             self.narrow_market().total_utility({"G": np.array([80.0])}, subjective=subjective)
+
+
+class TestUtilityTable:
+    def test_built_on_first_use_and_kept(self):
+        market = two_bus_market()
+        assert "table" not in vars(market)
+        assert market.table is market.table
+        assert "table" in vars(market)
+
+    def test_rows_hold_each_participants_own_numbers(self):
+        for market in fleet_markets()[:10]:
+            table = market.table
+            for i, p in enumerate(market.participants):
+                assert table.index[p.id] == i and table.bus[i] == p.bus
+                assert table.day_ahead[i] == (p.timing == "DA")
+                assert table.weights[i].tolist() == p.weights(market.scenarios).tolist()
+                assert np.column_stack([table.lower[i], table.upper[i]]).tolist() == [list(b) for b in p.bounds]
+                for s, u in enumerate(p.utility):
+                    slopes, intercepts = u.segments()
+                    real = table.real[i, s]
+                    assert table.slopes[i, s][real].tolist() == slopes.tolist()
+                    assert table.intercepts[i, s][real].tolist() == intercepts.tolist()
+                    assert table.breakpoints[i, s][: slopes.size + 1].tolist() == list(u.breakpoints)
+                    assert not real[slopes.size:].any()
+
+    def test_value_matches_interpolation(self):
+        # At every breakpoint, bound and 0 of every fleet and medium_full participant.
+        checked = 0
+        for market in [*fleet_markets(), *medium_full_markets()]:
+            table = market.table
+            for i, p in enumerate(market.participants):
+                z = np.column_stack([
+                    table.breakpoints[i], table.lower[i], table.upper[i], np.zeros(market.scenario_count),
+                ])
+                expected = np.array([[u.value(v) for v in row] for u, row in zip(p.utility, z)])
+                np.testing.assert_array_less(np.abs(table.value(i, z) - expected), 1e-9 * (1 + np.abs(expected)))
+                checked += expected.size
+        assert checked > 10_000
 
 
 class TestMarginalUtility:

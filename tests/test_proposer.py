@@ -13,7 +13,6 @@ from gridtrade.market_io import write_trace
 from gridtrade.network import Network, build_loading_matrix, is_feasible_direction
 from gridtrade.participants import Participant, ScenarioSet
 from gridtrade.proposer import (
-    PairTables,
     ProposerStrategy,
     find_worthy_fd_trade,
     make_proposer,
@@ -264,10 +263,9 @@ class PairChecker:
         self.seen = {"day_ahead": 0, "same_bus": 0, "signed": 0, "subjective": 0}
 
     def propose(self, market, state, announcements, epsilon, rng):
-        tables = PairTables.of(market)
         rows = np.concatenate(announcements).astype(int)
         for pair in itertools.combinations(market.participant_ids, 2):
-            bound = pair_bound(tables, pair, state, announcements, self.lm)
+            bound = pair_bound(market.table, pair, state, announcements, self.lm)
             _, optimum = find_worthy_fd_trade(pair, state, announcements, epsilon, market, self.lm)
             if bound is None:  # bounds crossed by round-off: the pair goes to the LP
                 continue
@@ -347,7 +345,7 @@ class TestPairScreen:
         lm = build_loading_matrix(network)
         state = TradingState(y={"a": np.array([100.0 + 1e-12]), "b": np.array([100.0])},
                              x=np.array([[200.0 + 1e-12]]))
-        assert pair_bound(PairTables.of(market), ("a", "b"), state, ((),), lm) is None
+        assert pair_bound(market.table, ("a", "b"), state, ((),), lm) is None
         proposer = make_proposer(ProposerStrategy("exhaustive_subsets", max_size=2), lm)
         searches = counting_searches(monkeypatch)
         outcome = proposer.propose(market, state, ((),), 1e-3, np.random.default_rng(0))
@@ -360,6 +358,21 @@ class TestPairScreen:
 
 
 class TestProposerReuse:
+    def test_reused_proposer_reads_each_markets_own_table(self, monkeypatch):
+        tables = []
+        scan = proposer_mod.pair_bound
+
+        def recorded(table, *args):
+            tables.append(table)
+            return scan(table, *args)
+
+        monkeypatch.setattr(proposer_mod, "pair_bound", recorded)
+        shared = make_proposer(ProposerStrategy("exhaustive_subsets", max_size=2))
+        for market in (two_bus_market(), *fleet_markets()[:3]):
+            tables.clear()
+            run_trading(market, EngineConfig(epsilon=1e-3), shared)
+            assert tables and all(table is market.table for table in tables)
+
     @pytest.mark.parametrize("mode", ["full_group", "exhaustive_subsets"])
     def test_one_proposer_serves_markets_of_different_topology(self, mode):
         fleet = fleet_markets()
