@@ -96,8 +96,8 @@ def welfare_program(
     members: Sequence[int],
     y: np.ndarray,
     lm: LoadingMatrix,
-    line_rows: Sequence[Sequence[int]],
-    line_rhs: Sequence[np.ndarray],
+    rows: np.ndarray,
+    rhs: np.ndarray,
 ) -> lp.LinearProgram:
     """Maximise the members' expected utility at ``y + d`` over increments ``d``.
 
@@ -105,10 +105,11 @@ def welfare_program(
     plans, shape ``(M, S)``.  Variables are the increments ``d``
     (member-major, then scenario) followed by the utility epigraph values
     ``u``.  Rows, in order: ``u - m d <= a + m y`` per utility segment;
-    loading rows ``line_rows[s]`` over each scenario's increments, bounded by
-    ``line_rhs[s]``; ``d[s] = d[s + 1]`` chains per day-ahead member; balance
-    ``sum d[s] = 0`` per scenario.  Working in increments keeps ``y`` on the
-    right-hand side, so no ``z - y`` cancels.
+    loading row ``r`` over scenario ``s``'s increments, bounded by
+    ``rhs[s, r]``, wherever the ``(S, 2L)`` mask ``rows[s, r]`` is true
+    (scenario-major); ``d[s] = d[s + 1]`` chains per day-ahead member;
+    balance ``sum d[s] = 0`` per scenario.  Working in increments keeps
+    ``y`` on the right-hand side, so no ``z - y`` cancels.
     """
     members = np.asarray(members, dtype=int)
     if not members.size:
@@ -122,9 +123,9 @@ def welfare_program(
     intercepts = table.intercepts[members][real]
     owner = np.repeat(np.arange(n_d), real.sum(axis=-1).ravel())
     n_seg = owner.size
-    line_scenario = np.repeat(np.arange(n_s), [len(rows) for rows in line_rows])
+    line_scenario, line_row = np.nonzero(rows)
     n_line = line_scenario.size
-    loading = lm.rows[np.concatenate(line_rows).astype(int)][:, table.bus[members]]
+    loading = lm.rows[line_row][:, table.bus[members]]
     seg = np.arange(n_seg)
     ub_rows = np.concatenate([seg, seg, np.repeat(n_seg + np.arange(n_line), n_m)])
     ub_cols = np.concatenate([
@@ -145,7 +146,7 @@ def welfare_program(
         a_eq=_matrix(eq_rows, eq_cols, eq_vals, (n_chain + n_s, 2 * n_d), dense),
         b_eq=np.zeros(n_chain + n_s),
         a_ub=_matrix(ub_rows, ub_cols, ub_vals, (n_seg + n_line, 2 * n_d), dense),
-        b_ub=np.concatenate([intercepts + slopes * y[owner], *line_rhs]),
+        b_ub=np.concatenate([intercepts + slopes * y[owner], rhs[rows]]),
         lower=np.concatenate([table.lower[members].ravel() - y, np.full(n_d, -np.inf)]),
         upper=np.concatenate([table.upper[members].ravel() - y, np.full(n_d, np.inf)]),
     )
@@ -168,7 +169,7 @@ def solve_dispatch(market: Market, lm: LoadingMatrix | None = None) -> DispatchS
     n_i, n_s, n_rows = len(parts), market.scenario_count, lm.rows.shape[0]
     program = welfare_program(
         market, np.arange(n_i), np.zeros((n_i, n_s)), lm,
-        [range(n_rows)] * n_s, lm.stacked_limits(n_s),
+        np.ones((n_s, n_rows), dtype=bool), lm.stacked_limits(n_s),
     )
     sol = lp.solve(program)
     if sol.status != "optimal":

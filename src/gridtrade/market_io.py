@@ -414,7 +414,7 @@ def record_to_jsonable(record: TradeRecord) -> dict:
         "accepted": record.accepted,
         "reasons": list(record.reasons),
         "welfare_delta": record.welfare_delta,
-        "binding_lines_after": [list(rows) for rows in record.binding_after],
+        "binding_lines_after": [np.flatnonzero(rows).tolist() for rows in record.binding_after],
     }
 
 

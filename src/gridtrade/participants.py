@@ -289,23 +289,26 @@ class UtilityTable:
     @classmethod
     def of(cls, participants: tuple[Participant, ...], scenarios: ScenarioSet) -> "UtilityTable":
         segments = [[u.segments() for u in p.utility] for p in participants]
-        k = max(m.size for row in segments for m, _ in row)
+        k = max((m.size for row in segments for m, _ in row), default=1)
 
         def padded(values, size):
             return np.pad(values, (0, size - len(values)), mode="edge")
 
-        bounds = np.array([p.bounds for p in participants], dtype=float)
+        def stack(rows, *tail, dtype=float):  # shaped explicitly, so no participants give 0 rows
+            return np.array(rows, dtype=dtype).reshape(len(participants), scenarios.count, *tail)
+
+        bounds = stack([p.bounds for p in participants], 2)
         return cls(
             index={p.id: i for i, p in enumerate(participants)},
-            bus=np.array([p.bus for p in participants]),
-            day_ahead=np.array([p.timing == "DA" for p in participants]),
-            weights=np.array([p.weights(scenarios) for p in participants]),
+            bus=np.array([p.bus for p in participants], dtype=int),
+            day_ahead=np.array([p.timing == "DA" for p in participants], dtype=bool),
+            weights=stack([p.weights(scenarios) for p in participants]),
             lower=bounds[:, :, 0],
             upper=bounds[:, :, 1],
-            slopes=np.array([[padded(m, k) for m, _ in row] for row in segments]),
-            intercepts=np.array([[padded(a, k) for _, a in row] for row in segments]),
-            breakpoints=np.array([[padded(u.breakpoints, k + 1) for u in p.utility] for p in participants]),
-            real=np.array([[np.arange(k) < m.size for m, _ in row] for row in segments]),
+            slopes=stack([[padded(m, k) for m, _ in row] for row in segments], k),
+            intercepts=stack([[padded(a, k) for _, a in row] for row in segments], k),
+            breakpoints=stack([[padded(u.breakpoints, k + 1) for u in p.utility] for p in participants], k + 1),
+            real=stack([[np.arange(k) < m.size for m, _ in row] for row in segments], k, dtype=bool),
         )
 
     def value(self, i: int, plans: np.ndarray) -> np.ndarray:

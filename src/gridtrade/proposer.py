@@ -83,17 +83,19 @@ class ProposerStrategy:
 def find_worthy_fd_trade(
     group: tuple[str, ...],
     state: TradingState,
-    announcements: tuple[tuple[int, ...], ...],
+    announcements: np.ndarray,
     epsilon: float,
     market: Market,
     lm: LoadingMatrix,
 ) -> tuple[Trade | None, float]:
     """Best balanced feasible-direction move for ``group``.
 
-    Returns ``(trade, optimum)`` when the utility improvement reaches
-    ``epsilon``, else ``(None, optimum)``: the optimum is the exact best
-    improvement available to this group at this state, so a value below
-    ``epsilon`` from the full group certifies termination.
+    ``announcements`` is the operator's ``(S, 2L)`` binding mask: no
+    announced row's loading may increase.  Returns ``(trade, optimum)``
+    when the utility improvement reaches ``epsilon``, else ``(None,
+    optimum)``: the optimum is the exact best improvement available to this
+    group at this state, so a value below ``epsilon`` from the full group
+    certifies termination.
     """
     ids = sorted(set(group))
     table = market.table
@@ -102,9 +104,7 @@ def find_worthy_fd_trade(
     base_utility = sum(
         evaluate_utility(market.participants[i], plan, table.weights[i]) for i, plan in zip(members, y)
     )
-    program = welfare_program(
-        market, members, y, lm, announcements, [np.zeros(len(rows)) for rows in announcements]
-    )
+    program = welfare_program(market, members, y, lm, announcements, np.zeros(announcements.shape))
     # A plan may sit past its bound by round-off (within LOCAL_TOL); the
     # search's box must still contain d = 0, so staying put stays feasible.
     np.minimum(program.lower, 0.0, out=program.lower)
@@ -124,7 +124,7 @@ def pair_bound(
     table: UtilityTable,
     pair: tuple[str, str],
     state: TradingState,
-    announcements: tuple[tuple[int, ...], ...],
+    announcements: np.ndarray,
     lm: LoadingMatrix,
 ) -> float | None:
     """The pair's best utility gain by breakpoint scan, or ``None`` where it does not apply.
@@ -138,9 +138,8 @@ def pair_bound(
     ya, yb = state.y[a], state.y[b]
     lower = np.maximum(table.lower[i] - ya, yb - table.upper[j])
     upper = np.minimum(table.upper[i] - ya, yb - table.lower[j])
-    rows = np.concatenate(announcements).astype(int)
+    scenario, rows = np.nonzero(announcements)
     if rows.size:
-        scenario = np.repeat(np.arange(ya.size), [len(r) for r in announcements])
         coef = lm.rows[rows, table.bus[i]] - lm.rows[rows, table.bus[j]]
         tol = _COEF_TOL * np.max(np.abs(lm.rows))
         np.minimum.at(upper, scenario[coef > tol], 0.0)

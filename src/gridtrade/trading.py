@@ -16,7 +16,7 @@ when ``max_steps`` is exhausted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -90,7 +90,7 @@ class TradeRecord:
     reasons: tuple[str, ...]
     nodal: np.ndarray
     welfare_delta: float
-    binding_after: tuple[tuple[int, ...], ...]
+    binding_after: np.ndarray  # (S, 2L) binding mask after the decision, read-only
     gamma_by_scenario: tuple[float, ...] | None = None
 
 
@@ -231,9 +231,11 @@ def _normalize(trade: Trade, market: Market) -> Trade:
     return Trade(plans)
 
 
-def announce(state: TradingState, lm: LoadingMatrix) -> tuple[tuple[int, ...], ...]:
-    """Binding loading-row indices per scenario, in ascending order."""
-    return tuple(tuple(np.flatnonzero(rows).tolist()) for rows in binding_mask(lm, state.x))
+def announce(state: TradingState, lm: LoadingMatrix) -> np.ndarray:
+    """The operator's guidance: the read-only ``(S, 2L)`` mask of binding loading rows."""
+    mask = binding_mask(lm, state.x)
+    mask.setflags(write=False)
+    return mask
 
 
 def so_step(
@@ -250,67 +252,59 @@ def so_step(
     rejected with the state unchanged; otherwise the trade is scaled by the
     ratio-test factor and applied.  Scenario-wise factors are used only in
     hybrid mode and only when no day-ahead participant is involved, since
-    they would otherwise break non-anticipation.
+    they would otherwise break non-anticipation.  An accepted state is
+    checked before it is announced: one over a line limit or unbalanced
+    raises :class:`InfeasibleStateError`.
     """
     reasons = validate_trade(trade, state, market)
     if not reasons and not is_worthy(trade, state, config.epsilon, market)[0]:
         reasons = ["not epsilon-worthy"]
     if not reasons:
         trade = _normalize(trade, market)
+    try:
         q = market.aggregate_nodal(trade.plans)
-        if not is_feasible_direction(lm, state.x, q):
-            reasons = ["direction: increases loading on a binding line"]
+    except ValueError:  # a plan of the wrong length, already a rejection
+        q = np.zeros_like(state.x)
+    if not reasons and not is_feasible_direction(lm, state.x, q):
+        reasons = ["direction: increases loading on a binding line"]
+    per_scenario = False
     if not reasons:
-        group_has_da = any(market.participant(pid).timing == "DA" for pid in trade.group)
-        gamma_by_scenario: tuple[float, ...] | None = None
-        if config.curtailment_mode == "hybrid" and not group_has_da:
-            gamma_vec = curtailment_factors(lm, state.x, q)
-            gamma_by_scenario = tuple(gamma_vec.tolist())
-            gamma = float(gamma_vec.min())
-        else:
-            gamma = curtailment_factor(lm, state.x, q)
-            gamma_vec = gamma
-        if gamma <= 0.0:
-            reasons = ["no headroom after ratio test"]
-    if reasons:
-        try:
-            q = market.aggregate_nodal(trade.plans)
-        except (KeyError, ValueError):
-            q = np.zeros_like(state.x)
-        record = TradeRecord(
-            step=len(state.records),
-            trade=trade,
-            gamma=0.0,
-            accepted=False,
-            reasons=tuple(reasons),
-            nodal=q,
-            welfare_delta=0.0,
-            binding_after=announce(state, lm),
+        per_scenario = config.curtailment_mode == "hybrid" and not any(
+            market.participant(pid).timing == "DA" for pid in trade.group
         )
-        return record, replace(state, records=state.records + (record,))
+        if per_scenario:
+            factors = curtailment_factors(lm, state.x, q)
+        else:
+            factors = np.full(market.scenario_count, curtailment_factor(lm, state.x, q))
+        if factors.min() <= 0.0:
+            reasons = ["no headroom after ratio test"]
 
-    new_y = {pid: np.array(arr) for pid, arr in state.y.items()}
-    for pid, plan in trade.plans.items():
-        new_y[pid] = new_y[pid] + gamma_vec * plan
-    new_x = state.x + (gamma_vec[:, None] if gamma_by_scenario else gamma) * q
-    w = market.scenarios.as_array()
-    delta = 0.0
-    for pid in trade.group:
-        p = market.participant(pid)
-        delta += evaluate_utility(p, new_y[pid], w) - evaluate_utility(p, state.y[pid], w)
-    interim = TradingState(y=new_y, x=new_x, records=state.records)
+    y, x, gamma, delta = state.y, state.x, 0.0, 0.0
+    if not reasons:
+        y = dict(state.y)
+        for pid, plan in trade.plans.items():
+            y[pid] = state.y[pid] + factors * plan
+        x = state.x + factors[:, None] * q
+        report = check_feasible(lm, x)
+        if not report.ok:
+            raise InfeasibleStateError(f"post-step state infeasible: {report}")
+        gamma = float(factors.min())
+        w = market.scenarios.as_array()
+        for pid in trade.group:
+            p = market.participant(pid)
+            delta += evaluate_utility(p, y[pid], w) - evaluate_utility(p, state.y[pid], w)
     record = TradeRecord(
         step=len(state.records),
         trade=trade,
         gamma=gamma,
-        accepted=True,
-        reasons=(),
+        accepted=not reasons,
+        reasons=tuple(reasons),
         nodal=q,
         welfare_delta=delta,
-        binding_after=announce(interim, lm),
-        gamma_by_scenario=gamma_by_scenario,
+        binding_after=announce(TradingState(y=y, x=x), lm),
+        gamma_by_scenario=tuple(factors.tolist()) if per_scenario and not reasons else None,
     )
-    return record, TradingState(y=new_y, x=new_x, records=state.records + (record,))
+    return record, TradingState(y=y, x=x, records=state.records + (record,))
 
 
 def run_trading(
@@ -340,9 +334,6 @@ def run_trading(
             break
         _, state = so_step(state, proposal, config, lm, market)
         steps += 1
-        report = check_feasible(lm, state.x)
-        if not report.ok:
-            raise InfeasibleStateError(f"post-step state infeasible: {report}")
     return TradingResult(
         state=state,
         converged=converged,

@@ -88,6 +88,14 @@ class TestRun:
         assert code == 4
         assert "post-step state infeasible" in stderr
 
+    def test_accepted_overload_is_numerical_failure(self, capsys, tmp_path, monkeypatch):
+        # A ratio test that passes every trade in full overloads the 10 MW line.
+        path = write_market(tmp_path, lambda doc: doc["network"]["lines"][0].update(capacity=10.0))
+        monkeypatch.setattr(trading, "curtailment_factor", lambda lm, x, q: 1.0)
+        code, _, stderr = run_cli(capsys, "run", path, "--out", str(tmp_path / "o"))
+        assert code == 4
+        assert "numerical failure: post-step state infeasible" in stderr
+
     def test_out_naming_a_file_is_input_error_before_trading(self, capsys, tmp_path, monkeypatch):
         taken = tmp_path / "taken"
         taken.write_text("keep")

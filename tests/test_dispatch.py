@@ -160,6 +160,12 @@ class TestArrowDebreu:
         report = check_arrow_debreu(market, {}, np.zeros((1, 2)), np.zeros((1, 2)))
         assert report.verdict
 
+    def test_empty_market_has_an_empty_table(self):
+        table = Market(Network(1, ()), ScenarioSet((1.0,)), ()).table
+        assert table.index == {} and table.bus.shape == table.day_ahead.shape == (0,)
+        assert table.weights.shape == table.lower.shape == table.upper.shape == (0, 1)
+        assert table.slopes.shape[:2] == table.breakpoints.shape[:2] == table.real.shape[:2] == (0, 1)
+
     def test_operator_slack_scaled_by_scenario_ratings(self):
         # Ratings of 10 MW in the only scenario over a 1 MW base rating.  The
         # operator could earn 1 $/MW on 0.001 MW more flow: a slack of 1e-3,
@@ -281,14 +287,14 @@ class TestWelfareProgramMatrixForms:
         market = two_bus_market() if k is None else fleet_markets()[k]
         assert any(p.timing == "DA" for p in market.participants)
         lm, state, announcements = self.curtailed_case(market)
-        assert any(announcements)
+        assert announcements.any()
         outcomes = []
         for cells, form in ((0, sparse.csr_matrix), (10**12, np.ndarray)):
             monkeypatch.setattr(dispatch, "_DENSE_CELLS", cells)
             n_p, n_s = len(market.participants), market.scenario_count
             program = dispatch.welfare_program(
                 market, np.arange(n_p), np.zeros((n_p, n_s)), lm,
-                [range(lm.rows.shape[0])] * n_s, [lm.limits_for(s) for s in range(n_s)],
+                np.ones((n_s, lm.rows.shape[0]), dtype=bool), lm.stacked_limits(n_s),
             )
             assert isinstance(program.a_ub, form) and isinstance(program.a_eq, form)
             solution = solve_dispatch(market, lm)

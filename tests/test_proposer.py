@@ -32,6 +32,9 @@ from gridtrade.trading import (
 
 from conftest import assert_plans_close, fleet_markets
 
+# The announcement on a one-scenario network without lines.
+NO_LINES = np.zeros((1, 0), dtype=bool)
+
 
 @pytest.fixture(scope="module")
 def market():
@@ -130,7 +133,7 @@ class TestFindWorthyFdTrade:
             y={"a": np.array([30.0]), "b": np.array([30.0])},
             x=np.array([[60.0]]),
         )
-        trade, optimum = find_worthy_fd_trade(("a", "b"), state, ((),), 1e-9, market,
+        trade, optimum = find_worthy_fd_trade(("a", "b"), state, NO_LINES, 1e-9, market,
                                               build_loading_matrix(network))
         assert trade is None and optimum == pytest.approx(0.0, abs=1e-9)
 
@@ -144,7 +147,7 @@ class TestFindWorthyFdTrade:
         market = Market(network, ScenarioSet((1.0,)), (a, b))
         state = TradingState(y={"a": np.array([100.0 + 1e-10]), "b": np.array([100.0])},
                              x=np.array([[200.0 + 1e-10]]))
-        trade, optimum = find_worthy_fd_trade(("a", "b"), state, ((),), 1e-3, market,
+        trade, optimum = find_worthy_fd_trade(("a", "b"), state, NO_LINES, 1e-3, market,
                                               build_loading_matrix(network))
         assert trade is None and optimum == pytest.approx(0.0, abs=1e-9)
 
@@ -263,7 +266,7 @@ class PairChecker:
         self.seen = {"day_ahead": 0, "same_bus": 0, "signed": 0, "subjective": 0}
 
     def propose(self, market, state, announcements, epsilon, rng):
-        rows = np.concatenate(announcements).astype(int)
+        _, rows = np.nonzero(announcements)
         for pair in itertools.combinations(market.participant_ids, 2):
             bound = pair_bound(market.table, pair, state, announcements, self.lm)
             _, optimum = find_worthy_fd_trade(pair, state, announcements, epsilon, market, self.lm)
@@ -345,14 +348,14 @@ class TestPairScreen:
         lm = build_loading_matrix(network)
         state = TradingState(y={"a": np.array([100.0 + 1e-12]), "b": np.array([100.0])},
                              x=np.array([[200.0 + 1e-12]]))
-        assert pair_bound(market.table, ("a", "b"), state, ((),), lm) is None
+        assert pair_bound(market.table, ("a", "b"), state, NO_LINES, lm) is None
         proposer = make_proposer(ProposerStrategy("exhaustive_subsets", max_size=2), lm)
         searches = counting_searches(monkeypatch)
-        outcome = proposer.propose(market, state, ((),), 1e-3, np.random.default_rng(0))
+        outcome = proposer.propose(market, state, NO_LINES, 1e-3, np.random.default_rng(0))
         # At a state the scan covers, the pair's LP is skipped.
         searches.append("interior")
         inside = TradingState(y={"a": np.array([50.0]), "b": np.array([50.0])}, x=np.array([[100.0]]))
-        proposer.propose(market, inside, ((),), 1e3, np.random.default_rng(0))
+        proposer.propose(market, inside, NO_LINES, 1e3, np.random.default_rng(0))
         assert searches == [("a", "b"), ("a", "b"), "interior", ("a", "b")]
         assert isinstance(outcome, Certificate) and outcome.optimum == pytest.approx(0.0, abs=1e-9)
 

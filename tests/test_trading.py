@@ -229,13 +229,13 @@ class TestNormalize:
 class TestAnnounce:
     def test_zero_state_announces_nothing(self, market, lm):
         state = TradingState.initial(market)
-        assert announce(state, lm) == ((), ())
+        np.testing.assert_array_equal(announce(state, lm), [[False, False], [False, False]])
 
     def test_curtailed_state_announces_windy_forward_row(self, market, lm, config, golden_plans):
         state = TradingState.initial(market)
         _, state = so_step(state, table_one_trade(golden_plans), config, lm, market)
         # Breezy flow is 80 < 120, so only the windy scenario binds.
-        assert announce(state, lm) == ((0,), ())
+        np.testing.assert_array_equal(announce(state, lm), [[True, False], [False, False]])
 
     def test_final_state_announcement_unchanged(self, market, lm, config, golden_plans):
         state = TradingState.initial(market)
@@ -245,7 +245,12 @@ class TestAnnounce:
             for pid in golden_plans["final"]
         }
         _, state = so_step(state, Trade(delta), config, lm, market)
-        assert announce(state, lm) == ((0,), ())
+        np.testing.assert_array_equal(announce(state, lm), [[True, False], [False, False]])
+
+    def test_recorded_announcement_is_read_only(self, market, lm, config, golden_plans):
+        record, _ = so_step(TradingState.initial(market), table_one_trade(golden_plans), config, lm, market)
+        with pytest.raises(ValueError, match="read-only"):
+            record.binding_after[0, 1] = True
 
 
 class TestRunTrading:
@@ -335,6 +340,17 @@ class TestRunTrading:
         monkeypatch.setattr(trading, "check_feasible", lambda lm, x: overloaded)
         with pytest.raises(InfeasibleStateError, match="post-step state infeasible"):
             run_trading(market, config, make_proposer(ProposerStrategy()))
+
+    def test_accepted_overload_raises_before_announcing(self, config, monkeypatch):
+        # A ratio test that passes a 50 MW trade in full over a 10 MW line.
+        market = two_bus_market(line_capacity=10.0)
+        lm = build_loading_matrix(market.network)
+        monkeypatch.setattr(trading, "curtailment_factor", lambda lm, x, q: 1.0)
+        trade = Trade({"G2": np.array([50.0, 50.0]), "L": np.array([-50.0, -50.0])})
+        with pytest.raises(InfeasibleStateError, match="post-step state infeasible"):
+            so_step(TradingState.initial(market), trade, config, lm, market)
+        with pytest.raises(InfeasibleStateError, match="post-step state infeasible"):
+            run_trading(market, config, ScriptedProposer(trade), lm)
 
     def test_initial_state_requires_zero_feasible(self):
         network = Network(1, (), reference_bus=0)
