@@ -11,10 +11,10 @@ duals ``beta``: ``lambda[s, n] = -(gamma[s] + sum_r beta[s, r] H[r, n])``
 is the marginal expected system cost of delivering one more MW at bus ``n``
 in scenario ``s``.
 
-The equilibrium checker is deliberately independent of the dispatch LP for
-the participant side: each participant's price-taking problem is separable
-and piecewise linear, so it is maximised exactly by scanning the bounds and
-breakpoints in the participant's table row, and the LP is never read.
+The equilibrium check never reads the LP for the participant side: each
+price-taking problem is separable and piecewise linear, so
+:func:`participants.scan_maximum` maximises all of them exactly from the
+table, which also values the plans they are compared with.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from scipy import sparse
 from . import lp
 from .market import Market
 from .network import LoadingMatrix, build_loading_matrix
-from .participants import UtilityTable, evaluate_utility
+from .participants import LOCAL_TOL, UtilityTable, scan_maximum
 
 __all__ = [
     "DispatchSolution",
@@ -50,7 +50,7 @@ class DispatchInfeasibleError(RuntimeError):
         self.status = status
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DispatchSolution:
     """Optimal plan plus every dual needed for pricing and verification.
 
@@ -73,16 +73,10 @@ class DispatchSolution:
 
 
 # Welfare LPs with at most this many dense cells (rows x columns) get a dense
-# matrix, larger ones a CSR matrix.  On the small LPs of a trading run
-# (acceptance markets up to 13k cells, subset searches around 1.6k)
-# scipy.sparse costs more than it saves.  Over 500 subset_hybrid searches
-# (median 44 x 36), welfare_program takes 0.26-0.29 ms dense against
-# 0.62-0.74 ms with CSR, lp.linprog's column arrays 0.06 ms against 0.09-0.10
-# ms, the KKT products 0.10 ms against 0.23-0.29 ms, and lp.solve end to end
-# 1.05-1.18 ms against 1.39-1.65 ms (means of two rounds on a 2-vCPU host).
-# The 20-bus full-group searches (1.7M cells and up) and large dispatch LPs
-# (27M cells) are under 1% nonzero, and densely they spend most of their time
-# filling and converting zeros.
+# matrix, larger ones a CSR matrix.  Over 500 subset_hybrid searches (median
+# 44 x 36) lp.solve took 1.05-1.18 ms dense against 1.39-1.65 ms with CSR (2
+# vCPUs); the 20-bus searches (1.7M cells and up) and large dispatch LPs (27M)
+# are under 1% nonzero and densely spend most of their time on zeros.
 _DENSE_CELLS = 250_000
 
 # MW a quoting injection keeps from its bounds and breakpoints; relative
@@ -205,12 +199,10 @@ def lmp_from_marginals(
 ) -> float | None:
     """Price quote from a strictly interior flexible participant at bus ``n``.
 
-    Works only when some real-time participant's injection sits strictly
-    inside its bounds and away from utility breakpoints, where the marginal
-    value is unambiguous; otherwise returns ``None`` and the caller should
-    fall back to the dispatch duals.  The quote is weighted with the
-    probabilities the participant itself trades on, which is what the
-    benchmark's balance duals reflect.
+    Needs a real-time injection strictly inside its bounds and away from
+    breakpoints, where the marginal value is unambiguous; otherwise ``None``
+    (fall back to the dispatch duals).  The quote is weighted with the
+    participant's own probabilities, as the balance duals are.
     """
     for p in market.at_bus(n):
         if p.timing != "RT":
@@ -233,9 +225,7 @@ def welfare_gap(
 ) -> float:
     """Optimality gap of a plan, clamped at zero for round-off.
 
-    Both sides are valued with the probabilities each participant trades on,
-    which coincides with the market-probability welfare when no subjective
-    overrides are present.
+    Both sides use each participant's own probabilities (the market's unless overridden).
     """
     achieved = market.total_utility(dict(plans), subjective=True)
     return max(0.0, solution.objective - achieved)
@@ -254,21 +244,20 @@ class EquilibriumReport:
     verdict: bool
 
 
-def _best_response(table: UtilityTable, i: int, lam_at_bus: np.ndarray) -> float:
-    """Exact maximum of participant ``i``'s price-taking objective.
+def _best_responses(table: UtilityTable, lam: np.ndarray) -> np.ndarray:
+    """Exact maximum of each participant's price-taking objective at ``(P, S)`` prices ``lam``.
 
-    A day-ahead participant holds one injection across all scenarios, a
-    real-time one picks each scenario's alone.  Either way the optimum lies
-    at a bound or at a breakpoint clipped into the bounds, so those are scanned.
+    Day-ahead rows hold one injection across all scenarios; real-time rows pick each alone.
     """
-    lower, upper = table.lower[i][:, None], table.upper[i][:, None]
-    z = np.concatenate([lower, upper, table.breakpoints[i]], axis=1)
-    shared = table.day_ahead[i]
-    if shared:  # every scenario scans every scenario's candidates
-        z = np.tile(z.reshape(1, -1), (z.shape[0], 1))
-    z = np.clip(z, lower, upper)
-    gain = lam_at_bus[:, None] * z + table.weights[i][:, None] * table.value(i, z)
-    return float(gain.sum(axis=0).max() if shared else gain.max(axis=1).sum())
+    best = np.empty(len(lam))
+    for shared in (False, True):
+        rows = np.flatnonzero(table.day_ahead == shared)
+        price, weights = lam[rows][..., None], table.weights[rows][..., None]
+        best[rows] = scan_maximum(
+            table.lower[rows], table.upper[rows], table.breakpoints[rows],
+            lambda z: price * z + weights * table.value(rows, z), shared,
+        )
+    return best
 
 
 def check_arrow_debreu(
@@ -284,22 +273,27 @@ def check_arrow_debreu(
     participant maximises payment plus expected utility over its own set at
     the given prices; the network operator's injection maximises conversion
     profit over the feasible polytope; and every contingent commodity clears.
-    Plans outside a participant's bounds raise ``ValueError``.
+    A plan of the wrong length or outside its bounds raises ``ValueError``.
     """
     lm = build_loading_matrix(market.network) if lm is None else lm
     limits = lm.stacked_limits(market.scenario_count)
     prices = np.asarray(prices, dtype=float)
     x = np.asarray(x, dtype=float)
-    participant_ok: dict[str, bool] = {}
-    participant_slack: dict[str, float] = {}
-    for i, p in enumerate(market.participants):
-        lam = prices[:, p.bus]
-        plan = np.asarray(plans[p.id], dtype=float)
-        actual = float(lam @ plan) + evaluate_utility(p, plan, market.table.weights[i])
-        best = _best_response(market.table, i, lam)
-        slack = best - actual
-        participant_slack[p.id] = float(slack)
-        participant_ok[p.id] = slack <= _EQUILIBRIUM_TOL * (1.0 + abs(best))
+    table, ids = market.table, market.participant_ids
+    injection = market.aggregate_nodal(plans)  # rejects a plan of the wrong length
+    z = np.array([plans[pid] for pid in ids], dtype=float).reshape(table.lower.shape)
+    inside = (z >= table.lower - LOCAL_TOL) & (z <= table.upper + LOCAL_TOL)  # and not NaN
+    if not inside.all():
+        i, s = np.argwhere(~inside)[0]
+        lo, hi = table.lower[i, s], table.upper[i, s]
+        raise ValueError(f"{ids[i]}: plan {z[i, s]} outside bounds [{lo}, {hi}] in scenario {s}")
+    lam = prices[:, table.bus].T
+    utility = table.value(np.arange(len(ids)), z[..., None])[..., 0]
+    achieved = (lam * z + table.weights * utility).sum(axis=1)
+    best = _best_responses(table, lam)
+    slack = best - achieved
+    participant_slack = dict(zip(ids, slack.tolist()))
+    participant_ok = dict(zip(ids, (slack <= _EQUILIBRIUM_TOL * (1.0 + np.abs(best))).tolist()))
 
     so_slack = 0.0
     for s in range(market.scenario_count):
@@ -311,7 +305,7 @@ def check_arrow_debreu(
     so_scale = 1.0 + abs(float(np.abs(prices).sum())) * float(np.abs(limits).max() if limits.size else 0.0)
     so_ok = so_slack <= _EQUILIBRIUM_TOL * so_scale
 
-    clearing = float(np.max(np.abs(x - market.aggregate_nodal(dict(plans))), initial=0.0))
+    clearing = float(np.max(np.abs(x - injection), initial=0.0))
     clearing_ok = clearing <= _EQUILIBRIUM_TOL * (1.0 + float(np.max(np.abs(x), initial=0.0)))
 
     return EquilibriumReport(

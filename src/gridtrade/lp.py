@@ -7,13 +7,10 @@ dense arrays or ``scipy.sparse`` matrices; the solution and its
 verification are the same for both.  An omitted constraint family is an
 empty one (no rows), so every routine below handles both families alike.
 
-The model reaches HiGHS as one column-wise ``HighsLp``.  Its
-``start``/``index``/``value`` arrays are the CSC form of the ``a_ub`` rows
-stacked over the ``a_eq`` rows, built with numpy: ``np.nonzero`` on the
-transposed stack when both parts are dense, one stable sort of the stored
-entries by column otherwise.  Every array is handed over as a Python list,
-which the binding copies faster than a numpy array it reads element by
-element.  Nothing is kept between calls: each solve builds a fresh model.
+Each solve builds a fresh column-wise ``HighsLp``: the CSC form of the
+``a_ub`` rows stacked over the ``a_eq`` rows, from one stable sort of the
+stored entries by column, with every array handed over as a Python list,
+which the binding copies faster than a numpy array.
 
 Every program is a maximisation of ``c @ x``, and every consumer here needs
 duals, so the solution carries Lagrange multipliers in a single documented
@@ -79,7 +76,7 @@ class LpNumericalError(LpError):
     """An 'optimal' answer violated the solution quality contract."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
     """Maximise ``c @ x`` over ``A_eq x = b_eq``, ``A_ub x <= b_ub``, boxes.
 
@@ -128,7 +125,7 @@ class LinearProgram:
         return self.c.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     """Primal/dual solution; multipliers follow the module convention."""
 
@@ -185,24 +182,18 @@ def _columns(parts: list, n: int) -> tuple[list[int], list[int], list[float]]:
     of a dense part are left out and entries a sparse part stores (explicit
     zeros too) are kept.
     """
-    if not any(sparse.issparse(a) for a in parts):
-        stack = np.vstack(parts).T
-        cols, rows = np.nonzero(stack)
-        values = stack[cols, rows]
-    else:
-        triplets = []
-        offset = 0
-        for a in parts:
-            if sparse.issparse(a):
-                r, c, v = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr)), a.indices, a.data
-            else:
-                r, c = np.nonzero(a)
-                v = a[r, c]
-            triplets.append((r + offset, c, v))
-            offset += a.shape[0]
-        rows, cols, values = (np.concatenate(t) for t in zip(*triplets))
-        order = np.argsort(cols, kind="stable")
-        rows, cols, values = rows[order], cols[order], values[order]
+    triplets, offset = [], 0
+    for a in parts:
+        if sparse.issparse(a):
+            r, c, v = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr)), a.indices, a.data
+        else:
+            r, c = np.nonzero(a)
+            v = a[r, c]
+        triplets.append((r + offset, c, v))
+        offset += a.shape[0]
+    rows, cols, values = (np.concatenate(t) for t in zip(*triplets))
+    order = np.argsort(cols, kind="stable")
+    rows, cols, values = rows[order], cols[order], values[order]
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
     return start.tolist(), rows.tolist(), values.tolist()

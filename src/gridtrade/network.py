@@ -145,7 +145,7 @@ class Network:
         return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoadingMatrix:
     """Stacked shift factors ``rows = [H_hat; -H_hat]`` with limits ``[r; r]``.
 

@@ -4,10 +4,10 @@ Utilities are concave piecewise-linear functions of the participant's power
 injection, normalised so the value at zero injection is zero.  Producers
 inject (``p >= 0``) and their utility is the negated cost; loads withdraw
 (``p <= 0``) and their utility is the consumption benefit, so its slope with
-respect to injection is negative.  Every expected utility comes from
-:func:`evaluate_utility` under the caller's scenario weights: the
-participant's own (:meth:`Participant.weights`, the market probabilities
-unless it carries a subjective override) or the market's, for welfare.
+respect to injection is negative.  Plans are valued under the caller's
+scenario weights (the participant's own from :meth:`Participant.weights`, or
+the market's for welfare), one at a time by :func:`evaluate_utility` or in
+bulk from a :class:`UtilityTable`.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
     "Participant",
     "UtilityTable",
     "evaluate_utility",
+    "scan_maximum",
     "local_feasible",
     "PROBABILITY_TOL",
     "LOCAL_TOL",
@@ -311,9 +312,32 @@ class UtilityTable:
             real=stack([[np.arange(k) < m.size for m, _ in row] for row in segments], k, dtype=bool),
         )
 
-    def value(self, i: int, plans: np.ndarray) -> np.ndarray:
-        """Participant ``i``'s utility at ``plans`` of shape ``(S, C)``."""
-        return np.min(self.intercepts[i][:, None] + self.slopes[i][:, None] * plans[..., None], axis=-1)
+    def value(self, rows, plans: np.ndarray) -> np.ndarray:
+        """Utility of ``rows`` (one index or an index array) at ``plans`` of shape ``(..., S, C)``."""
+        a, m = self.intercepts[rows][..., None, :], self.slopes[rows][..., None, :]
+        return np.min(a + m * plans[..., None], axis=-1)
+
+
+def scan_maximum(lower: np.ndarray, upper: np.ndarray, kinks: np.ndarray, gain, shared: bool) -> np.ndarray | None:
+    """Exact maximum over ``lower <= t <= upper`` of ``gain(t)`` summed over scenarios.
+
+    ``lower``/``upper`` are ``(..., S)``, ``kinks`` ``(..., S, C)``.  ``gain``
+    maps candidates ``(..., S, N)`` to per-scenario values; it is concave
+    piecewise linear with kinks among ``kinks``, so a bound or a clipped kink
+    attains the maximum.  A ``shared`` ``t``, one for every scenario, ranges
+    over the intersection and tries every scenario's kinks.  Returns the
+    ``(...)`` maxima, or ``None`` when an interval is empty.
+    """
+    shape = lower.shape
+    if shared:
+        lower, upper = lower.max(axis=-1, keepdims=True), upper.min(axis=-1, keepdims=True)
+        kinks = kinks.reshape(*shape[:-1], 1, shape[-1] * kinks.shape[-1])
+    if np.any(lower > upper):
+        return None
+    lower, upper = lower[..., None], upper[..., None]
+    t = np.clip(np.concatenate([lower, upper, kinks], axis=-1), lower, upper)
+    gains = gain(np.broadcast_to(t, (*shape, t.shape[-1])))
+    return gains.sum(axis=-2).max(axis=-1) if shared else gains.max(axis=-1).sum(axis=-1)
 
 
 def evaluate_utility(participant: Participant, plan: np.ndarray, weights: np.ndarray) -> float:

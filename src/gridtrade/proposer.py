@@ -14,18 +14,15 @@ ends with a whole-market search, the only search that can certify
 termination.
 
 Most sampled pairs have nothing worth trading, so a pair is screened before
-its LP.  A balanced pair trade moves one variable per scenario,
-``t[s] = d_a[s] = -d_b[s]`` (one ``t`` for all scenarios when a member is
-day-ahead).  Each announced row becomes a sign limit on ``t[s]``, so the
-pair's best gain is a concave piecewise-linear maximum over an interval,
-attained at an interval end or a shifted utility breakpoint:
-:func:`pair_bound` scans those candidates exactly in the market's utility
-table (``market.table``), the arrays the LP is built from too.  The LP is
-skipped when that optimum is below ``epsilon - _SCREEN_MARGIN``, where it
-could only return nothing.  Rows whose coefficient on ``t`` is within
-``_COEF_TOL * max|H|`` of zero are dropped, which only relaxes the scan;
-where the scan does not apply (bounds crossed by round-off) the LP runs.
-Trades and certificates still come from the LP alone.
+its LP.  A balanced pair trade moves ``t[s] = d_a[s] = -d_b[s]`` (one ``t``
+for all scenarios when a member is day-ahead), and each announced row is a
+sign limit on ``t[s]``, so :func:`pair_bound` finds the pair's best gain
+exactly with :func:`participants.scan_maximum` over the market's utility
+table.  The LP is skipped when that optimum is below ``epsilon -
+_SCREEN_MARGIN``.  Rows whose coefficient on ``t`` is within ``_COEF_TOL *
+max|H|`` of zero are dropped, which only relaxes the scan; where it does not
+apply (bounds crossed by round-off) the LP runs.  Trades and certificates
+come from the LP alone.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from . import lp
 from .dispatch import welfare_program
 from .market import Market
 from .network import LoadingMatrix, build_loading_matrix
-from .participants import UtilityTable, evaluate_utility
+from .participants import UtilityTable, evaluate_utility, scan_maximum
 from .trading import Certificate, Trade, TradingState
 
 __all__ = [
@@ -144,20 +141,14 @@ def pair_bound(
         tol = _COEF_TOL * np.max(np.abs(lm.rows))
         np.minimum.at(upper, scenario[coef > tol], 0.0)
         np.maximum.at(lower, scenario[coef < -tol], 0.0)
-    shifts = np.concatenate([table.breakpoints[i] - ya[:, None], yb[:, None] - table.breakpoints[j]], axis=1)
-    shared = table.day_ahead[i] or table.day_ahead[j]
-    if shared:
-        lower, upper, shifts = lower.max(keepdims=True), upper.min(keepdims=True), shifts.reshape(1, -1)
-    if np.any(lower > upper):
-        return None
-    t = np.clip(np.column_stack([lower, upper, np.zeros_like(lower), shifts]), lower[:, None], upper[:, None])
     ya, yb = ya[:, None], yb[:, None]
-    gain = (
-        table.weights[i][:, None] * (table.value(i, ya + t) - table.value(i, ya))
-        + table.weights[j][:, None] * (table.value(j, yb - t) - table.value(j, yb))
-    )
-    # A shared t takes one candidate in every scenario; otherwise each scenario picks its own.
-    return float(gain.sum(axis=0).max() if shared else gain.max(axis=1).sum())
+    kinks = np.concatenate([np.zeros_like(ya), table.breakpoints[i] - ya, yb - table.breakpoints[j]], axis=1)
+
+    def gain(t):
+        return (table.weights[i][:, None] * (table.value(i, ya + t) - table.value(i, ya))
+                + table.weights[j][:, None] * (table.value(j, yb - t) - table.value(j, yb)))
+
+    return scan_maximum(lower, upper, kinks, gain, bool(table.day_ahead[i] or table.day_ahead[j]))
 
 
 class Proposer:

@@ -55,7 +55,7 @@ class IntervalTrade:
         return tuple(self.lower)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalRecord:
     trade: IntervalTrade
     gamma: float
@@ -64,7 +64,7 @@ class IntervalRecord:
     q_upper: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalState:
     """Box bounds on the accumulated nodal injection plus the history."""
 

@@ -54,7 +54,7 @@ class InfeasibleStateError(RuntimeError):
     """An accepted step left the network state over a line limit or unbalanced."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trade:
     """Sparse map of participant id to per-scenario injection increments.
 
@@ -79,7 +79,7 @@ class Trade:
         object.__setattr__(self, "group", tuple(pid for pid, arr in clean.items() if arr.any()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TradeRecord:
     """One submission: the proposal, the operator's decision, and the context."""
 
@@ -94,7 +94,7 @@ class TradeRecord:
     gamma_by_scenario: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TradingState:
     """Accumulated participant plans and the implied network state."""
 
@@ -143,7 +143,7 @@ class Certificate:
     optimum: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TradingResult:
     state: TradingState
     converged: bool

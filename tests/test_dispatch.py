@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from gridtrade import dispatch
+from gridtrade import dispatch, lp
 from gridtrade.dispatch import (
     DispatchInfeasibleError,
     check_arrow_debreu,
@@ -154,6 +154,31 @@ class TestArrowDebreu:
         report = check_arrow_debreu(two_bus, two_bus_dispatch.plans, two_bus_dispatch.x, prices)
         assert not report.verdict
 
+    @pytest.mark.parametrize("entry", [100.0 + 1e-6, np.nan])
+    def test_plan_outside_bounds_names_the_participant(self, two_bus, two_bus_dispatch, entry):
+        plans = dict(two_bus_dispatch.plans, G3=np.array([0.0, entry]))
+        with pytest.raises(ValueError, match=r"^G3: plan .* outside bounds \[0.0, 100.0\] in scenario 1"):
+            check_arrow_debreu(two_bus, plans, two_bus_dispatch.x, two_bus_dispatch.lambda_)
+
+    def test_plan_of_wrong_length_raises(self, two_bus, two_bus_dispatch):
+        plans = dict(two_bus_dispatch.plans, G2=np.array([50.0]))
+        with pytest.raises(ValueError):
+            check_arrow_debreu(two_bus, plans, two_bus_dispatch.x, two_bus_dispatch.lambda_)
+
+    def test_solutions_compare_by_identity(self, two_bus, two_bus_dispatch):
+        # Arrays inside: == is identity and hash works, as for trading records.
+        lm = build_loading_matrix(two_bus.network)
+        rows = np.ones((2, lm.rows.shape[0]), dtype=bool)
+        program = dispatch.welfare_program(two_bus, [0, 1], np.zeros((2, 2)), lm, rows, lm.stacked_limits(2))
+        for a, b in [
+            (two_bus_dispatch, solve_dispatch(two_bus)),
+            (lm, build_loading_matrix(two_bus.network)),
+            (program, replace(program)),
+            (lp.solve(program), lp.solve(program)),
+        ]:
+            assert a == a and a != b
+            assert hash(a) == hash(a)
+
     def test_empty_market_is_vacuously_in_equilibrium(self):
         network = Network(2, (Line(0, 1, 1.0, 50.0),), reference_bus=0)
         market = Market(network, ScenarioSet((1.0,)), ())
@@ -225,8 +250,8 @@ class TestBestResponse:
             lam = solve_dispatch(market).lambda_
             perturbed = lam * rng.uniform(0.5, 1.5, size=lam.shape) + rng.normal(0.0, 5.0, size=lam.shape)
             for prices in (lam, perturbed):
-                for i, p in enumerate(market.participants):
-                    best = dispatch._best_response(market.table, i, prices[:, p.bus])
+                bests = dispatch._best_responses(market.table, prices[:, market.table.bus].T)
+                for p, best in zip(market.participants, bests):
                     reference = best_response_reference(p, prices[:, p.bus], p.weights(market.scenarios))
                     assert abs(best - reference) <= 1e-9 * (1 + abs(reference)), (p.id, best, reference)
                     seen[p.timing] += 1

@@ -11,6 +11,7 @@ from gridtrade.participants import (
     UtilityFunction,
     evaluate_utility,
     local_feasible,
+    scan_maximum,
 )
 
 from conftest import fleet_markets, medium_full_markets
@@ -203,6 +204,48 @@ class TestUtilityTable:
                 np.testing.assert_array_less(np.abs(table.value(i, z) - expected), 1e-9 * (1 + np.abs(expected)))
                 checked += expected.size
         assert checked > 10_000
+
+
+    def test_value_of_many_rows_matches_each_row(self):
+        for market in fleet_markets()[:10]:
+            table = market.table
+            z = np.concatenate([table.breakpoints, table.lower[..., None], table.upper[..., None]], axis=-1)
+            rows = np.arange(len(market.participants))
+            expected = np.array([table.value(i, z[i]) for i in rows]).reshape(z.shape)
+            assert table.value(rows, z).tolist() == expected.tolist()
+
+
+def concave_gain(alpha, beta, kinks):
+    """Per-scenario ``-alpha |t - k0| + beta min(t - k1, 0)``, concave with kinks ``k0`` and ``k1``."""
+    return lambda t: -alpha[:, None] * np.abs(t - kinks[:, :1]) + beta[:, None] * np.minimum(t - kinks[:, 1:], 0.0)
+
+
+class TestScanMaximum:
+    def test_crossed_bounds_have_no_maximum(self):
+        gain = concave_gain(np.ones(2), np.ones(2), np.zeros((2, 2)))
+        assert scan_maximum(np.array([0.0, 2.0]), np.array([1.0, 3.0]), np.zeros((2, 2)), gain, True) is None
+        assert scan_maximum(np.array([0.0, 2.0]), np.array([1.0, 1.0]), np.zeros((2, 2)), gain, False) is None
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_empty_batch(self, shared):
+        best = scan_maximum(np.zeros((0, 3)), np.ones((0, 3)), np.zeros((0, 3, 2)), lambda t: t, shared)
+        assert best.shape == (0,)
+
+    def test_matches_a_grid_search(self):
+        # A shared t over unequal intervals ranges over their intersection only.
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            lower, upper = rng.uniform(-3.0, 0.0, 3), rng.uniform(1.0, 4.0, 3)
+            kinks = rng.uniform(-4.0, 5.0, (3, 2))
+            gain = concave_gain(rng.uniform(0.0, 2.0, 3), rng.uniform(0.0, 2.0, 3), kinks)
+            grid = np.linspace(lower.max(), upper.min(), 30_001)
+            shared = gain(np.broadcast_to(grid, (3, grid.size))).sum(axis=0).max()
+            own = sum(gain(np.broadcast_to(np.linspace(lo, hi, 30_001), (3, 30_001)))[s].max()
+                      for s, (lo, hi) in enumerate(zip(lower, upper)))
+            for flag, expected in ((True, shared), (False, own)):
+                best = scan_maximum(lower, upper, kinks, gain, flag)
+                # Grid steps are at most 7 / 30000 and the summed gain is 12-Lipschitz.
+                assert expected - 1e-12 <= best <= expected + 12 * 7 / 30_000, (flag, best, expected)
 
 
 class TestMarginalUtility:

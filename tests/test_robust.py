@@ -124,6 +124,14 @@ class TestAcceptIntervalTrade:
         assert gamma == pytest.approx(0.2)
         np.testing.assert_allclose(state.x_upper[0], 120.0)
 
+    def test_states_and_records_compare_by_identity(self, market, lm):
+        # Arrays inside: == is identity and hash works, as for trading records.
+        trade = IntervalTrade({"gen": 80.0, "dem": -100.0}, {"gen": 100.0, "dem": -80.0})
+        first, second = (accept_interval_trade(IntervalState.initial(2), trade, lm, market)[1] for _ in range(2))
+        for a, b in [(first, second), (first.records[0], second.records[0])]:
+            assert a == a and a != b
+            assert hash(a) == hash(a)
+
     def test_zero_width_zero_trade_accepted_whole(self, market, lm):
         state = IntervalState.initial(2)
         gamma, new_state = accept_interval_trade(

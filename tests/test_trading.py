@@ -261,6 +261,18 @@ class TestRunTrading:
         # Expected production cost 5000 behind the fixed consumption value.
         assert result.final_welfare == pytest.approx(145000.0, abs=1e-6)
 
+    def test_runs_compare_by_identity(self, market, config):
+        # Results, states, records and trades hold arrays, so == is identity and hash works.
+        first, second = (run_trading(market, config, make_proposer(ProposerStrategy())) for _ in range(2))
+        for a, b in [
+            (first, second),
+            (first.state, second.state),
+            (first.state.records[0], second.state.records[0]),
+            (first.state.records[0].trade, second.state.records[0].trade),
+        ]:
+            assert a == a and a != b
+            assert hash(a) == hash(a)
+
     def test_single_bus_pair_converges_in_one_trade(self):
         network = Network(1, (), reference_bus=0)
         scenarios = ScenarioSet((1.0,))
