@@ -32,7 +32,6 @@ from .participants import (
     ScenarioSet,
     UtilityFunction,
     evaluate_utility,
-    local_feasible,
 )
 from .proposer import ProposerStrategy, find_worthy_fd_trade, make_proposer
 from .robust import (

@@ -28,7 +28,7 @@ from scipy import sparse
 from . import lp
 from .market import Market
 from .network import LoadingMatrix, build_loading_matrix
-from .participants import LOCAL_TOL, UtilityTable, scan_maximum
+from .participants import UtilityTable, scan_maximum
 
 __all__ = [
     "DispatchSolution",
@@ -282,9 +282,9 @@ def check_arrow_debreu(
     table, ids = market.table, market.participant_ids
     injection = market.aggregate_nodal(plans)  # rejects a plan of the wrong length
     z = np.array([plans[pid] for pid in ids], dtype=float).reshape(table.lower.shape)
-    inside = (z >= table.lower - LOCAL_TOL) & (z <= table.upper + LOCAL_TOL)  # and not NaN
-    if not inside.all():
-        i, s = np.argwhere(~inside)[0]
+    outside, _ = table.local_violations(np.arange(len(ids)), z)
+    if outside.any():
+        i, s = np.argwhere(outside)[0]
         lo, hi = table.lower[i, s], table.upper[i, s]
         raise ValueError(f"{ids[i]}: plan {z[i, s]} outside bounds [{lo}, {hi}] in scenario {s}")
     lam = prices[:, table.bus].T

@@ -295,12 +295,12 @@ class ViolationReport:
         return not self.line_violations and self.balanced
 
 
-def check_feasible(lm: LoadingMatrix, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> ViolationReport:
-    """Report every (row, scenario) limit violation and balance residual."""
+def check_feasible(lm: LoadingMatrix, x: np.ndarray) -> ViolationReport:
+    """Report every (row, scenario) limit violation beyond ``FEASIBILITY_TOL`` and balance residual."""
     arr = _as_scenario_major(x, lm.bus_count)
     excess = _excess(lm, arr)
     violations = tuple(
-        (int(row), int(s), float(excess[s, row])) for s, row in np.argwhere(excess > tol)
+        (int(row), int(s), float(excess[s, row])) for s, row in np.argwhere(excess > FEASIBILITY_TOL)
     )
     return ViolationReport(violations, tuple(arr.sum(axis=1).tolist()))
 

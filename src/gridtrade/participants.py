@@ -6,8 +6,17 @@ inject (``p >= 0``) and their utility is the negated cost; loads withdraw
 (``p <= 0``) and their utility is the consumption benefit, so its slope with
 respect to injection is negative.  Plans are valued under the caller's
 scenario weights (the participant's own from :meth:`Participant.weights`, or
-the market's for welfare), one at a time by :func:`evaluate_utility` or in
-bulk from a :class:`UtilityTable`.
+the market's for welfare).
+
+Every utility has one form, its :meth:`UtilityFunction.segments`, and is
+valued as ``min_k(a_k + m_k p)`` over them.  The trading path (the
+operator's step, the trade search, the pair screen and the equilibrium
+check) reads a market's :class:`UtilityTable`, those segments and the
+bounds as arrays, and checks plans with :meth:`UtilityTable.local_violations`.
+:func:`evaluate_utility` stays scalar, one participant and one
+:meth:`UtilityFunction.value` call per scenario: it values a finished run's
+plans (final welfare, the gap to the dispatch), once per run, and names the
+participant and scenario of a plan out of bounds.
 """
 
 from __future__ import annotations
@@ -26,7 +35,6 @@ __all__ = [
     "UtilityTable",
     "evaluate_utility",
     "scan_maximum",
-    "local_feasible",
     "PROBABILITY_TOL",
     "LOCAL_TOL",
 ]
@@ -76,9 +84,8 @@ class UtilityFunction:
     nonincreasing (strictly decreasing for a non-degenerate function).  The
     domain must contain 0 so the anchor ``value(0) == 0`` is well defined.
 
-    The breakpoint values, per-segment rates and :meth:`segments` arrays are
-    computed on first use and cached, so building a market stays cheap and
-    valuing a plan repeats no arithmetic.
+    The :meth:`segments` arrays are computed on first use and cached, so
+    building a market stays cheap and valuing a plan repeats no arithmetic.
     """
 
     breakpoints: tuple[float, ...]
@@ -100,32 +107,17 @@ class UtilityFunction:
         if not bps[0] <= 0.0 <= bps[-1]:
             raise ValueError("domain must contain 0 for value normalisation")
 
-    @staticmethod
-    def _interp(bps: tuple[float, ...], values: tuple[float, ...] | list[float], p: float) -> float:
-        j = max(bisect.bisect_right(bps, p) - 1, 0)
-        j = min(j, len(bps) - 2)
-        return values[j] + (values[j + 1] - values[j]) / (bps[j + 1] - bps[j]) * (p - bps[j])
-
     @cached_property
-    def _values(self) -> tuple[float, ...]:
-        """Value at each breakpoint, anchored so that ``value(0) == 0``."""
+    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
         bps, slp = self.breakpoints, self.slopes
         values = [0.0] * len(bps)
         for j in range(1, len(bps)):
             values[j] = values[j - 1] + slp[j - 1] * (bps[j] - bps[j - 1])
-        offset = self._interp(bps, values, 0.0)
-        return tuple(v - offset for v in values)
-
-    @cached_property
-    def _rates(self) -> tuple[float, ...]:
-        """Per-segment rate, computed with ``_interp``'s operations so ``value`` matches it."""
-        bps, v = self.breakpoints, self._values
-        return tuple((v[j + 1] - v[j]) / (bps[j + 1] - bps[j]) for j in range(len(bps) - 1))
-
-    @cached_property
-    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
-        m = np.asarray(self.slopes)
-        a = np.asarray(self._values[:-1]) - m * np.asarray(self.breakpoints[:-1])
+        # Anchor value(0) at zero: interpolate the values on the segment holding 0.
+        j = min(max(bisect.bisect_right(bps, 0.0) - 1, 0), len(bps) - 2)
+        offset = values[j] + (values[j + 1] - values[j]) / (bps[j + 1] - bps[j]) * (0.0 - bps[j])
+        m = np.asarray(slp)
+        a = np.asarray([v - offset for v in values[:-1]]) - m * np.asarray(bps[:-1])
         m.setflags(write=False)
         a.setflags(write=False)
         return m, a
@@ -145,14 +137,11 @@ class UtilityFunction:
             raise ValueError(f"injection {p} outside utility domain [{lo}, {hi}]")
 
     def value(self, p: float) -> float:
-        """``_interp`` at ``p`` from the cached rates; same operations, same bits."""
+        """``min_k(a_k + m_k p)`` over :meth:`segments`, as :meth:`UtilityTable.value` computes it."""
         p = float(p)
-        bps = self.breakpoints
-        if not bps[0] - 1e-9 <= p <= bps[-1] + 1e-9:
-            raise ValueError(f"injection {p} outside utility domain [{bps[0]}, {bps[-1]}]")
-        # Searching the interior breakpoints clamps the segment to [0, K - 2].
-        j = bisect.bisect_right(bps, p, 1, len(bps) - 1) - 1
-        return self._values[j] + self._rates[j] * (p - bps[j])
+        self._check_domain(p)
+        m, a = self._segments
+        return float((a + m * p).min())
 
     def marginals(self, p: float) -> tuple[float, float]:
         """One-sided derivatives ``(left, right)`` at ``p``, clamped to the domain.
@@ -207,6 +196,8 @@ class Participant:
         object.__setattr__(self, "utility", utility)
         if len(bounds) != len(utility) or not bounds:
             raise ValueError("bounds and utility must cover the same S >= 1 scenarios")
+        if not all(math.isfinite(b) for pair in bounds for b in pair):
+            raise ValueError(f"{self.id}: bounds must be finite")
         for lo, hi in bounds:
             if lo > hi:
                 raise ValueError(f"{self.id}: empty bound interval [{lo}, {hi}]")
@@ -289,33 +280,46 @@ class UtilityTable:
 
     @classmethod
     def of(cls, participants: tuple[Participant, ...], scenarios: ScenarioSet) -> "UtilityTable":
-        segments = [[u.segments() for u in p.utility] for p in participants]
-        k = max((m.size for row in segments for m, _ in row), default=1)
+        shape = (len(participants), scenarios.count)  # explicit, so no participants give 0 rows
+        utilities = [u for p in participants for u in p.utility]
+        segments = [u.segments() for u in utilities]
+        count = np.array([m.size for m, _ in segments], dtype=int)
+        k = int(count.max(initial=1))
 
-        def padded(values, size):
-            return np.pad(values, (0, size - len(values)), mode="edge")
+        def padded(pieces, lengths, size):
+            # One gather: each piece, then its last entry repeated up to ``size``.
+            start = np.cumsum(lengths) - lengths
+            index = start[:, None] + np.minimum(np.arange(size), lengths[:, None] - 1)
+            return np.concatenate([np.empty(0), *pieces])[index].reshape(*shape, size)
 
-        def stack(rows, *tail, dtype=float):  # shaped explicitly, so no participants give 0 rows
-            return np.array(rows, dtype=dtype).reshape(len(participants), scenarios.count, *tail)
-
-        bounds = stack([p.bounds for p in participants], 2)
+        bounds = np.array([p.bounds for p in participants], dtype=float).reshape(*shape, 2)
         return cls(
             index={p.id: i for i, p in enumerate(participants)},
             bus=np.array([p.bus for p in participants], dtype=int),
             day_ahead=np.array([p.timing == "DA" for p in participants], dtype=bool),
-            weights=stack([p.weights(scenarios) for p in participants]),
-            lower=bounds[:, :, 0],
-            upper=bounds[:, :, 1],
-            slopes=stack([[padded(m, k) for m, _ in row] for row in segments], k),
-            intercepts=stack([[padded(a, k) for _, a in row] for row in segments], k),
-            breakpoints=stack([[padded(u.breakpoints, k + 1) for u in p.utility] for p in participants], k + 1),
-            real=stack([[np.arange(k) < m.size for m, _ in row] for row in segments], k, dtype=bool),
+            weights=np.array([p.weights(scenarios) for p in participants], dtype=float).reshape(shape),
+            lower=bounds[..., 0],
+            upper=bounds[..., 1],
+            slopes=padded([m for m, _ in segments], count, k),
+            intercepts=padded([a for _, a in segments], count, k),
+            breakpoints=padded([u.breakpoints for u in utilities], count + 1, k + 1),
+            real=(np.arange(k) < count[:, None]).reshape(*shape, k),
         )
 
     def value(self, rows, plans: np.ndarray) -> np.ndarray:
         """Utility of ``rows`` (one index or an index array) at ``plans`` of shape ``(..., S, C)``."""
         a, m = self.intercepts[rows][..., None, :], self.slopes[rows][..., None, :]
         return np.min(a + m * plans[..., None], axis=-1)
+
+    def local_violations(self, rows, plans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where the ``(G, S)`` plans of ``rows`` break local feasibility by more than ``LOCAL_TOL`` MW.
+
+        Returns the ``(G, S)`` entries outside their bounds (a NaN entry is
+        outside) and the ``(G,)`` day-ahead rows whose plan varies across
+        scenarios.
+        """
+        inside = (plans >= self.lower[rows] - LOCAL_TOL) & (plans <= self.upper[rows] + LOCAL_TOL)
+        return ~inside, self.day_ahead[rows] & (np.ptp(plans, axis=-1) > LOCAL_TOL)
 
 
 def scan_maximum(lower: np.ndarray, upper: np.ndarray, kinks: np.ndarray, gain, shared: bool) -> np.ndarray | None:
@@ -356,17 +360,3 @@ def evaluate_utility(participant: Participant, plan: np.ndarray, weights: np.nda
         total += w * u.value(p)
     return total
 
-
-def local_feasible(participant: Participant, plan: np.ndarray) -> bool:
-    """Bounds hold per scenario and DA plans are constant across scenarios."""
-    plan = np.asarray(plan, dtype=float)
-    if plan.shape != (participant.scenario_count,):
-        return False
-    for s, p in enumerate(plan):
-        lo, hi = participant.bounds[s]
-        if p < lo - LOCAL_TOL or p > hi + LOCAL_TOL:
-            return False
-    if participant.timing == "DA" and plan.size > 1:
-        if np.max(plan) - np.min(plan) > LOCAL_TOL:
-            return False
-    return True

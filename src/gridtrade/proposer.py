@@ -37,7 +37,7 @@ from . import lp
 from .dispatch import welfare_program
 from .market import Market
 from .network import LoadingMatrix, build_loading_matrix
-from .participants import UtilityTable, evaluate_utility, scan_maximum
+from .participants import UtilityTable, scan_maximum
 from .trading import Certificate, Trade, TradingState
 
 __all__ = [
@@ -98,9 +98,7 @@ def find_worthy_fd_trade(
     table = market.table
     members = [table.index[pid] for pid in ids]
     y = np.array([state.y[pid] for pid in ids])
-    base_utility = sum(
-        evaluate_utility(market.participants[i], plan, table.weights[i]) for i, plan in zip(members, y)
-    )
+    base_utility = float(np.sum(table.weights[members] * table.value(members, y[..., None])[..., 0]))
     program = welfare_program(market, members, y, lm, announcements, np.zeros(announcements.shape))
     # A plan may sit past its bound by round-off (within LOCAL_TOL); the
     # search's box must still contain d = 0, so staying put stays feasible.

@@ -32,7 +32,7 @@ from .network import (
     curtailment_factors,
     is_feasible_direction,
 )
-from .participants import LOCAL_TOL, evaluate_utility, local_feasible
+from .participants import UtilityTable
 
 __all__ = [
     "Trade",
@@ -104,12 +104,14 @@ class TradingState:
 
     @classmethod
     def initial(cls, market: Market) -> "TradingState":
-        for p in market.participants:
-            if not local_feasible(p, np.zeros(market.scenario_count)):
-                raise ValueError(
-                    f"{p.id}: zero injection is not locally feasible; "
-                    "represent fixed obligations with elastic bounds and a value slope"
-                )
+        zeros = np.zeros((len(market.participants), market.scenario_count))
+        outside, spread = market.table.local_violations(np.arange(len(market.participants)), zeros)
+        bad = np.flatnonzero(outside.any(axis=1) | spread)
+        if bad.size:
+            raise ValueError(
+                f"{market.participants[bad[0]].id}: zero injection is not locally feasible; "
+                "represent fixed obligations with elastic bounds and a value slope"
+            )
         return cls(
             y={pid: np.zeros(market.scenario_count) for pid in market.participant_ids},
             x=np.zeros((market.scenario_count, market.network.bus_count)),
@@ -173,15 +175,27 @@ def validate_trade(trade: Trade, state: TradingState, market: Market) -> list[st
     for s, r in enumerate(sums):
         if abs(r) > BALANCE_TOL:
             problems.append(f"balance: scenario {s} sums to {r:.3e}")
-    for pid in trade.group:
-        p = market.participant(pid)
-        target = state.y[pid] + trade.plans[pid]
-        if not local_feasible(p, target):
-            kind = "non-anticipation" if (
-                p.timing == "DA" and np.ptp(target) > LOCAL_TOL
-            ) else "bounds"
-            problems.append(f"local: {pid} violates {kind}")
+    rows, y, d = _members(trade, state, market)
+    outside, spread = market.table.local_violations(rows, y + d)
+    ids = list(trade.plans)
+    for i in np.flatnonzero(d.any(axis=1) & (outside.any(axis=1) | spread)):
+        problems.append(f"local: {ids[i]} violates {'non-anticipation' if spread[i] else 'bounds'}")
     return problems
+
+
+def _members(trade: Trade, state: TradingState, market: Market) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The trade's ``market.table`` rows, in id order, and their ``(G, S)`` plans and increments."""
+    shape = (len(trade.plans), market.scenario_count)
+    rows = np.array([market.table.index[pid] for pid in trade.plans], dtype=int)
+    y = np.array([state.y[pid] for pid in trade.plans], dtype=float).reshape(shape)
+    d = np.array(list(trade.plans.values()), dtype=float).reshape(shape)
+    return rows, y, d
+
+
+def _utility_change(table: UtilityTable, rows, before: np.ndarray, after: np.ndarray, weights) -> float:
+    """Weighted utility change of table ``rows`` from plans ``before`` to ``after``, ``(G, S)`` each."""
+    u = table.value(rows, np.stack([before, after], axis=-1))
+    return float(np.sum(weights * (u[..., 1] - u[..., 0])))
 
 
 def is_worthy(
@@ -194,41 +208,35 @@ def is_worthy(
 
     Each member values the change with their own probabilities, so a trade
     can be worthwhile to heterogeneous believers.  The trade must have
-    passed :func:`validate_trade`: out-of-bounds plans raise ``ValueError``.
+    passed :func:`validate_trade`; no bounds are checked here.
     """
-    delta = 0.0
-    for pid in trade.group:
-        p = market.participant(pid)
-        w = p.weights(market.scenarios)
-        before = evaluate_utility(p, state.y[pid], w)
-        after = evaluate_utility(p, state.y[pid] + trade.plans[pid], w)
-        delta += after - before
+    rows, y, d = _members(trade, state, market)
+    delta = _utility_change(market.table, rows, y, y + d, market.table.weights[rows])
     return delta >= epsilon, delta
 
 
-def _normalize(trade: Trade, market: Market) -> Trade:
-    """Snap solver round-off: exact non-anticipation, then exact balance.
+def _normalize(d: np.ndarray, day_ahead: np.ndarray) -> np.ndarray:
+    """Snap solver round-off in ``(G, S)`` increments: exact non-anticipation, then exact balance.
 
     Each scenario's balance residual goes to the group's largest real-time
     plan in that scenario, or to its largest plan when every member is
-    day-ahead.  Residuals are already within the validation tolerances;
-    this keeps them from compounding across hundreds of accepted steps.
+    day-ahead; of equal plans, the later row (rows are in id order).
+    Residuals are already within the validation tolerances; this keeps them
+    from compounding across hundreds of accepted steps.
     """
-    plans = {pid: np.array(arr) for pid, arr in trade.plans.items()}
-    for pid in list(plans):
-        p = market.participant(pid)
-        if p.timing == "DA" and plans[pid].size > 1 and np.ptp(plans[pid]) != 0.0:
-            plans[pid][:] = math.fsum(plans[pid]) / plans[pid].size
-    group = [pid for pid in plans if np.any(plans[pid] != 0.0)]
+    d = d.copy()
+    for i in np.flatnonzero(day_ahead & (np.ptp(d, axis=1) != 0.0)):
+        d[i] = math.fsum(d[i]) / d.shape[1]
+    live = d.any(axis=1)
     # An all-day-ahead group's plans are now constant, so every scenario
     # moves the same member by the same amount and the plans stay constant.
-    targets = [pid for pid in group if market.participant(pid).timing == "RT"] or group
-    for s in range(market.scenario_count):
-        residual = math.fsum(plans[pid][s] for pid in group)
+    targets = np.flatnonzero(live & ~day_ahead)
+    targets = (targets if targets.size else np.flatnonzero(live))[::-1]
+    for s in range(d.shape[1]):
+        residual = math.fsum(d[:, s])
         if residual != 0.0:
-            target = max(targets, key=lambda pid: (abs(plans[pid][s]), pid))
-            plans[target][s] -= residual
-    return Trade(plans)
+            d[targets[np.argmax(np.abs(d[targets, s]))], s] -= residual
+    return d
 
 
 def announce(state: TradingState, lm: LoadingMatrix) -> np.ndarray:
@@ -260,7 +268,10 @@ def so_step(
     if not reasons and not is_worthy(trade, state, config.epsilon, market)[0]:
         reasons = ["not epsilon-worthy"]
     if not reasons:
-        trade = _normalize(trade, market)
+        rows, y_group, d = _members(trade, state, market)
+        day_ahead = market.table.day_ahead[rows]
+        d = _normalize(d, day_ahead)
+        trade = Trade(dict(zip(trade.plans, d)))
     try:
         q = market.aggregate_nodal(trade.plans)
     except ValueError:  # a plan of the wrong length, already a rejection
@@ -269,9 +280,7 @@ def so_step(
         reasons = ["direction: increases loading on a binding line"]
     per_scenario = False
     if not reasons:
-        per_scenario = config.curtailment_mode == "hybrid" and not any(
-            market.participant(pid).timing == "DA" for pid in trade.group
-        )
+        per_scenario = config.curtailment_mode == "hybrid" and not day_ahead[d.any(axis=1)].any()
         if per_scenario:
             factors = curtailment_factors(lm, state.x, q)
         else:
@@ -281,18 +290,15 @@ def so_step(
 
     y, x, gamma, delta = state.y, state.x, 0.0, 0.0
     if not reasons:
+        after = y_group + factors * d
         y = dict(state.y)
-        for pid, plan in trade.plans.items():
-            y[pid] = state.y[pid] + factors * plan
+        y.update(zip(trade.plans, after))
         x = state.x + factors[:, None] * q
         report = check_feasible(lm, x)
         if not report.ok:
             raise InfeasibleStateError(f"post-step state infeasible: {report}")
         gamma = float(factors.min())
-        w = market.scenarios.as_array()
-        for pid in trade.group:
-            p = market.participant(pid)
-            delta += evaluate_utility(p, y[pid], w) - evaluate_utility(p, state.y[pid], w)
+        delta = _utility_change(market.table, rows, y_group, after, market.scenarios.as_array())
     record = TradeRecord(
         step=len(state.records),
         trade=trade,

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,8 +11,8 @@ from gridtrade.participants import (
     Participant,
     ScenarioSet,
     UtilityFunction,
+    UtilityTable,
     evaluate_utility,
-    local_feasible,
     scan_maximum,
 )
 
@@ -65,9 +67,9 @@ class TestUtilityFunction:
 
     def test_constants_are_computed_on_first_use(self):
         u = UtilityFunction((-10.0, 0.0, 10.0), (5.0, 2.0))
-        assert not {"_values", "_rates", "_segments"} & set(vars(u))
+        assert "_segments" not in vars(u)
         u.value(1.0)
-        assert {"_values", "_rates"} <= set(vars(u))
+        assert "_segments" in vars(u)
 
     def test_segments_are_cached_read_only_arrays(self):
         u = UtilityFunction((-10.0, 0.0, 10.0), (5.0, 2.0))
@@ -80,19 +82,43 @@ class TestUtilityFunction:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
 
+    @pytest.mark.parametrize("breakpoints, slopes, intercepts", [
+        # Values -11, -2, 4, 2, -6 at the breakpoints, with 0 inside the second segment.
+        ((-4.0, -1.0, 2.0, 6.0, 8.0), (3.0, 2.0, -0.5, -4.0), (1.0, 0.0, 5.0, 26.0)),
+        # Values 10, 6, 0, with 0 at the domain's upper end.
+        ((-6.0, -2.0, 0.0), (-1.0, -3.0), (4.0, 0.0)),
+    ], ids=["zero-inside", "zero-at-upper-end"])
+    def test_segments_of_a_multi_segment_function(self, breakpoints, slopes, intercepts):
+        m, a = UtilityFunction(breakpoints, slopes).segments()
+        assert m.tolist() == list(slopes) and a.tolist() == list(intercepts)
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_value_matches_interpolation_bit_for_bit(self, data):
+    def test_value_matches_table_and_exact_interpolation(self, data):
         lo = data.draw(st.floats(-1e3, 0.0))
         hi = data.draw(st.floats(0.0, 1e3))
         assume(lo < hi)
         inner = data.draw(st.lists(st.floats(lo, hi), max_size=4))
         bps = tuple(sorted({lo, hi, *inner}))
-        slopes = data.draw(st.lists(st.floats(-100.0, 100.0), min_size=len(bps) - 1,
-                                    max_size=len(bps) - 1))
-        u = UtilityFunction(bps, tuple(sorted(slopes, reverse=True)))
-        for p in (*bps, 0.0, lo - 1e-9, hi + 1e-9):
-            assert u.value(p) == UtilityFunction._interp(u.breakpoints, u._values, p)
+        slopes = tuple(sorted(data.draw(st.lists(st.floats(-100.0, 100.0), min_size=len(bps) - 1,
+                                                 max_size=len(bps) - 1)), reverse=True))
+        u = UtilityFunction(bps, slopes)
+        table = UtilityTable.of((Participant("P", 0, "producer", "RT", ((0.0, 0.0),), (u,)),), ScenarioSet((1.0,)))
+        points = (*bps, 0.0, lo - 1e-9, hi + 1e-9, *data.draw(st.lists(st.floats(lo, hi), max_size=5)))
+        expected = table.value(0, np.array([points]))[0]
+        # Exact values at the breakpoints, anchored at zero; outside the domain the end segments extend.
+        values = [Fraction(0)]
+        for j, m in enumerate(slopes):
+            values.append(values[-1] + Fraction(m) * (Fraction(bps[j + 1]) - Fraction(bps[j])))
+
+        def exact(p):
+            j = min(max(sum(b <= p for b in bps[1:-1]), 0), len(slopes) - 1)
+            return values[j] + Fraction(slopes[j]) * (Fraction(p) - Fraction(bps[j]))
+
+        scale = 1.0 + max(map(abs, slopes)) * max(abs(lo), hi)
+        for p, table_value in zip(points, expected):
+            assert u.value(p) == table_value
+            assert abs(Fraction(u.value(p)) - (exact(p) - exact(0.0))) <= 1e-14 * len(bps) * scale
         for p in (np.nextafter(lo - 1e-9, -np.inf), np.nextafter(hi + 1e-9, np.inf)):
             with pytest.raises(ValueError, match="outside utility domain"):
                 u.value(p)
@@ -205,6 +231,27 @@ class TestUtilityTable:
                 checked += expected.size
         assert checked > 10_000
 
+    def test_padding_repeats_each_functions_last_entry(self):
+        # One, two and three segments mixed within rows and within scenarios.
+        one = UtilityFunction.constant_marginal(-5.0, 0.0, 50.0)
+        two = UtilityFunction((0.0, 20.0, 50.0), (-1.0, -4.0))
+        three = UtilityFunction((-30.0, -20.0, -5.0, 0.0), (60.0, 10.0, 1.0))
+        participants = (
+            Participant("a", 0, "producer", "RT", ((0.0, 50.0),) * 3, (one, two, one)),
+            Participant("b", 0, "load", "DA", ((-5.0, 0.0),) * 3, (three, three, three)),
+            Participant("c", 0, "producer", "RT", ((0.0, 50.0),) * 3, (two, one, two)),
+        )
+        table = UtilityTable.of(participants, ScenarioSet((0.5, 0.25, 0.25)))
+        assert table.slopes.shape == table.intercepts.shape == table.real.shape == (3, 3, 3)
+        assert table.breakpoints.shape == (3, 3, 4)
+        for i, p in enumerate(participants):
+            for s, u in enumerate(p.utility):
+                m, a = u.segments()
+                pad = (0, 3 - m.size)
+                assert table.slopes[i, s].tolist() == np.pad(m, pad, mode="edge").tolist()
+                assert table.intercepts[i, s].tolist() == np.pad(a, pad, mode="edge").tolist()
+                assert table.breakpoints[i, s].tolist() == np.pad(u.breakpoints, pad, mode="edge").tolist()
+                assert table.real[i, s].tolist() == [k < m.size for k in range(3)]
 
     def test_value_of_many_rows_matches_each_row(self):
         for market in fleet_markets()[:10]:
@@ -260,6 +307,12 @@ class TestMarginalUtility:
         assert left == right == -1000.0
 
 
+def local_feasible(participant, plan) -> bool:
+    """``UtilityTable.local_violations`` for one participant's plan over ``SCENARIOS``."""
+    outside, spread = UtilityTable.of((participant,), SCENARIOS).local_violations([0], np.array([plan]))
+    return not outside.any() and not spread.any()
+
+
 class TestLocalFeasible:
     def test_da_plan_within_bounds(self):
         assert local_feasible(g1(), np.array([50.0, 50.0]))
@@ -272,6 +325,19 @@ class TestLocalFeasible:
 
     def test_bounds_respected_per_scenario(self):
         assert not local_feasible(g2(), np.array([100.0, 60.0]))
+
+    def test_nan_is_outside(self):
+        outside, spread = UtilityTable.of((g2(),), SCENARIOS).local_violations([0], np.array([[np.nan, 50.0]]))
+        assert outside.tolist() == [[True, False]] and spread.tolist() == [False]
+
+    def test_each_kind_reported_separately(self):
+        # Rows: a varying DA plan within bounds, an RT plan past its bound by more than LOCAL_TOL in
+        # scenario 1, and a DA plan both varying and out of bounds.  LOCAL_TOL itself is allowed.
+        table = UtilityTable.of((g1(), g2()), SCENARIOS)
+        plans = np.array([[50.0, 40.0], [100.0 + 1e-9, 50.0 + 1e-8], [250.0, 0.0]])
+        outside, spread = table.local_violations([0, 1, 0], plans)
+        assert outside.tolist() == [[False, False], [False, True], [True, False]]
+        assert spread.tolist() == [True, False, True]
 
 
 class TestParticipantValidation:
@@ -303,6 +369,15 @@ class TestParticipantValidation:
                 (UtilityFunction((0.0, 10.0), (-1.0,)),) * 2,
                 subjective_probabilities=(np.nan, 1.0),
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_bounds_rejected(self, side, bad):
+        bounds = [0.0, 10.0]
+        bounds[side] = bad
+        with pytest.raises(ValueError, match="g: bounds must be finite"):
+            Participant("g", 0, "producer", "RT", (tuple(bounds), (0.0, 10.0)),
+                        (UtilityFunction((0.0, 10.0), (-1.0,)),) * 2)
 
     def test_utility_domain_covers_bounds(self):
         with pytest.raises(ValueError, match="domain"):

@@ -22,7 +22,7 @@ from gridtrade.trading import (
     validate_trade,
 )
 
-from conftest import assert_plans_close
+from conftest import assert_plans_close, fleet_markets, medium_full_markets
 
 
 @pytest.fixture(scope="module")
@@ -200,30 +200,54 @@ class TestSoStep:
         assert after.records == (record,)
 
 
+def normalize(plans, market):
+    """``trading._normalize`` on the ``(G, S)`` stack of ``plans``, rows in id order; returned by id."""
+    ids = sorted(plans)
+    day_ahead = market.table.day_ahead[[market.table.index[pid] for pid in ids]]
+    return dict(zip(ids, trading._normalize(np.array([plans[pid] for pid in ids]), day_ahead)))
+
+
 class TestNormalize:
     def test_day_ahead_spread_snaps_to_its_exact_mean(self, market):
         spread = np.array([10.0, 10.0 + 2e-12])
-        trade = Trade({"G1": spread, "G2": np.array([5.0, 5.0]), "L": np.array([-15.0, -15.0])})
-        out = trading._normalize(trade, market).plans["G1"]
+        out = normalize({"G1": spread, "G2": np.array([5.0, 5.0]), "L": np.array([-15.0, -15.0])}, market)["G1"]
         np.testing.assert_array_equal(out, np.full(2, math.fsum(spread) / 2))
 
     def test_residual_lands_on_largest_real_time_member_per_scenario(self, market):
         plans = {"G2": np.array([5.0, 1.0]), "G3": np.array([1.0, 5.0]),
                  "L": np.full(2, -6.000000001)}
-        out = trading._normalize(Trade(plans), market).plans
+        out = normalize(plans, market)
         residual = [math.fsum(plan[s] for plan in plans.values()) for s in range(2)]
         assert residual[0] != 0.0 and residual[1] != 0.0
         np.testing.assert_array_equal(out["G2"], [5.0 - residual[0], 1.0])
         np.testing.assert_array_equal(out["G3"], [1.0, 5.0 - residual[1]])
         np.testing.assert_array_equal(out["L"], plans["L"])
 
+    def test_equal_plans_send_the_residual_to_the_later_id(self, market):
+        plans = {"G3": np.full(2, 5.0), "G2": np.full(2, 5.0), "L": np.full(2, -10.000000001)}
+        out = normalize(plans, market)
+        residual = [math.fsum(plan[s] for plan in plans.values()) for s in range(2)]
+        np.testing.assert_array_equal(out["G2"], plans["G2"])
+        np.testing.assert_array_equal(out["G3"], plans["G3"] - residual)
+
     def test_all_day_ahead_residual_lands_on_largest_member_and_stays_constant(self, market):
         plans = {"G1": np.full(2, 7.0), "L": np.full(2, -6.9999999999)}
-        out = trading._normalize(Trade(plans), market).plans
+        out = normalize(plans, market)
         residual = math.fsum([7.0, -6.9999999999])
         assert residual != 0.0
         np.testing.assert_array_equal(out["G1"], np.full(2, 7.0 - residual))
         np.testing.assert_array_equal(out["L"], plans["L"])
+
+
+class TestWelfareDeltas:
+    @pytest.mark.parametrize("markets", [fleet_markets, medium_full_markets], ids=["fleet", "medium_full"])
+    def test_accepted_deltas_sum_to_final_welfare(self, markets):
+        # Every utility is zero at the initial state, so the accepted steps' deltas telescope.
+        for market in markets():
+            lm = build_loading_matrix(market.network)
+            result = run_trading(market, EngineConfig(epsilon=1e-3), make_proposer(ProposerStrategy(), lm), lm)
+            total = math.fsum(r.welfare_delta for r in result.state.records if r.accepted)
+            assert abs(total - result.final_welfare) <= 1e-12 * (1.0 + abs(result.final_welfare))
 
 
 class TestAnnounce:
