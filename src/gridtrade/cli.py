@@ -6,14 +6,11 @@ Exit codes: 0 success, 1 equilibrium verdict false, 2 input error,
 Files, flags and vectors are parsed by ``market_io``; any problem with them
 raises ``MarketFormatError``, which ``main`` alone reports as
 ``input error: <field>: <reason>`` with exit 2.
-Set GRIDTRADE_LOG to a logging level name for progress output.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 import time
 from dataclasses import replace
@@ -25,18 +22,11 @@ from .network import build_loading_matrix
 from .proposer import make_proposer
 from .trading import InfeasibleStateError, TradingState, run_trading
 
-log = logging.getLogger("gridtrade")
-
 EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_INTERNAL = 4
-
-
-def _configure_logging() -> None:
-    level = os.environ.get("GRIDTRADE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(message)s")
 
 
 _PROPOSER_MODES = {"full": "full_group", "exhaustive": "exhaustive_subsets", "random": "random_subsets"}
@@ -91,7 +81,7 @@ def cmd_run(args) -> int:
     (out_dir / "report.json").write_text(market_io.dumps(report) + "\n")
     print(market_io.dumps(report))
     if not result.converged:
-        log.warning("did not certify termination within %d steps", spec.engine.max_steps)
+        print(f"did not certify termination within {spec.engine.max_steps} steps", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -304,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

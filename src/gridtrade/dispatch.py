@@ -20,6 +20,7 @@ table, which also values the plans they are compared with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -204,9 +205,7 @@ def lmp_from_marginals(
     (fall back to the dispatch duals).  The quote is weighted with the
     participant's own probabilities, as the balance duals are.
     """
-    for p in market.at_bus(n):
-        if p.timing != "RT":
-            continue
+    for p in compress(market.participants, (market.table.bus == n) & ~market.table.day_ahead):
         val = float(np.asarray(plans[p.id])[s])
         lo, hi = p.bounds[s]
         if not (lo + _INTERIOR_TOL < val < hi - _INTERIOR_TOL):

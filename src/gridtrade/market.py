@@ -34,7 +34,6 @@ class Market:
                 raise ValueError(f"{p.id}: bus {p.bus} out of range")
             if p.scenario_count != self.scenarios.count:
                 raise ValueError(f"{p.id}: expected {self.scenarios.count} scenarios")
-        object.__setattr__(self, "_by_id", {p.id: p for p in self.participants})
 
     @property
     def scenario_count(self) -> int:
@@ -49,24 +48,11 @@ class Market:
     def participant_ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.participants)
 
-    def participant(self, pid: str) -> Participant:
-        try:
-            return self._by_id[pid]
-        except KeyError:
-            raise KeyError(f"unknown participant id {pid!r}") from None
-
-    def at_bus(self, bus: int) -> tuple[Participant, ...]:
-        return tuple(p for p in self.participants if p.bus == bus)
-
     def aggregate_nodal(self, plans: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Per-scenario nodal injections (S, N) implied by participant plans."""
+        """Per-scenario nodal injections (S, N): each plan added at its participant's bus, in order."""
+        rows, stacked = self.table.stack(plans)
         x = np.zeros((self.scenario_count, self.network.bus_count))
-        for pid, plan in plans.items():
-            bus = self.participant(pid).bus
-            plan = np.asarray(plan, dtype=float)
-            if plan.shape != (self.scenario_count,):
-                raise ValueError(f"{pid}: plan must cover {self.scenario_count} scenarios")
-            x[:, bus] += plan
+        np.add.at(x.T, self.table.bus[rows], stacked)
         return x
 
     def total_utility(self, plans: dict[str, np.ndarray], subjective: bool = False) -> float:

@@ -231,6 +231,11 @@ def _settings(section: Any, path: str, keys: dict, cls: type) -> Any:
         raise MarketFormatError(path, str(exc)) from exc
 
 
+def _fields(settings: Any, keys: dict) -> dict:
+    """``settings`` keyed as :func:`_settings` reads them, leaving out ``None`` fields."""
+    return {key: getattr(settings, f) for key, (f, _) in keys.items() if getattr(settings, f) is not None}
+
+
 def parse_market(doc: Any) -> RunSpec:
     if not isinstance(doc, dict):
         raise MarketFormatError("$", "top level must be a JSON object")
@@ -343,21 +348,12 @@ def market_to_jsonable(spec_or_market: "RunSpec | Market") -> dict:
         "scenarios": {"probabilities": list(market.scenarios.probabilities)},
         "participants": [],
         "engine": {
-            "epsilon": engine.epsilon,
-            "curtailment": engine.curtailment_mode,
-            "max_steps": engine.max_steps,
-            "seed": engine.seed,
-            "proposer": {
-                "mode": strategy.mode,
-                "max_size": strategy.max_size,
-                "attempts": strategy.attempts,
-            },
+            **_fields(engine, _ENGINE_KEYS),
+            "proposer": _fields(strategy, _PROPOSER_KEYS),
         },
     }
     if net.scenario_capacities is not None:
         doc["network"]["scenario_capacities"] = [list(row) for row in net.scenario_capacities]
-    if strategy.seed is not None:
-        doc["engine"]["proposer"]["seed"] = strategy.seed
     if market.scenarios.names is not None:
         doc["scenarios"]["names"] = list(market.scenarios.names)
     for p in market.participants:

@@ -25,6 +25,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -137,7 +138,11 @@ class UtilityFunction:
             raise ValueError(f"injection {p} outside utility domain [{lo}, {hi}]")
 
     def value(self, p: float) -> float:
-        """``min_k(a_k + m_k p)`` over :meth:`segments`, as :meth:`UtilityTable.value` computes it."""
+        """``min_k(a_k + m_k p)`` over :meth:`segments`, bit for bit what :meth:`UtilityTable.value` computes.
+
+        Both take the least of the same terms, and no term is ``-0.0`` (no
+        intercept is), so the order of the minimum cannot pick a zero's sign.
+        """
         p = float(p)
         self._check_domain(p)
         m, a = self._segments
@@ -306,10 +311,36 @@ class UtilityTable:
             real=(np.arange(k) < count[:, None]).reshape(*shape, k),
         )
 
+    def rows(self, ids: Iterable[str]) -> np.ndarray:
+        """The table rows of participant ``ids``, in their order; an unknown id raises ``KeyError``."""
+        try:
+            return np.array([self.index[pid] for pid in ids], dtype=int)
+        except KeyError as exc:
+            raise KeyError(f"unknown participant id {exc.args[0]!r}") from None
+
+    def stack(self, plans: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of ``plans``' ids and their ``(G, S)`` plans, in order; a plan not of ``S`` entries raises."""
+        rows = self.rows(plans)
+        shape = (rows.size, self.lower.shape[1])
+        try:
+            stacked = np.array(list(plans.values()), dtype=float)
+        except ValueError:  # plans of unequal shapes
+            stacked = np.empty(0)
+        if stacked.shape != shape:
+            for pid, plan in plans.items():
+                if np.shape(plan) != shape[1:]:
+                    raise ValueError(f"{pid}: plan must cover {shape[1]} scenarios")
+            stacked = stacked.reshape(shape)  # no plans: (0,) to (0, S)
+        return rows, stacked
+
     def value(self, rows, plans: np.ndarray) -> np.ndarray:
         """Utility of ``rows`` (one index or an index array) at ``plans`` of shape ``(..., S, C)``."""
         a, m = self.intercepts[rows][..., None, :], self.slopes[rows][..., None, :]
-        return np.min(a + m * plans[..., None], axis=-1)
+        # A fold over k: np.min over the short K axis is several times slower.
+        v = a[..., 0] + m[..., 0] * plans
+        for k in range(1, a.shape[-1]):
+            v = np.minimum(v, a[..., k] + m[..., k] * plans)
+        return v
 
     def local_violations(self, rows, plans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where the ``(G, S)`` plans of ``rows`` break local feasibility by more than ``LOCAL_TOL`` MW.

@@ -96,8 +96,7 @@ def find_worthy_fd_trade(
     """
     ids = sorted(set(group))
     table = market.table
-    members = [table.index[pid] for pid in ids]
-    y = np.array([state.y[pid] for pid in ids])
+    members, y = table.stack({pid: state.y[pid] for pid in ids})
     base_utility = float(np.sum(table.weights[members] * table.value(members, y[..., None])[..., 0]))
     program = welfare_program(market, members, y, lm, announcements, np.zeros(announcements.shape))
     # A plan may sit past its bound by round-off (within LOCAL_TOL); the

@@ -12,6 +12,7 @@ the feasibility predicate is monotone in the factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -45,6 +46,8 @@ class IntervalTrade:
         if set(lower) != set(upper):
             raise ValueError("lower and upper must cover the same participants")
         for pid in lower:
+            if not (math.isfinite(lower[pid]) and math.isfinite(upper[pid])):
+                raise ValueError(f"{pid}: bounds must be finite")
             if lower[pid] > upper[pid]:
                 raise ValueError(f"{pid}: lower bound above upper bound")
         object.__setattr__(self, "lower", lower)
@@ -94,13 +97,10 @@ def nodal_interval(trade: IntervalTrade, market: Market) -> tuple[np.ndarray, np
     is deliberately ignored, matching an operator that cannot observe how
     the members' local conditions correlate.
     """
-    n = market.network.bus_count
-    q_lo = np.zeros(n)
-    q_hi = np.zeros(n)
-    for pid in trade.participant_ids:
-        bus = market.participant(pid).bus
-        q_lo[bus] += trade.lower[pid]
-        q_hi[bus] += trade.upper[pid]
+    bus = market.table.bus[market.table.rows(trade.participant_ids)]
+    q_lo, q_hi = np.zeros(market.network.bus_count), np.zeros(market.network.bus_count)
+    np.add.at(q_lo, bus, list(trade.lower.values()))
+    np.add.at(q_hi, bus, list(trade.upper.values()))
     return q_lo, q_hi
 
 

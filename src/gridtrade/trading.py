@@ -185,10 +185,8 @@ def validate_trade(trade: Trade, state: TradingState, market: Market) -> list[st
 
 def _members(trade: Trade, state: TradingState, market: Market) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The trade's ``market.table`` rows, in id order, and their ``(G, S)`` plans and increments."""
-    shape = (len(trade.plans), market.scenario_count)
-    rows = np.array([market.table.index[pid] for pid in trade.plans], dtype=int)
-    y = np.array([state.y[pid] for pid in trade.plans], dtype=float).reshape(shape)
-    d = np.array(list(trade.plans.values()), dtype=float).reshape(shape)
+    rows, d = market.table.stack(trade.plans)
+    y = np.array([state.y[pid] for pid in trade.plans], dtype=float).reshape(d.shape)
     return rows, y, d
 
 

@@ -75,11 +75,12 @@ class TestRun:
         assert json.loads(stdout)["steps"] == 0
 
     def test_non_convergence_exit_code(self, capsys, tmp_path):
-        code, _, _ = run_cli(
+        code, _, stderr = run_cli(
             capsys, "run", MARKET_FILE, "--out", str(tmp_path / "o"), "--max-steps", "1",
             "--skip-oracle",
         )
         assert code == 3
+        assert stderr == "did not certify termination within 1 steps\n"
 
     def test_infeasible_post_step_state_is_numerical_failure(self, capsys, tmp_path, monkeypatch):
         overloaded = ViolationReport(((0, 0, 1.0),), (0.0, 0.0))

@@ -106,6 +106,27 @@ class TestPriceDiscovery:
             two_bus_dispatch.lambda_, [[18.0, 48.0], [32.0, 32.0]], atol=1e-6
         )
 
+    def test_quotes_match_the_per_participant_scan(self, two_bus):
+        # The reference walks the roster for each bus, as the quote did before it read the table.
+        def reference(market, plans, n, s):
+            for p in market.participants:
+                if p.bus != n or p.timing != "RT":
+                    continue
+                val, (lo, hi) = float(plans[p.id][s]), p.bounds[s]
+                if lo + 1e-7 < val < hi - 1e-7 and all(abs(val - b) > 1e-7 for b in p.utility[s].breakpoints):
+                    return -float(p.weights(market.scenarios)[s]) * p.utility[s].marginals(val)[0]
+            return None
+
+        quoted = 0
+        for market in [two_bus, *fleet_markets()]:
+            plans = solve_dispatch(market).plans
+            for n in range(market.network.bus_count):
+                for s in range(market.scenario_count):
+                    quote = lmp_from_marginals(market, plans, n, s)
+                    assert quote == reference(market, plans, n, s)
+                    quoted += quote is not None
+        assert quoted > 50
+
     def test_quote_uses_the_participants_own_weights(self):
         # An interior seller with subjective beliefs quotes at its believed
         # marginal cost, and the benchmark's duals agree.

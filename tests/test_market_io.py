@@ -48,6 +48,15 @@ class TestRoundTrip:
             assert getattr(again, field.name) == getattr(spec, field.name), field.name
         assert again.market.network.scenario_capacities == ((120.0,), (60.0,))
 
+    def test_engine_sections_in_file_key_order(self):
+        doc = json.loads(dumps(market_to_jsonable(two_bus_market())))
+        assert list(doc["engine"].items()) == [
+            ("epsilon", 1e-3), ("curtailment", "uniform"), ("max_steps", 500), ("seed", 0),
+            ("proposer", {"mode": "full_group", "max_size": 2, "attempts": 20}),
+        ]
+        spec = RunSpec(two_bus_market(), EngineConfig(), ProposerStrategy(seed=4))
+        assert list(market_to_jsonable(spec)["engine"]["proposer"].items())[-1] == ("seed", 4)
+
     def test_bus_indices_are_one_based_in_files(self):
         doc = base_doc()
         assert doc["network"]["lines"][0]["from"] == 1
@@ -175,7 +184,8 @@ class TestExtensions:
         doc = base_doc()
         doc["participants"][2]["subjective_probabilities"] = [0.3, 0.7]
         spec = parse_market(doc)
-        assert spec.market.participant("G3").subjective_probabilities == (0.3, 0.7)
+        assert spec.market.participants[2].id == "G3"
+        assert spec.market.participants[2].subjective_probabilities == (0.3, 0.7)
         again = market_to_jsonable(RunSpec(spec.market, spec.engine, spec.strategy))
         assert again["participants"][2]["subjective_probabilities"] == [0.3, 0.7]
 

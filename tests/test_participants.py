@@ -117,7 +117,7 @@ class TestUtilityFunction:
 
         scale = 1.0 + max(map(abs, slopes)) * max(abs(lo), hi)
         for p, table_value in zip(points, expected):
-            assert u.value(p) == table_value
+            assert np.float64(u.value(p)).tobytes() == table_value.tobytes()  # a zero's sign too
             assert abs(Fraction(u.value(p)) - (exact(p) - exact(0.0))) <= 1e-14 * len(bps) * scale
         for p in (np.nextafter(lo - 1e-9, -np.inf), np.nextafter(hi + 1e-9, np.inf)):
             with pytest.raises(ValueError, match="outside utility domain"):
@@ -252,6 +252,27 @@ class TestUtilityTable:
                 assert table.intercepts[i, s].tolist() == np.pad(a, pad, mode="edge").tolist()
                 assert table.breakpoints[i, s].tolist() == np.pad(u.breakpoints, pad, mode="edge").tolist()
                 assert table.real[i, s].tolist() == [k < m.size for k in range(3)]
+
+    def test_stack_keeps_the_mapping_order(self):
+        table = two_bus_market().table
+        rows, plans = table.stack({"L": [-5.0, -6.0], "G1": np.array([5.0, 6.0])})
+        assert rows.tolist() == [3, 0] and plans.tolist() == [[-5.0, -6.0], [5.0, 6.0]]
+        rows, plans = table.stack({})
+        assert rows.shape == (0,) and plans.shape == (0, 2)
+
+    def test_stack_rejects_an_unknown_id(self):
+        with pytest.raises(KeyError, match="unknown participant id 'G9'"):
+            two_bus_market().table.stack({"G1": [1.0, 1.0], "G9": [-1.0, -1.0]})
+
+    @pytest.mark.parametrize("plans", [
+        {"G1": [1.0, 1.0], "G2": [1.0]},
+        {"G1": [1.0, 1.0], "G2": [1.0, 1.0, 1.0]},
+        {"G2": 1.0, "G1": 1.0},
+        {"G2": [[1.0, 1.0]], "G1": [[1.0, 1.0]]},  # as many entries as (2, 2), not one per scenario
+    ])
+    def test_stack_rejects_a_plan_of_the_wrong_length(self, plans):
+        with pytest.raises(ValueError, match="G2: plan must cover 2 scenarios"):
+            two_bus_market().table.stack(plans)
 
     def test_value_of_many_rows_matches_each_row(self):
         for market in fleet_markets()[:10]:

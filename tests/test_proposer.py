@@ -273,7 +273,7 @@ class PairChecker:
             if bound is None:  # bounds crossed by round-off: the pair goes to the LP
                 continue
             assert abs(bound - optimum) <= 1e-9, (pair, bound, optimum)
-            members = [market.participant(pid) for pid in pair]
+            members = [market.participants[i] for i in market.table.rows(pair)]
             buses = [p.bus for p in members]
             self.seen["day_ahead"] += any(p.timing == "DA" for p in members)
             self.seen["same_bus"] += buses[0] == buses[1] and rows.size > 0

@@ -18,6 +18,8 @@ from gridtrade.robust import (
     robust_curtailment_factor,
 )
 
+from conftest import fleet_markets
+
 
 @pytest.fixture(scope="module")
 def market():
@@ -51,6 +53,35 @@ class TestNodalInterval:
         lo, hi = nodal_interval(trade, market)
         np.testing.assert_allclose(lo, hi)
         np.testing.assert_allclose(lo, [70.0, -70.0])
+
+    def test_matches_the_per_member_loop_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        shared = 0
+        for market in fleet_markets()[:20]:
+            ids, bus = market.participant_ids, {p.id: p.bus for p in market.participants}
+            for _ in range(5):
+                members = [ids[i] for i in rng.choice(len(ids), size=int(rng.integers(1, len(ids) + 1)), replace=False)]
+                centre, width = rng.normal(0.0, 30.0, len(members)), rng.uniform(0.0, 10.0, len(members))
+                trade = IntervalTrade(dict(zip(members, centre - width)), dict(zip(members, centre + width)))
+                expected = np.zeros((2, market.network.bus_count))
+                for pid in trade.participant_ids:
+                    expected[:, bus[pid]] += (trade.lower[pid], trade.upper[pid])
+                lo, hi = nodal_interval(trade, market)
+                assert (lo.tobytes(), hi.tobytes()) == (expected[0].tobytes(), expected[1].tobytes())
+                shared += len({bus[pid] for pid in members}) < len(members)
+        assert shared > 20
+
+    def test_unknown_participant_rejected(self, market):
+        with pytest.raises(KeyError, match="unknown participant id 'nobody'"):
+            nodal_interval(IntervalTrade({"nobody": 0.0}, {"nobody": 1.0}), market)
+
+    @pytest.mark.parametrize("lower, upper", [
+        (np.nan, np.nan), (0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0), (np.inf, np.inf),
+    ])
+    def test_bounds_must_be_finite(self, lower, upper):
+        # A NaN bound passes the order check, so it would reach the state box.
+        with pytest.raises(ValueError, match="G2: bounds must be finite"):
+            IntervalTrade({"G2": lower, "L": -10.0}, {"G2": upper, "L": -5.0})
 
     def test_bounds_must_be_ordered(self):
         with pytest.raises(ValueError, match="lower"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gridtrade import trading, two_bus_market
+from gridtrade.dispatch import solve_dispatch
 from gridtrade.market import Market
 from gridtrade.market_io import write_trace
 from gridtrade.network import Line, Network, ViolationReport, build_loading_matrix, check_feasible
@@ -63,7 +64,32 @@ WRONG_LENGTH = [
 ]
 
 
+def per_plan_nodal(market, plans):
+    """The reference: each plan added at its participant's bus, one plan at a time, in order."""
+    bus = {p.id: p.bus for p in market.participants}
+    x = np.zeros((market.scenario_count, market.network.bus_count))
+    for pid, plan in plans.items():
+        x[:, bus[pid]] += plan
+    return x
+
+
 class TestNodalInjection:
+    def test_matches_the_per_plan_loop_bit_for_bit(self):
+        # Fleet dispatch plans, and random trades whose members come in
+        # random order and often share a bus.
+        rng = np.random.default_rng(17)
+        shared = 0
+        for market in fleet_markets():
+            ids = market.participant_ids
+            plans = [solve_dispatch(market).plans]
+            for _ in range(4):
+                members = rng.choice(len(ids), size=int(rng.integers(1, len(ids) + 1)), replace=False)
+                plans.append({ids[i]: rng.normal(0.0, 50.0, market.scenario_count) for i in members})
+                shared += len({market.participants[i].bus for i in members}) < members.size
+            for plan in plans:
+                assert market.aggregate_nodal(plan).tobytes() == per_plan_nodal(market, plan).tobytes()
+        assert shared > 50
+
     def test_two_bus_initial_trade(self, market, golden_plans):
         q = market.aggregate_nodal(table_one_trade(golden_plans).plans)
         np.testing.assert_allclose(q, [[150.0, -150.0], [100.0, -100.0]], atol=1e-12)
