@@ -65,7 +65,7 @@ def cmd_run(args) -> int:
     verdict = None
     if not args.skip_oracle:
         solution = dispatch_mod.solve_dispatch(spec.market, lm)
-        oracle_gap = dispatch_mod.welfare_gap(spec.market, dict(result.state.y), solution)
+        oracle_gap = dispatch_mod.welfare_gap(spec.market, result.state.y, solution)
         prices = solution.lambda_
         verdict = dispatch_mod.check_arrow_debreu(
             spec.market, solution.plans, solution.x, solution.lambda_, lm=lm
@@ -73,7 +73,7 @@ def cmd_run(args) -> int:
 
     with open(out_dir / "trace.jsonl", "w") as fp:
         market_io.write_trace(result.state.records, fp)
-    report = market_io.result_to_jsonable(result, spec.market, oracle_gap)
+    report = market_io.result_to_jsonable(result, oracle_gap)
     if prices is not None:
         report["prices"] = [list(row) for row in prices]
         report["equilibrium_verdict"] = verdict

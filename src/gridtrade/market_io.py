@@ -420,16 +420,15 @@ def write_trace(records, fp: IO[str]) -> None:
         fp.write("\n")
 
 
-def result_to_jsonable(result: TradingResult, market: Market, oracle_gap: float | None = None) -> dict:
-    state = result.state
+def result_to_jsonable(result: TradingResult, oracle_gap: float | None = None) -> dict:
     doc = {
         "steps": result.steps,
         "converged": result.converged,
         "certified_bound": result.certified_bound,
         "final_welfare": result.final_welfare,
         "final_state": {
-            "plans": {pid: list(state.y[pid]) for pid in market.participant_ids},
-            "injections": [list(row) for row in state.x],
+            "plans": {pid: list(plan) for pid, plan in result.state.y.items()},
+            "injections": [list(row) for row in result.state.x],
         },
     }
     if oracle_gap is not None:

@@ -165,6 +165,10 @@ class LoadingMatrix:
             raise ValueError("rows must be a (2L, N) matrix")
         if limits.shape != (rows.shape[0],):
             raise ValueError("limits must have one entry per row")
+        if not np.isfinite(rows).all():
+            raise ValueError("rows must be finite")
+        if not (limits > 0).all():  # NaN fails too; inf is no limit, as for Line
+            raise ValueError(f"limits must be positive, got {limits[~(limits > 0)][0]}")
         rows.setflags(write=False)
         limits.setflags(write=False)
         object.__setattr__(self, "rows", rows)
@@ -173,6 +177,8 @@ class LoadingMatrix:
             sl = np.asarray(self.scenario_limits, dtype=float)
             if sl.ndim != 2 or sl.shape[1] != rows.shape[0]:
                 raise ValueError("scenario_limits must have shape (S, 2L)")
+            if not (sl > 0).all():
+                raise ValueError(f"scenario_limits must be positive, got {sl[~(sl > 0)][0]}")
             sl.setflags(write=False)
             object.__setattr__(self, "scenario_limits", sl)
 

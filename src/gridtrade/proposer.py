@@ -38,7 +38,7 @@ from .dispatch import welfare_program
 from .market import Market
 from .network import LoadingMatrix, build_loading_matrix
 from .participants import UtilityTable, scan_maximum
-from .trading import Certificate, Trade, TradingState
+from .trading import Certificate, Trade, TradingState, require_integers
 
 __all__ = [
     "ProposerStrategy",
@@ -69,6 +69,9 @@ class ProposerStrategy:
     def __post_init__(self) -> None:
         if self.mode not in ("full_group", "exhaustive_subsets", "random_subsets"):
             raise ValueError(f"unknown proposer mode {self.mode!r}")
+        require_integers(self, "max_size", "attempts")
+        if self.seed is not None:
+            require_integers(self, "seed")
         if self.max_size < 2:
             raise ValueError("max_size must be >= 2")
         if self.attempts < 1:
@@ -96,7 +99,8 @@ def find_worthy_fd_trade(
     """
     ids = sorted(set(group))
     table = market.table
-    members, y = table.stack({pid: state.y[pid] for pid in ids})
+    members = table.rows(ids)
+    y = state.plans[members]
     base_utility = float(np.sum(table.weights[members] * table.value(members, y[..., None])[..., 0]))
     program = welfare_program(market, members, y, lm, announcements, np.zeros(announcements.shape))
     # A plan may sit past its bound by round-off (within LOCAL_TOL); the
@@ -127,9 +131,8 @@ def pair_bound(
     round-off, or exceeds it where announced rows with a coefficient
     within ``_COEF_TOL * max|H|`` of zero were dropped.
     """
-    a, b = pair
-    i, j = table.index[a], table.index[b]
-    ya, yb = state.y[a], state.y[b]
+    i, j = table.rows(pair)
+    ya, yb = state.plans[i], state.plans[j]
     lower = np.maximum(table.lower[i] - ya, yb - table.upper[j])
     upper = np.minimum(table.upper[i] - ya, yb - table.lower[j])
     scenario, rows = np.nonzero(announcements)

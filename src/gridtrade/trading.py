@@ -16,6 +16,7 @@ when ``max_steps`` is exhausted.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -96,11 +97,17 @@ class TradeRecord:
 
 @dataclass(frozen=True, eq=False)
 class TradingState:
-    """Accumulated participant plans and the implied network state."""
+    """Accumulated plans, read-only ``(P, S)`` in ``market.table`` row order, and the implied network state."""
 
-    y: Mapping[str, np.ndarray]
+    ids: tuple[str, ...]
+    plans: np.ndarray
     x: np.ndarray
     records: tuple[TradeRecord, ...] = ()
+
+    @property
+    def y(self) -> dict[str, np.ndarray]:
+        """The plans by participant id, in roster order: views of the rows of ``plans``."""
+        return dict(zip(self.ids, self.plans))
 
     @classmethod
     def initial(cls, market: Market) -> "TradingState":
@@ -112,10 +119,16 @@ class TradingState:
                 f"{market.participants[bad[0]].id}: zero injection is not locally feasible; "
                 "represent fixed obligations with elastic bounds and a value slope"
             )
-        return cls(
-            y={pid: np.zeros(market.scenario_count) for pid in market.participant_ids},
-            x=np.zeros((market.scenario_count, market.network.bus_count)),
-        )
+        zeros.setflags(write=False)
+        return cls(market.participant_ids, zeros, np.zeros((market.scenario_count, market.network.bus_count)))
+
+
+def require_integers(settings, *names: str) -> None:
+    """Raise ``ValueError`` for the first named field of ``settings`` that is a bool or not integral."""
+    for name in names:
+        value = getattr(settings, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +141,9 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_integers(self, "max_steps", "seed")
+        if isinstance(self.epsilon, (bool, np.bool_)):
+            raise ValueError(f"epsilon must be a number, got {self.epsilon!r}")
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.curtailment_mode not in ("uniform", "hybrid"):
@@ -156,9 +172,7 @@ class TradingResult:
 
 def validate_trade(trade: Trade, state: TradingState, market: Market) -> list[str]:
     """Empty list when acceptable, else one message per violation."""
-    for pid in trade.plans:
-        if pid not in state.y:
-            raise KeyError(f"unknown participant id {pid!r}")
+    market.table.rows(trade.plans)  # an unknown id raises KeyError before any shape check
     n_s = market.scenario_count
     problems = [
         f"shape: {pid} plan has {plan.size} entries, expected {n_s}"
@@ -177,17 +191,15 @@ def validate_trade(trade: Trade, state: TradingState, market: Market) -> list[st
             problems.append(f"balance: scenario {s} sums to {r:.3e}")
     rows, y, d = _members(trade, state, market)
     outside, spread = market.table.local_violations(rows, y + d)
-    ids = list(trade.plans)
     for i in np.flatnonzero(d.any(axis=1) & (outside.any(axis=1) | spread)):
-        problems.append(f"local: {ids[i]} violates {'non-anticipation' if spread[i] else 'bounds'}")
+        problems.append(f"local: {state.ids[rows[i]]} violates {'non-anticipation' if spread[i] else 'bounds'}")
     return problems
 
 
 def _members(trade: Trade, state: TradingState, market: Market) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The trade's ``market.table`` rows, in id order, and their ``(G, S)`` plans and increments."""
     rows, d = market.table.stack(trade.plans)
-    y = np.array([state.y[pid] for pid in trade.plans], dtype=float).reshape(d.shape)
-    return rows, y, d
+    return rows, state.plans[rows], d
 
 
 def _utility_change(table: UtilityTable, rows, before: np.ndarray, after: np.ndarray, weights) -> float:
@@ -237,9 +249,9 @@ def _normalize(d: np.ndarray, day_ahead: np.ndarray) -> np.ndarray:
     return d
 
 
-def announce(state: TradingState, lm: LoadingMatrix) -> np.ndarray:
-    """The operator's guidance: the read-only ``(S, 2L)`` mask of binding loading rows."""
-    mask = binding_mask(lm, state.x)
+def announce(x: np.ndarray, lm: LoadingMatrix) -> np.ndarray:
+    """The operator's guidance at injections ``x``: the read-only ``(S, 2L)`` mask of binding loading rows."""
+    mask = binding_mask(lm, x)
     mask.setflags(write=False)
     return mask
 
@@ -286,11 +298,12 @@ def so_step(
         if factors.min() <= 0.0:
             reasons = ["no headroom after ratio test"]
 
-    y, x, gamma, delta = state.y, state.x, 0.0, 0.0
+    plans, x, gamma, delta = state.plans, state.x, 0.0, 0.0
     if not reasons:
         after = y_group + factors * d
-        y = dict(state.y)
-        y.update(zip(trade.plans, after))
+        plans = state.plans.copy()
+        plans[rows] = after
+        plans.setflags(write=False)
         x = state.x + factors[:, None] * q
         report = check_feasible(lm, x)
         if not report.ok:
@@ -305,10 +318,10 @@ def so_step(
         reasons=tuple(reasons),
         nodal=q,
         welfare_delta=delta,
-        binding_after=announce(TradingState(y=y, x=x), lm),
+        binding_after=announce(x, lm),
         gamma_by_scenario=tuple(factors.tolist()) if per_scenario and not reasons else None,
     )
-    return record, TradingState(y=y, x=x, records=state.records + (record,))
+    return record, TradingState(state.ids, plans, x, state.records + (record,))
 
 
 def run_trading(
@@ -330,7 +343,7 @@ def run_trading(
     steps = 0
     while steps < config.max_steps:
         # Every record's announcement was taken on the state it leaves behind.
-        announcements = state.records[-1].binding_after if state.records else announce(state, lm)
+        announcements = state.records[-1].binding_after if state.records else announce(state.x, lm)
         proposal = proposer.propose(market, state, announcements, config.epsilon, rng)
         if isinstance(proposal, Certificate):
             converged = True
@@ -343,5 +356,5 @@ def run_trading(
         converged=converged,
         certified_bound=certified,
         steps=steps,
-        final_welfare=market.total_utility(dict(state.y)),
+        final_welfare=market.total_utility(state.y),
     )

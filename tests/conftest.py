@@ -6,6 +6,7 @@ import pytest
 
 from gridtrade import build_loading_matrix, solve_dispatch, two_bus_market
 from gridtrade.generators import random_market
+from gridtrade.trading import TradingState
 
 FLEET_SEED = 20240817
 FLEET_SIZE = 50
@@ -62,6 +63,13 @@ def golden_plans():
         "curtailed": {k: np.array(v) for k, v in TABLE_II.items()},
         "final": {k: np.array(v) for k, v in TABLE_III.items()},
     }
+
+
+def state_at(market, plans, x):
+    """A ``TradingState`` of id-keyed ``plans`` (participants not named at zero) and injections ``x``."""
+    zeros = np.zeros(market.scenario_count)
+    ids = market.participant_ids
+    return TradingState(ids, np.array([plans.get(pid, zeros) for pid in ids], dtype=float), x)
 
 
 def assert_plans_close(actual, expected, tol=1e-6):

@@ -58,6 +58,7 @@ class TestRun:
         assert report["oracle_gap"] <= 1e-6
         assert report["equilibrium_verdict"] is True
         final = report["final_state"]["plans"]
+        assert list(final) == ["G1", "G2", "G3", "L"]
         assert final["G1"] == [20.0, 20.0]
         assert final["G3"] == [30.0, 80.0]
         lines = (out / "trace.jsonl").read_text().splitlines()

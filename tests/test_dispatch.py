@@ -326,7 +326,7 @@ class TestWelfareProgramMatrixForms:
         result = run_trading(market, EngineConfig(max_steps=1), make_proposer(ProposerStrategy(), lm), lm)
         assert result.state.records[0].gamma < 1.0
         state = result.state
-        return lm, state, announce(state, lm)
+        return lm, state, announce(state.x, lm)
 
     @pytest.mark.parametrize("k", [None, 18])  # two-bus; a fleet market with DA participants
     def test_dense_and_sparse_agree(self, monkeypatch, k):

@@ -10,6 +10,7 @@ from gridtrade.market import Market
 from gridtrade.network import (
     DisconnectedNetworkError,
     Line,
+    LoadingMatrix,
     Network,
     binding_lines,
     binding_mask,
@@ -19,7 +20,7 @@ from gridtrade.network import (
     curtailment_factors,
     is_feasible_direction,
 )
-from gridtrade.trading import EngineConfig, TradingState, announce, run_trading
+from gridtrade.trading import EngineConfig, announce, run_trading
 
 
 def ptdf_via_pseudoinverse(network):
@@ -323,7 +324,7 @@ class TestScenarioLimits:
         expected = np.zeros((x.shape[0], lm.rows.shape[0]), dtype=bool)
         for s in range(x.shape[0]):
             expected[s, list(binding_lines(lm, x[s], scenario=s))] = True
-        np.testing.assert_array_equal(announce(TradingState(y={}, x=x), lm), expected)
+        np.testing.assert_array_equal(announce(x, lm), expected)
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_row_count_must_match_scenarios(self, rows):
@@ -342,6 +343,29 @@ class TestScenarioLimits:
             check_feasible(lm, x)
         with pytest.raises(ValueError, match=names):
             curtailment_factor(lm, x, x)
+
+
+class TestLoadingMatrixValidation:
+    @pytest.mark.parametrize("limit", [np.nan, 0.0, -5.0])
+    def test_limits_must_be_positive(self, limit):
+        lm = build_loading_matrix(two_bus_market().network)
+        with pytest.raises(ValueError, match="limits must be positive"):
+            LoadingMatrix(lm.rows, [limit, 120.0])
+        with pytest.raises(ValueError, match="scenario_limits must be positive"):
+            LoadingMatrix(lm.rows, lm.limits, [[120.0, 120.0], [120.0, limit]])
+        with pytest.raises(ValueError, match="scenario_limits must be positive"):
+            lm.with_scenario_capacities([[limit], [120.0]])
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rows_must_be_finite(self, entry):
+        with pytest.raises(ValueError, match="rows must be finite"):
+            LoadingMatrix([[1.0, entry], [-1.0, 0.0]], [120.0, 120.0])
+
+    def test_infinite_limits_and_zero_lines_build(self):
+        lm = build_loading_matrix(two_bus_market().network).with_scenario_capacities([[np.inf], [120.0]])
+        np.testing.assert_array_equal(lm.scenario_limits, [[np.inf, np.inf], [120.0, 120.0]])
+        empty = build_loading_matrix(Network(1, (), reference_bus=0)).with_scenario_capacities(np.zeros((3, 0)))
+        assert empty.rows.shape == (0, 1) and empty.scenario_limits.shape == (3, 0)
 
 
 class TestNetworkScenarioCapacities:

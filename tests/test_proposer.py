@@ -30,7 +30,7 @@ from gridtrade.trading import (
     validate_trade,
 )
 
-from conftest import assert_plans_close, fleet_markets
+from conftest import assert_plans_close, fleet_markets, state_at
 
 # The announcement on a one-scenario network without lines.
 NO_LINES = np.zeros((1, 0), dtype=bool)
@@ -97,10 +97,20 @@ class TestGroupSampler:
         with pytest.raises(ValueError):
             ProposerStrategy("random_subsets", max_size=1)
 
+    @pytest.mark.parametrize("field", ["max_size", "attempts", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ProposerStrategy("random_subsets", **{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        strategy = ProposerStrategy("random_subsets", max_size=np.int64(3), attempts=np.int32(5), seed=np.uint8(7))
+        assert (strategy.max_size, strategy.attempts, strategy.seed) == (3, 5, 7)
+
 
 class TestFindWorthyFdTrade:
     def test_curtailed_state_yields_congestion_relief_trade(self, market, lm, curtailed_state, golden_plans):
-        announcements = announce(curtailed_state, lm)
+        announcements = announce(curtailed_state.x, lm)
         trade, optimum = find_worthy_fd_trade(
             market.participant_ids, curtailed_state, announcements, 1e-3, market, lm
         )
@@ -112,11 +122,12 @@ class TestFindWorthyFdTrade:
         assert_plans_close(dict(trade.plans), expected)
 
     def test_final_state_certifies_none(self, market, lm, golden_plans):
-        state = TradingState(
-            y=golden_plans["final"],
-            x=market.aggregate_nodal(golden_plans["final"]),
+        state = state_at(
+            market,
+            golden_plans["final"],
+            market.aggregate_nodal(golden_plans["final"]),
         )
-        announcements = announce(state, lm)
+        announcements = announce(state.x, lm)
         trade, optimum = find_worthy_fd_trade(
             market.participant_ids, state, announcements, 1e-9, market, lm
         )
@@ -129,9 +140,10 @@ class TestFindWorthyFdTrade:
         a = Participant.producer("a", 0, "RT", (100.0,), 40.0)
         b = Participant.producer("b", 0, "RT", (100.0,), 40.0)
         market = Market(network, ScenarioSet((1.0,)), (a, b))
-        state = TradingState(
-            y={"a": np.array([30.0]), "b": np.array([30.0])},
-            x=np.array([[60.0]]),
+        state = state_at(
+            market,
+            {"a": np.array([30.0]), "b": np.array([30.0])},
+            np.array([[60.0]]),
         )
         trade, optimum = find_worthy_fd_trade(("a", "b"), state, NO_LINES, 1e-9, market,
                                               build_loading_matrix(network))
@@ -145,14 +157,14 @@ class TestFindWorthyFdTrade:
         a = Participant.producer("a", 0, "RT", (100.0,), 40.0)
         b = Participant.producer("b", 0, "RT", (100.0,), 30.0)
         market = Market(network, ScenarioSet((1.0,)), (a, b))
-        state = TradingState(y={"a": np.array([100.0 + 1e-10]), "b": np.array([100.0])},
-                             x=np.array([[200.0 + 1e-10]]))
+        state = state_at(market, {"a": np.array([100.0 + 1e-10]), "b": np.array([100.0])},
+                         np.array([[200.0 + 1e-10]]))
         trade, optimum = find_worthy_fd_trade(("a", "b"), state, NO_LINES, 1e-3, market,
                                               build_loading_matrix(network))
         assert trade is None and optimum == pytest.approx(0.0, abs=1e-9)
 
     def test_returned_trade_is_valid_and_directional(self, market, lm, curtailed_state):
-        announcements = announce(curtailed_state, lm)
+        announcements = announce(curtailed_state.x, lm)
         trade, optimum = find_worthy_fd_trade(
             market.participant_ids, curtailed_state, announcements, 1e-3, market, lm
         )
@@ -164,7 +176,7 @@ class TestFindWorthyFdTrade:
 
     def test_group_without_freedom_certifies_zero(self, market, lm):
         state = TradingState.initial(market)
-        trade, optimum = find_worthy_fd_trade(("G1", "G3"), state, announce(state, lm),
+        trade, optimum = find_worthy_fd_trade(("G1", "G3"), state, announce(state.x, lm),
                                               1e500, market, lm)
         assert trade is None and optimum >= 0.0
 
@@ -346,15 +358,15 @@ class TestPairScreen:
         network = Network(1, (), reference_bus=0)
         market = Market(network, ScenarioSet((1.0,)), (a, b))
         lm = build_loading_matrix(network)
-        state = TradingState(y={"a": np.array([100.0 + 1e-12]), "b": np.array([100.0])},
-                             x=np.array([[200.0 + 1e-12]]))
+        state = state_at(market, {"a": np.array([100.0 + 1e-12]), "b": np.array([100.0])},
+                         np.array([[200.0 + 1e-12]]))
         assert pair_bound(market.table, ("a", "b"), state, NO_LINES, lm) is None
         proposer = make_proposer(ProposerStrategy("exhaustive_subsets", max_size=2), lm)
         searches = counting_searches(monkeypatch)
         outcome = proposer.propose(market, state, NO_LINES, 1e-3, np.random.default_rng(0))
         # At a state the scan covers, the pair's LP is skipped.
         searches.append("interior")
-        inside = TradingState(y={"a": np.array([50.0]), "b": np.array([50.0])}, x=np.array([[100.0]]))
+        inside = state_at(market, {"a": np.array([50.0]), "b": np.array([50.0])}, np.array([[100.0]]))
         proposer.propose(market, inside, NO_LINES, 1e3, np.random.default_rng(0))
         assert searches == [("a", "b"), ("a", "b"), "interior", ("a", "b")]
         assert isinstance(outcome, Certificate) and outcome.optimum == pytest.approx(0.0, abs=1e-9)

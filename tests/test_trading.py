@@ -23,7 +23,7 @@ from gridtrade.trading import (
     validate_trade,
 )
 
-from conftest import assert_plans_close, fleet_markets, medium_full_markets
+from conftest import assert_plans_close, fleet_markets, medium_full_markets, state_at
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +145,7 @@ class TestIsWorthy:
         state = TradingState.initial(market)
         base = {"G1": np.array([10.0, 10.0]), "G3": np.array([40.0, 40.0]),
                 "L": np.array([-50.0, -50.0])}
-        state = TradingState(y={**state.y, **base}, x=market.aggregate_nodal(base))
+        state = state_at(market, {**state.y, **base}, market.aggregate_nodal(base))
         trade = Trade({"G1": np.array([10.0, 10.0]), "G3": np.array([-10.0, -10.0])})
         worthy, delta = is_worthy(trade, state, 300.0, market)
         assert worthy and delta == pytest.approx(300.0)
@@ -159,7 +159,7 @@ class TestIsWorthy:
         state = TradingState.initial(market)
         base = {"G1": np.array([10.0, 10.0]), "G3": np.array([40.0, 40.0]),
                 "L": np.array([-50.0, -50.0])}
-        state = TradingState(y={**state.y, **base}, x=market.aggregate_nodal(base))
+        state = state_at(market, {**state.y, **base}, market.aggregate_nodal(base))
         trade = Trade({"G1": np.array([-10.0, -10.0]), "G3": np.array([10.0, 10.0])})
         worthy, delta = is_worthy(trade, state, 0.0, market)
         assert not worthy and delta == pytest.approx(-300.0)
@@ -233,6 +233,51 @@ def normalize(plans, market):
     return dict(zip(ids, trading._normalize(np.array([plans[pid] for pid in ids]), day_ahead)))
 
 
+class TestStatePlans:
+    def test_plans_and_id_view_are_read_only_and_in_roster_order(self, market, lm, config, golden_plans):
+        _, state = so_step(TradingState.initial(market), table_one_trade(golden_plans), config, lm, market)
+        assert state.plans.shape == (4, 2) and not state.plans.flags.writeable
+        view = state.y
+        assert list(view) == list(market.participant_ids) == ["G1", "G2", "G3", "L"]
+        for row, plan in zip(state.plans, view.values()):
+            assert plan.tobytes() == row.tobytes() and not plan.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view["G1"][0] = 0.0
+        assert not TradingState.initial(market).plans.flags.writeable
+
+    def test_accepted_step_leaves_the_previous_state_unchanged(self, market, lm, config, golden_plans):
+        _, state = so_step(TradingState.initial(market), table_one_trade(golden_plans), config, lm, market)
+        plans, x = state.plans.tobytes(), state.x.tobytes()
+        delta = {pid: golden_plans["final"][pid] - golden_plans["curtailed"][pid] for pid in golden_plans["final"]}
+        record, after = so_step(state, Trade(delta), config, lm, market)
+        assert record.accepted and after.plans is not state.plans and after.x is not state.x
+        assert state.plans.tobytes() == plans and state.x.tobytes() == x
+        assert after.ids is state.ids
+
+    def test_rejected_step_keeps_the_same_plans(self, market, lm, config):
+        state = TradingState.initial(market)
+        record, after = so_step(state, Trade({"G1": np.array([5.0, 5.0])}), config, lm, market)
+        assert not record.accepted
+        assert after.plans is state.plans and after.x is state.x
+
+
+class TestEngineConfig:
+    @pytest.mark.parametrize("field", ["max_steps", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 1.0, True, None])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            EngineConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, np.True_])
+    def test_bool_epsilon_rejected(self, value):
+        with pytest.raises(ValueError, match="epsilon must be a number"):
+            EngineConfig(epsilon=value)
+
+    def test_numpy_integers_accepted(self):
+        config = EngineConfig(epsilon=1, max_steps=np.int64(3), seed=np.int32(2))
+        assert (config.max_steps, config.seed) == (3, 2)
+
+
 class TestNormalize:
     def test_day_ahead_spread_snaps_to_its_exact_mean(self, market):
         spread = np.array([10.0, 10.0 + 2e-12])
@@ -279,13 +324,13 @@ class TestWelfareDeltas:
 class TestAnnounce:
     def test_zero_state_announces_nothing(self, market, lm):
         state = TradingState.initial(market)
-        np.testing.assert_array_equal(announce(state, lm), [[False, False], [False, False]])
+        np.testing.assert_array_equal(announce(state.x, lm), [[False, False], [False, False]])
 
     def test_curtailed_state_announces_windy_forward_row(self, market, lm, config, golden_plans):
         state = TradingState.initial(market)
         _, state = so_step(state, table_one_trade(golden_plans), config, lm, market)
         # Breezy flow is 80 < 120, so only the windy scenario binds.
-        np.testing.assert_array_equal(announce(state, lm), [[True, False], [False, False]])
+        np.testing.assert_array_equal(announce(state.x, lm), [[True, False], [False, False]])
 
     def test_final_state_announcement_unchanged(self, market, lm, config, golden_plans):
         state = TradingState.initial(market)
@@ -295,7 +340,7 @@ class TestAnnounce:
             for pid in golden_plans["final"]
         }
         _, state = so_step(state, Trade(delta), config, lm, market)
-        np.testing.assert_array_equal(announce(state, lm), [[True, False], [False, False]])
+        np.testing.assert_array_equal(announce(state.x, lm), [[True, False], [False, False]])
 
     def test_recorded_announcement_is_read_only(self, market, lm, config, golden_plans):
         record, _ = so_step(TradingState.initial(market), table_one_trade(golden_plans), config, lm, market)
@@ -391,6 +436,12 @@ class TestRunTrading:
         (record,) = result.state.records
         assert not record.accepted and record.reasons == reasons
         assert all(not np.any(plan) for plan in result.state.y.values())
+
+    def test_unknown_id_raises_before_the_shape_check(self, market):
+        # G9's plan also has the wrong length; the unknown id is reported first.
+        trade = Trade({"G9": np.array([1.0]), "L": np.array([-1.0, -1.0])})
+        with pytest.raises(KeyError, match="unknown participant id 'G9'"):
+            validate_trade(trade, TradingState.initial(market), market)
 
     def test_unknown_participant_raises(self, market, config):
         trade = Trade({"G9": np.array([1.0, 1.0]), "L": np.array([-1.0, -1.0])})
