@@ -2,10 +2,12 @@
 """Sweep randomized markets: trading process versus the dispatch benchmark.
 
 For each market, runs the full trading loop with whole-market certification,
-solves the welfare benchmark, and reports convergence steps, optimality gap,
-and how often lines actually congest.  Useful for sizing tolerances and for
-spotting generator drift after changes.  Exits 1 when any market fails to
-converge or ends more than ``--epsilon`` (relative) from the benchmark.
+solves the welfare benchmark, checks that the benchmark's plans and prices
+form a competitive equilibrium, and reports convergence steps, optimality
+gap, and how often lines actually congest.  Useful for sizing tolerances and
+for spotting generator drift after changes.  Exits 1 when any market fails
+to converge, ends more than ``--epsilon`` (relative) from the benchmark, or
+fails the equilibrium check at the benchmark's prices.
 """
 
 import argparse
@@ -14,7 +16,7 @@ import time
 
 import numpy as np
 
-from gridtrade.dispatch import solve_dispatch, welfare_gap
+from gridtrade.dispatch import check_arrow_debreu, solve_dispatch, welfare_gap
 from gridtrade.generators import random_market
 from gridtrade.network import build_loading_matrix
 from gridtrade.proposer import ProposerStrategy, make_proposer
@@ -50,9 +52,10 @@ def main():
         gap = welfare_gap(market, dict(result.state.y), solution)
         gaps.append(gap / (1.0 + abs(solution.objective)))
         steps.append(result.steps)
-        if not result.converged or gaps[-1] > args.epsilon:
+        verdict = check_arrow_debreu(market, solution.plans, solution.x, solution.lambda_, lm=lm).verdict
+        if not result.converged or gaps[-1] > args.epsilon or not verdict:
             failures += 1
-            print(f"  market {k}: converged={result.converged} rel_gap={gaps[-1]:.3e}")
+            print(f"  market {k}: converged={result.converged} rel_gap={gaps[-1]:.3e} equilibrium={verdict}")
         if any(r.gamma < 1.0 for r in result.state.records if r.accepted):
             congested += 1
 

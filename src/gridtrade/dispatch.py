@@ -1,20 +1,27 @@
 """Centralised benchmark: stochastic dispatch, nodal prices, equilibrium checks.
 
 The dispatch LP maximises total expected utility over participant plans,
-with the piecewise-linear utilities expressed through epigraph variables and
-the network entering through one loading row per line direction and
-scenario.  The trade search poses the same program for one group around its
-current plans, so :func:`welfare_program` builds both, from the members'
-rows of the market's utility table (``market.table``).  The contingent
-nodal prices come from the system-balance duals ``gamma`` and loading-row
-duals ``beta``: ``lambda[s, n] = -(gamma[s] + sum_r beta[s, r] H[r, n])``
-is the marginal expected system cost of delivering one more MW at bus ``n``
-in scenario ``s``.
+with the piecewise-linear utilities expressed through epigraph variables.
+The trade search poses the same participant block for one group around its
+current plans, from the members' rows of the market's utility table
+(``market.table``), so one builder serves both.  They differ in the
+network: the search carries only the announced loading rows, as
+shift-factor rows over its members' increments (:func:`welfare_program`);
+the dispatch carries the whole network in bus-angle form (the DC OPF form
+of MATPOWER), with one angle column per bus and scenario, the reference
+angle fixed at 0, one nodal balance row per bus and scenario and a forward
+and a reverse flow row ``b_l (theta_from - theta_to)`` per line and
+scenario.  The contingent nodal prices are the nodal balance duals:
+``lambda[s, n]`` is the marginal expected system cost of delivering one
+more MW at bus ``n`` in scenario ``s``.  With ``beta`` the flow-row duals
+and ``gamma[s] = -lambda[s, ref]``, ``lambda[s] = -(gamma[s] + beta[s] @ H)``
+for the shift factors ``H`` of the loading matrix.
 
 The equilibrium check never reads the LP for the participant side: each
 price-taking problem is separable and piecewise linear, so
 :func:`participants.scan_maximum` maximises all of them exactly from the
-table, which also values the plans they are compared with.
+table, which also values the plans they are compared with.  The network
+operator's side is one bus-angle LP over all scenarios.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from scipy import sparse
 
 from . import lp
 from .market import Market
-from .network import LoadingMatrix, build_loading_matrix
+from .network import LoadingMatrix, Network, build_loading_matrix
 from .participants import UtilityTable, scan_maximum
 
 __all__ = [
@@ -57,9 +64,12 @@ class DispatchSolution:
 
     ``x`` aggregates the plans per bus.  ``zeta[pid][s]`` is the per-scenario
     commitment force for day-ahead participants (sums to zero over
-    scenarios); ``beta`` are the loading-row duals and ``gamma_s`` the
-    per-scenario system balance duals, from which the prices follow as
-    ``lambda_[s] = -(gamma_s[s] + beta[s] @ H)``.
+    scenarios).  ``lambda_`` holds the prices, the negated nodal balance
+    duals, shape ``(S, N)``.  ``beta`` holds the flow-row duals, shape
+    ``(S, 2L)``: line ``l``'s forward row at ``l`` and its reverse row at
+    ``L + l``, the layout of the loading matrix's rows ``H``.
+    ``gamma_s[s] = -lambda_[s, ref]`` is the price at the reference bus,
+    negated, so that ``lambda_[s] = -(gamma_s[s] + beta[s] @ H)``.
     """
 
     plans: dict[str, np.ndarray]
@@ -73,17 +83,126 @@ class DispatchSolution:
     zeta: dict[str, np.ndarray]
 
 
-# Welfare LPs with at most this many dense cells (rows x columns) get a dense
-# matrix, larger ones a CSR matrix.  Over 500 subset_hybrid searches (median
-# 44 x 36) lp.solve took 1.05-1.18 ms dense against 1.39-1.65 ms with CSR (2
-# vCPUs); the 20-bus searches (1.7M cells and up) and large dispatch LPs (27M)
-# are under 1% nonzero and densely spend most of their time on zeros.
+# LPs with at most this many dense cells (rows x columns) get dense matrices,
+# larger ones CSR matrices.  Over 500 subset_hybrid searches (median 44 x 36)
+# lp.solve took 1.05-1.18 ms dense against 1.39-1.65 ms with CSR (2 vCPUs);
+# the 20-bus searches (1.7M cells and up) and the bus-angle dispatch and
+# operator LPs of the 20- and 40-bus markets (5M cells and up) are under 1%
+# nonzero and densely spend most of their time on zeros.  The fleet's
+# dispatch and operator LPs (at most about 25k cells) stay dense.
 _DENSE_CELLS = 250_000
 
 # MW a quoting injection keeps from its bounds and breakpoints; relative
 # slack on each equilibrium condition.
 _INTERIOR_TOL = 1e-7
 _EQUILIBRIUM_TOL = 1e-6
+
+
+def _participant_block(market: Market, members: np.ndarray, y: np.ndarray):
+    """The members' columns, bounds and rows, shared by the trade search and the dispatch.
+
+    ``members`` are rows of ``market.table`` and ``y`` holds their current
+    plans, shape ``(M, S)``.  Columns are the increments ``d`` (member-major,
+    then scenario) followed by the utility epigraph values ``u``.  Returns
+    the objective, the column bounds, the segment rows ``u - m d <= a + m y``
+    (one per utility segment) and the chains ``d[s] = d[s + 1]`` per
+    day-ahead member, each as a row block (see :func:`_program`).
+    """
+    if not members.size:
+        raise ValueError("the welfare program needs at least one member")
+    table = market.table
+    n_d = members.size * market.scenario_count
+    y = np.asarray(y, dtype=float).reshape(n_d)
+    real = table.real[members]
+    slopes = table.slopes[members][real]
+    intercepts = table.intercepts[members][real]
+    owner = np.repeat(np.arange(n_d), real.sum(axis=-1).ravel())
+    seg = np.arange(owner.size)
+    segments = (
+        [(seg, n_d + owner, np.ones(seg.size)), (seg, owner, -slopes)],
+        intercepts + slopes * y[owner],
+    )
+    n_s = market.scenario_count
+    da_first = (n_s * np.flatnonzero(table.day_ahead[members])[:, None] + np.arange(n_s - 1)).ravel()
+    chain = np.arange(da_first.size)
+    chains = (
+        [(chain, da_first, np.ones(chain.size)), (chain, da_first + 1, -np.ones(chain.size))],
+        np.zeros(chain.size),
+    )
+    c = np.concatenate([np.zeros(n_d), table.weights[members].ravel()])
+    lower = np.concatenate([table.lower[members].ravel() - y, np.full(n_d, -np.inf)])
+    upper = np.concatenate([table.upper[members].ravel() - y, np.full(n_d, np.inf)])
+    return c, lower, upper, segments, chains
+
+
+def _angle_block(network: Network, limits: np.ndarray, node: np.ndarray, col0: int):
+    """The network in bus-angle form over ``S`` scenarios, after ``col0`` other columns.
+
+    Column ``col0 + s N + n`` is bus ``n``'s angle in scenario ``s``; the
+    reference bus's angle is fixed at 0 by its bounds.  Equality row
+    ``s N + n`` is the nodal balance ``(injections) - (B theta_s)[n] = 0``,
+    where column ``k`` injects into row ``node[k]``.  Inequality rows
+    ``s 2L + l`` and ``s 2L + L + l`` bound line ``l``'s flow
+    ``b_l (theta_from - theta_to)`` and its negation by ``limits[s, l]`` and
+    ``limits[s, L + l]`` (``limits`` has shape ``(S, 2L)``).  Returns the
+    balance and flow row blocks (see :func:`_program`) and the angle
+    columns' bounds.  A bus on several lines repeats its balance entries;
+    :func:`_matrix` sums them.
+    """
+    n_s, n_b, n_l = len(limits), network.bus_count, network.line_count
+    f = np.array([line.from_bus for line in network.lines], dtype=int)
+    t = np.array([line.to_bus for line in network.lines], dtype=int)
+    b = np.array([1.0 / line.reactance for line in network.lines])
+    line = np.arange(n_l)
+    first = n_b * np.arange(n_s)[:, None]  # each scenario's first balance row and angle
+    angles = (col0 + first + np.concatenate([f, t, f, t])).ravel()
+    flow_vals = np.tile(np.concatenate([b, -b, -b, b]), n_s)
+    # A line's from end subtracts its forward flow row, its to end its reverse flow row.
+    balance = (
+        [(node, np.arange(node.size), np.ones(node.size)),
+         ((first + np.concatenate([f, f, t, t])).ravel(), angles, -flow_vals)],
+        np.zeros(n_s * n_b),
+    )
+    flow_rows = 2 * n_l * np.arange(n_s)[:, None] + np.concatenate([line, line, n_l + line, n_l + line])
+    flows = ([(flow_rows.ravel(), angles, flow_vals)], limits.ravel())
+    fixed = np.tile(np.arange(n_b) == network.reference_bus, n_s)
+    return balance, flows, np.where(fixed, 0.0, -np.inf), np.where(fixed, 0.0, np.inf)
+
+
+def _program(c, lower, upper, ub, eq) -> lp.LinearProgram:
+    """The LP whose ``a_ub`` and ``a_eq`` rows stack the row blocks ``ub`` and ``eq`` in order.
+
+    A row block is ``(parts, rhs)``: its right-hand sides, and ``(rows, cols,
+    vals)`` triplets with rows numbered from 0 within the block.
+    """
+    families, n_rows = [], 0
+    for blocks in (ub, eq):
+        rows, cols, vals, offset = [], [], [], 0
+        for parts, rhs in blocks:
+            for part_rows, part_cols, part_vals in parts:
+                rows.append(part_rows + offset)
+                cols.append(part_cols)
+                vals.append(part_vals)
+            offset += rhs.size
+        families.append((rows, cols, vals, np.concatenate([rhs for _, rhs in blocks])))
+        n_rows += offset
+    dense = n_rows * c.size <= _DENSE_CELLS
+    (a_ub, b_ub), (a_eq, b_eq) = (
+        (_matrix(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (rhs.size, c.size), dense), rhs)
+        for rows, cols, vals, rhs in families
+    )
+    return lp.LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, lower=lower, upper=upper)
+
+
+def _matrix(rows, cols, vals, shape, dense: bool):
+    """Dense or CSR matrix of the triplets; both sum duplicate entries."""
+    if dense:
+        a = np.zeros(shape)
+        np.add.at(a, (rows, cols), vals)
+        return a
+    a = sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+    a.eliminate_zeros()
+    return a
 
 
 def welfare_program(
@@ -94,97 +213,85 @@ def welfare_program(
     rows: np.ndarray,
     rhs: np.ndarray,
 ) -> lp.LinearProgram:
-    """Maximise the members' expected utility at ``y + d`` over increments ``d``.
+    """The trade search's LP: maximise the members' expected utility at ``y + d`` over increments ``d``.
 
     ``members`` are rows of ``market.table`` and ``y`` holds their current
     plans, shape ``(M, S)``.  Variables are the increments ``d``
     (member-major, then scenario) followed by the utility epigraph values
     ``u``.  Rows, in order: ``u - m d <= a + m y`` per utility segment;
-    loading row ``r`` over scenario ``s``'s increments, bounded by
+    loading row ``r`` of ``lm`` over scenario ``s``'s increments, bounded by
     ``rhs[s, r]``, wherever the ``(S, 2L)`` mask ``rows[s, r]`` is true
     (scenario-major); ``d[s] = d[s + 1]`` chains per day-ahead member;
     balance ``sum d[s] = 0`` per scenario.  Working in increments keeps
-    ``y`` on the right-hand side, so no ``z - y`` cancels.
+    ``y`` on the right-hand side, so no ``z - y`` cancels.  The search
+    carries only the announced rows, so shift-factor rows serve it better
+    than bus angles; the dispatch shares its participant block.
     """
     members = np.asarray(members, dtype=int)
-    if not members.size:
-        raise ValueError("the welfare program needs at least one member")
-    table = market.table
+    c, lower, upper, segments, chains = _participant_block(market, members, y)
     n_m, n_s = members.size, market.scenario_count
     n_d = n_m * n_s
-    y = np.asarray(y, dtype=float).reshape(n_d)
-    real = table.real[members]
-    slopes = table.slopes[members][real]
-    intercepts = table.intercepts[members][real]
-    owner = np.repeat(np.arange(n_d), real.sum(axis=-1).ravel())
-    n_seg = owner.size
     line_scenario, line_row = np.nonzero(rows)
-    n_line = line_scenario.size
-    loading = lm.rows[line_row][:, table.bus[members]]
-    seg = np.arange(n_seg)
-    ub_rows = np.concatenate([seg, seg, np.repeat(n_seg + np.arange(n_line), n_m)])
-    ub_cols = np.concatenate([
-        n_d + owner, owner, (line_scenario[:, None] + n_s * np.arange(n_m)).ravel(),
-    ])
-    ub_vals = np.concatenate([np.ones(n_seg), -slopes, loading.ravel()])
-
-    da_first = (n_s * np.flatnonzero(table.day_ahead[members])[:, None] + np.arange(n_s - 1)).ravel()
-    n_chain = da_first.size
-    chain = np.arange(n_chain)
-    eq_rows = np.concatenate([chain, chain, n_chain + np.arange(n_d) % n_s])
-    eq_cols = np.concatenate([da_first, da_first + 1, np.arange(n_d)])
-    eq_vals = np.concatenate([np.ones(n_chain), -np.ones(n_chain), np.ones(n_d)])
-
-    dense = (n_seg + n_line + n_chain + n_s) * 2 * n_d <= _DENSE_CELLS
-    return lp.LinearProgram(
-        c=np.concatenate([np.zeros(n_d), table.weights[members].ravel()]),
-        a_eq=_matrix(eq_rows, eq_cols, eq_vals, (n_chain + n_s, 2 * n_d), dense),
-        b_eq=np.zeros(n_chain + n_s),
-        a_ub=_matrix(ub_rows, ub_cols, ub_vals, (n_seg + n_line, 2 * n_d), dense),
-        b_ub=np.concatenate([intercepts + slopes * y[owner], rhs[rows]]),
-        lower=np.concatenate([table.lower[members].ravel() - y, np.full(n_d, -np.inf)]),
-        upper=np.concatenate([table.upper[members].ravel() - y, np.full(n_d, np.inf)]),
+    loading = lm.rows[line_row][:, market.table.bus[members]]
+    lines = (
+        [(np.repeat(np.arange(line_scenario.size), n_m),
+          (line_scenario[:, None] + n_s * np.arange(n_m)).ravel(),
+          loading.ravel())],
+        rhs[rows],
     )
+    balance = ([(np.arange(n_d) % n_s, np.arange(n_d), np.ones(n_d))], np.zeros(n_s))
+    return _program(c, lower, upper, [segments, lines], [chains, balance])
 
 
-def _matrix(rows, cols, vals, shape, dense: bool):
-    if dense:
-        a = np.zeros(shape)
-        a[rows, cols] = vals
-        return a
-    a = sparse.csr_matrix((vals, (rows, cols)), shape=shape)
-    a.eliminate_zeros()
-    return a
+def _ratings(market: Market, lm: LoadingMatrix | None) -> LoadingMatrix:
+    """``lm``, or the network's own loading matrix; it must have the network's ``(2L, N)`` shape."""
+    network = market.network
+    if lm is None:
+        return build_loading_matrix(network)
+    expected = (2 * network.line_count, network.bus_count)
+    if lm.rows.shape != expected:
+        raise ValueError(f"loading matrix has shape {lm.rows.shape}, but the market's network needs {expected}")
+    return lm
 
 
 def solve_dispatch(market: Market, lm: LoadingMatrix | None = None) -> DispatchSolution:
-    """Maximise total expected utility subject to local and network limits."""
-    lm = build_loading_matrix(market.network) if lm is None else lm
-    parts = market.participants
-    n_i, n_s, n_rows = len(parts), market.scenario_count, lm.rows.shape[0]
-    program = welfare_program(
-        market, np.arange(n_i), np.zeros((n_i, n_s)), lm,
-        np.ones((n_s, n_rows), dtype=bool), lm.stacked_limits(n_s),
-    )
-    sol = lp.solve(program)
+    """Maximise total expected utility subject to local and network limits.
+
+    The participant block is the trade search's at zero plans; the network
+    is the bus-angle block of ``market.network``, and ``lm`` supplies only
+    the line ratings (``lm.stacked_limits``).
+    """
+    lm = _ratings(market, lm)
+    network, table = market.network, market.table
+    n_i, n_s, n_b = len(market.participants), market.scenario_count, network.bus_count
+    c, lower, upper, segments, chains = _participant_block(market, np.arange(n_i), np.zeros((n_i, n_s)))
+    node = (n_b * np.arange(n_s) + table.bus[:, None]).ravel()
+    balance, flows, angle_lower, angle_upper = _angle_block(network, lm.stacked_limits(n_s), node, c.size)
+    sol = lp.solve(_program(
+        np.concatenate([c, np.zeros(n_s * n_b)]),
+        np.concatenate([lower, angle_lower]),
+        np.concatenate([upper, angle_upper]),
+        [segments, flows],
+        [chains, balance],
+    ))
     if sol.status != "optimal":
         raise DispatchInfeasibleError(sol.status)
 
-    n_d = n_i * n_s
+    n_d, n_chain = n_i * n_s, chains[1].size
     ids = market.participant_ids
     plans = dict(zip(ids, sol.x[:n_d].reshape(n_i, n_s)))
-    beta = sol.duals_ub[sol.duals_ub.size - n_s * n_rows:].reshape(n_s, n_rows)
-    gamma_s = sol.duals_eq[-n_s:]
-    da_ids = [p.id for p in parts if p.timing == "DA"]
-    chain = sol.duals_eq[:-n_s].reshape(len(da_ids), n_s - 1)
+    lambda_ = -sol.duals_eq[n_chain:].reshape(n_s, n_b)
+    beta = sol.duals_ub[sol.duals_ub.size - flows[1].size:].reshape(n_s, 2 * network.line_count)
+    da_ids = [p.id for p in market.participants if p.timing == "DA"]
+    chain = sol.duals_eq[:n_chain].reshape(len(da_ids), n_s - 1)
     # Commitment force in scenario s: chain dual s minus chain dual s - 1, zero past either end.
-    zeta = dict(zip(da_ids, np.diff(np.pad(chain, ((0, 0), (1, 1))), axis=1)))
+    zeta = dict(zip(da_ids, np.diff(chain, axis=1, prepend=0.0, append=0.0)))
     return DispatchSolution(
         plans=plans,
         x=market.aggregate_nodal(plans),
         objective=sol.objective,
-        lambda_=-(gamma_s[:, None] + beta @ lm.rows),
-        gamma_s=gamma_s,
+        lambda_=lambda_,
+        gamma_s=-lambda_[:, network.reference_bus],
         beta=beta,
         eta_lower=dict(zip(ids, sol.duals_lower[:n_d].reshape(n_i, n_s))),
         eta_upper=dict(zip(ids, sol.duals_upper[:n_d].reshape(n_i, n_s))),
@@ -259,6 +366,26 @@ def _best_responses(table: UtilityTable, lam: np.ndarray) -> np.ndarray:
     return best
 
 
+def _operator_profit(network: Network, prices: np.ndarray, limits: np.ndarray) -> float:
+    """The operator's best conversion profit ``max -sum_s prices[s] @ x[s]`` over feasible injections.
+
+    One bus-angle LP over all scenarios: injection columns ``x`` (scenario-major)
+    balance each bus's angle terms, and the flows keep within ``limits`` ``(S, 2L)``.
+    """
+    n_x = prices.size
+    balance, flows, angle_lower, angle_upper = _angle_block(network, limits, np.arange(n_x), n_x)
+    sol = lp.solve(_program(
+        np.concatenate([-prices.ravel(), np.zeros(n_x)]),
+        np.concatenate([np.full(n_x, -np.inf), angle_lower]),
+        np.concatenate([np.full(n_x, np.inf), angle_upper]),
+        [flows],
+        [balance],
+    ))
+    if sol.status != "optimal":
+        raise lp.LpError(f"operator profit LP ended {sol.status}")
+    return sol.objective
+
+
 def check_arrow_debreu(
     market: Market,
     plans: Mapping[str, np.ndarray],
@@ -272,12 +399,17 @@ def check_arrow_debreu(
     participant maximises payment plus expected utility over its own set at
     the given prices; the network operator's injection maximises conversion
     profit over the feasible polytope; and every contingent commodity clears.
-    A plan of the wrong length or outside its bounds raises ``ValueError``.
+    A plan of the wrong length or outside its bounds, prices or injections
+    of a shape other than ``(S, N)``, or a loading matrix of a shape other
+    than the network's raises ``ValueError``.
     """
-    lm = build_loading_matrix(market.network) if lm is None else lm
+    lm = _ratings(market, lm)
     limits = lm.stacked_limits(market.scenario_count)
     prices = np.asarray(prices, dtype=float)
     x = np.asarray(x, dtype=float)
+    shape = (market.scenario_count, market.network.bus_count)
+    if prices.shape != shape or x.shape != shape:
+        raise ValueError(f"prices {prices.shape} and injections {x.shape} must both have shape {shape}")
     table, ids = market.table, market.participant_ids
     injection = market.aggregate_nodal(plans)  # rejects a plan of the wrong length
     z = np.array([plans[pid] for pid in ids], dtype=float).reshape(table.lower.shape)
@@ -294,13 +426,7 @@ def check_arrow_debreu(
     participant_slack = dict(zip(ids, slack.tolist()))
     participant_ok = dict(zip(ids, (slack <= _EQUILIBRIUM_TOL * (1.0 + np.abs(best))).tolist()))
 
-    so_slack = 0.0
-    for s in range(market.scenario_count):
-        sol = lp.solve(lp.LinearProgram(c=-prices[s], a_eq=np.ones((1, market.network.bus_count)),
-                                        b_eq=np.zeros(1), a_ub=lm.rows, b_ub=limits[s]))
-        if sol.status != "optimal":
-            raise lp.LpError(f"operator profit LP ended {sol.status}")
-        so_slack += sol.objective - float(-prices[s] @ x[s])
+    so_slack = _operator_profit(market.network, prices, limits) + float(np.sum(prices * x))
     so_scale = 1.0 + abs(float(np.abs(prices).sum())) * float(np.abs(limits).max() if limits.size else 0.0)
     so_ok = so_slack <= _EQUILIBRIUM_TOL * so_scale
 

@@ -159,8 +159,9 @@ class LoadingMatrix:
     scenario_limits: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=float)
-        limits = np.asarray(self.limits, dtype=float)
+        # Copies, so freezing them leaves the caller's arrays writeable.
+        rows = np.array(self.rows, dtype=float)
+        limits = np.array(self.limits, dtype=float)
         if rows.ndim != 2 or rows.shape[0] % 2 != 0:
             raise ValueError("rows must be a (2L, N) matrix")
         if limits.shape != (rows.shape[0],):
@@ -174,7 +175,7 @@ class LoadingMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "limits", limits)
         if self.scenario_limits is not None:
-            sl = np.asarray(self.scenario_limits, dtype=float)
+            sl = np.array(self.scenario_limits, dtype=float)
             if sl.ndim != 2 or sl.shape[1] != rows.shape[0]:
                 raise ValueError("scenario_limits must have shape (S, 2L)")
             if not (sl > 0).all():

@@ -14,12 +14,12 @@ from gridtrade.dispatch import (
 )
 from gridtrade.generators import random_market
 from gridtrade.market import Market, two_bus_market
-from gridtrade.network import Line, Network, build_loading_matrix
+from gridtrade.network import Line, LoadingMatrix, Network, build_loading_matrix
 from gridtrade.participants import Participant, ScenarioSet, UtilityFunction
 from gridtrade.proposer import ProposerStrategy, find_worthy_fd_trade, make_proposer
 from gridtrade.trading import EngineConfig, announce, run_trading
 
-from conftest import assert_plans_close, fleet_markets, kkt_report
+from conftest import assert_plans_close, fleet_markets, kkt_report, medium_full_markets
 
 
 def two_bus_cost_oracle(cap: float) -> float:
@@ -200,6 +200,10 @@ class TestArrowDebreu:
             assert a == a and a != b
             assert hash(a) == hash(a)
 
+    def test_prices_of_another_shape_are_rejected(self, two_bus, two_bus_dispatch):
+        with pytest.raises(ValueError, match=r"prices \(2, 3\) .* must both have shape \(2, 2\)"):
+            check_arrow_debreu(two_bus, two_bus_dispatch.plans, two_bus_dispatch.x, np.zeros((2, 3)))
+
     def test_empty_market_is_vacuously_in_equilibrium(self):
         network = Network(2, (Line(0, 1, 1.0, 50.0),), reference_bus=0)
         market = Market(network, ScenarioSet((1.0,)), ())
@@ -312,11 +316,106 @@ class TestDualConsistency:
                         assert rent >= -1e-8
 
 
-class TestWelfareProgramMatrixForms:
-    """Dense and sparse constraint matrices give the same dispatch and search.
+class TestMismatchedLoadingMatrix:
+    """A loading matrix of another network's shape is an input error at each entry point."""
 
-    Every tier-1 market is below the dense-cell threshold, so the threshold
-    is forced to each extreme to run both forms on the same markets.
+    @staticmethod
+    def three_bus_lm():
+        return build_loading_matrix(Network(3, (Line(0, 1, 1.0, 100.0), Line(1, 2, 1.0, 100.0))))
+
+    def test_solve_dispatch_rejects_it(self, two_bus):
+        with pytest.raises(ValueError, match=r"shape \(4, 3\), but the market's network needs \(2, 2\)"):
+            solve_dispatch(two_bus, self.three_bus_lm())
+
+    def test_check_arrow_debreu_rejects_it(self, two_bus, two_bus_dispatch):
+        with pytest.raises(ValueError, match=r"shape \(4, 3\), but the market's network needs \(2, 2\)"):
+            check_arrow_debreu(two_bus, two_bus_dispatch.plans, two_bus_dispatch.x,
+                               two_bus_dispatch.lambda_, lm=self.three_bus_lm())
+
+
+def shift_factor_dispatch(market, lm):
+    """Reference dispatch in shift-factor form: ``welfare_program`` with every loading row at its limit.
+
+    Returns the objective and the prices ``-(gamma + beta H)`` read from its
+    system balance duals ``gamma`` and loading-row duals ``beta``.
+    """
+    n_p, n_s, n_rows = len(market.participants), market.scenario_count, lm.rows.shape[0]
+    program = dispatch.welfare_program(
+        market, np.arange(n_p), np.zeros((n_p, n_s)), lm,
+        np.ones((n_s, n_rows), dtype=bool), lm.stacked_limits(n_s),
+    )
+    sol = lp.solve(program)
+    assert sol.status == "optimal"
+    beta = sol.duals_ub[sol.duals_ub.size - n_s * n_rows:].reshape(n_s, n_rows)
+    return sol.objective, -(sol.duals_eq[-n_s:, None] + beta @ lm.rows)
+
+
+def per_scenario_operator_profit(lm, prices, limits):
+    """Reference operator optimum: one LP per scenario over ``[H; -H] x <= limits[s]`` and ``sum x = 0``."""
+    total = 0.0
+    for s in range(len(prices)):
+        sol = lp.solve(lp.LinearProgram(c=-prices[s], a_eq=np.ones((1, lm.bus_count)), b_eq=np.zeros(1),
+                                        a_ub=lm.rows, b_ub=limits[s]))
+        assert sol.status == "optimal"
+        total += sol.objective
+    return total
+
+
+class TestBusAngleForm:
+    """The bus-angle dispatch and operator LPs against the shift-factor forms they replaced."""
+
+    @pytest.fixture(scope="class")
+    def medium(self):
+        return medium_full_markets()
+
+    def test_dispatch_objective_matches_shift_factor_form(self, medium):
+        for market in [*fleet_markets(), *medium]:
+            lm = build_loading_matrix(market.network)
+            objective, _ = shift_factor_dispatch(market, lm)
+            assert abs(solve_dispatch(market, lm).objective - objective) <= 1e-9 * (1 + abs(objective))
+
+    def test_prices_match_shift_factor_form_on_medium_markets(self, medium):
+        for market in medium:
+            lm = build_loading_matrix(market.network)
+            _, prices = shift_factor_dispatch(market, lm)
+            np.testing.assert_allclose(solve_dispatch(market, lm).lambda_, prices, rtol=0, atol=1e-8)
+
+    def test_fleet_prices_pass_kkt_and_support_the_equilibrium(self):
+        for market in fleet_markets():
+            lm = build_loading_matrix(market.network)
+            solution = solve_dispatch(market, lm)
+            assert kkt_report(market, solution, lm) == []
+            assert check_arrow_debreu(market, solution.plans, solution.x, solution.lambda_, lm=lm).verdict
+
+    def test_operator_optimum_matches_per_scenario_lps(self, medium):
+        # Perturbed dispatch prices under the network's ratings, per-scenario
+        # ratings, another reference bus and forward ratings unlike reverse ones.
+        rng = np.random.default_rng(11)
+        for market in [*fleet_markets(), *medium]:
+            net, n_s = market.network, market.scenario_count
+            lam = solve_dispatch(market).lambda_
+            prices = lam + rng.normal(0.0, 5.0, size=lam.shape)
+            base = build_loading_matrix(net)
+            moved = Network(net.bus_count, net.lines, reference_bus=net.bus_count - 1,
+                            scenario_capacities=net.scenario_capacities)
+            ratings = base.limits[:net.line_count] * rng.uniform(0.5, 1.5, size=(n_s, net.line_count))
+            for lm, network in [
+                (base, net),
+                (base.with_scenario_capacities(ratings), net),
+                (build_loading_matrix(moved), moved),
+                (LoadingMatrix(base.rows, base.limits * rng.uniform(0.5, 1.5, size=base.limits.size)), net),
+            ]:
+                limits = lm.stacked_limits(n_s)
+                expected = per_scenario_operator_profit(lm, prices, limits)
+                got = dispatch._operator_profit(network, prices, limits)
+                assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected)), (got, expected)
+
+
+class TestWelfareProgramMatrixForms:
+    """Dense and sparse constraint matrices give the same dispatch, operator LP and search.
+
+    The fleet's LPs are below the dense-cell threshold, so the threshold is
+    forced to each extreme to run both forms on the same markets.
     """
 
     @staticmethod
@@ -328,30 +427,38 @@ class TestWelfareProgramMatrixForms:
         state = result.state
         return lm, state, announce(state.x, lm)
 
-    @pytest.mark.parametrize("k", [None, 18])  # two-bus; a fleet market with DA participants
+    @pytest.mark.parametrize("k", [None, 18])  # two-bus; a meshed fleet market with DA participants
     def test_dense_and_sparse_agree(self, monkeypatch, k):
         market = two_bus_market() if k is None else fleet_markets()[k]
         assert any(p.timing == "DA" for p in market.participants)
+        if k is not None:
+            # A bus on two or more lines repeats its nodal balance entries.
+            ends = [b for line in market.network.lines for b in (line.from_bus, line.to_bus)]
+            assert np.bincount(ends).max() >= 2
         lm, state, announcements = self.curtailed_case(market)
         assert announcements.any()
         outcomes = []
+        inner = lp.solve
         for cells, form in ((0, sparse.csr_matrix), (10**12, np.ndarray)):
             monkeypatch.setattr(dispatch, "_DENSE_CELLS", cells)
-            n_p, n_s = len(market.participants), market.scenario_count
-            program = dispatch.welfare_program(
-                market, np.arange(n_p), np.zeros((n_p, n_s)), lm,
-                np.ones((n_s, lm.rows.shape[0]), dtype=bool), lm.stacked_limits(n_s),
-            )
-            assert isinstance(program.a_ub, form) and isinstance(program.a_eq, form)
+            programs = []
+            monkeypatch.setattr(lp, "solve", lambda program: programs.append(program) or inner(program))
             solution = solve_dispatch(market, lm)
-            assert kkt_report(market, solution, lm) == []
+            report = check_arrow_debreu(market, solution.plans, solution.x, solution.lambda_, lm=lm)
             trade, optimum = find_worthy_fd_trade(
                 market.participant_ids, state, announcements, 1e-3, market, lm
             )
+            monkeypatch.setattr(lp, "solve", inner)
+            assert len(programs) == 3  # the dispatch, one operator LP and the search
+            assert all(isinstance(p.a_ub, form) and isinstance(p.a_eq, form) for p in programs)
+            assert kkt_report(market, solution, lm) == []
+            assert report.verdict
             assert trade is not None
-            outcomes.append((solution, trade, optimum))
-        (sol_a, trade_a, opt_a), (sol_b, trade_b, opt_b) = outcomes
+            outcomes.append((solution, report, trade, optimum))
+        (sol_a, report_a, trade_a, opt_a), (sol_b, report_b, trade_b, opt_b) = outcomes
         assert sol_a.objective == pytest.approx(sol_b.objective, rel=1e-9, abs=1e-9)
         assert_plans_close(sol_a.plans, sol_b.plans, tol=1e-9)
+        np.testing.assert_allclose(sol_a.lambda_, sol_b.lambda_, rtol=0, atol=1e-9)
+        assert report_a.so_slack == pytest.approx(report_b.so_slack, rel=1e-9, abs=1e-9)
         assert opt_a == pytest.approx(opt_b, rel=1e-9, abs=1e-9)
         assert_plans_close(dict(trade_a.plans), dict(trade_b.plans), tol=1e-9)

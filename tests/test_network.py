@@ -361,6 +361,15 @@ class TestLoadingMatrixValidation:
         with pytest.raises(ValueError, match="rows must be finite"):
             LoadingMatrix([[1.0, entry], [-1.0, 0.0]], [120.0, 120.0])
 
+    def test_callers_arrays_stay_writeable(self):
+        rows = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        limits, scenario_limits = np.array([120.0, 120.0]), np.array([[120.0, 60.0]])
+        lm = LoadingMatrix(rows, limits, scenario_limits)
+        assert rows.flags.writeable and limits.flags.writeable and scenario_limits.flags.writeable
+        assert not (lm.rows.flags.writeable or lm.limits.flags.writeable or lm.scenario_limits.flags.writeable)
+        rows[0, 0], limits[0], scenario_limits[0, 0] = 5.0, 1.0, 1.0
+        assert lm.rows[0, 0] == 1.0 and lm.limits[0] == 120.0 and lm.scenario_limits[0, 0] == 120.0
+
     def test_infinite_limits_and_zero_lines_build(self):
         lm = build_loading_matrix(two_bus_market().network).with_scenario_capacities([[np.inf], [120.0]])
         np.testing.assert_array_equal(lm.scenario_limits, [[np.inf, np.inf], [120.0, 120.0]])
