@@ -86,10 +86,10 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _dispatch_or_status(market, lm=None, **fields):
+def _dispatch_or_status(market, **fields):
     """The market's dispatch, or ``None`` once a market without one has printed its status."""
     try:
-        return dispatch_mod.solve_dispatch(market, lm)
+        return dispatch_mod.solve_dispatch(market)
     except dispatch_mod.DispatchInfeasibleError as exc:
         print(market_io.dumps({"status": exc.status, **fields}))
         return None
@@ -143,12 +143,11 @@ def cmd_check_eq(args) -> int:
     prices = None if args.prices is None else market_io.parse_matrix(
         market_io.read_json(args.prices), (market.scenario_count, market.network.bus_count), "--prices",
         "prices, one per bus")
-    lm = build_loading_matrix(market.network)
-    solution = _dispatch_or_status(market, lm, verdict=False)
+    solution = _dispatch_or_status(market, verdict=False)
     if solution is None:
         return EXIT_VERDICT_FALSE
     prices = solution.lambda_ if prices is None else prices
-    report = dispatch_mod.check_arrow_debreu(market, solution.plans, solution.x, prices, lm=lm)
+    report = dispatch_mod.check_arrow_debreu(market, solution.plans, solution.x, prices)
     doc = {
         "verdict": report.verdict,
         "participant_ok": report.participant_ok,

@@ -35,7 +35,7 @@ from scipy import sparse
 
 from . import lp
 from .market import Market
-from .network import LoadingMatrix, Network, build_loading_matrix
+from .network import LoadingMatrix, Network
 from .participants import UtilityTable, scan_maximum
 
 __all__ = [
@@ -144,15 +144,13 @@ def _angle_block(network: Network, limits: np.ndarray, node: np.ndarray, col0: i
     where column ``k`` injects into row ``node[k]``.  Inequality rows
     ``s 2L + l`` and ``s 2L + L + l`` bound line ``l``'s flow
     ``b_l (theta_from - theta_to)`` and its negation by ``limits[s, l]`` and
-    ``limits[s, L + l]`` (``limits`` has shape ``(S, 2L)``).  Returns the
-    balance and flow row blocks (see :func:`_program`) and the angle
-    columns' bounds.  A bus on several lines repeats its balance entries;
-    :func:`_matrix` sums them.
+    ``limits[s, L + l]`` (``limits`` has shape ``(S, 2L)``); only finite
+    limits get a row, numbered in that order.  Returns the balance and flow
+    row blocks (see :func:`_program`) and the angle columns' bounds.  A bus
+    on several lines repeats its balance entries; :func:`_matrix` sums them.
     """
     n_s, n_b, n_l = len(limits), network.bus_count, network.line_count
-    f = np.array([line.from_bus for line in network.lines], dtype=int)
-    t = np.array([line.to_bus for line in network.lines], dtype=int)
-    b = np.array([1.0 / line.reactance for line in network.lines])
+    f, t, b = network.from_buses, network.to_buses, network.susceptances
     line = np.arange(n_l)
     first = n_b * np.arange(n_s)[:, None]  # each scenario's first balance row and angle
     angles = (col0 + first + np.concatenate([f, t, f, t])).ravel()
@@ -163,8 +161,10 @@ def _angle_block(network: Network, limits: np.ndarray, node: np.ndarray, col0: i
          ((first + np.concatenate([f, f, t, t])).ravel(), angles, -flow_vals)],
         np.zeros(n_s * n_b),
     )
-    flow_rows = 2 * n_l * np.arange(n_s)[:, None] + np.concatenate([line, line, n_l + line, n_l + line])
-    flows = ([(flow_rows.ravel(), angles, flow_vals)], limits.ravel())
+    flow_rows = (2 * n_l * np.arange(n_s)[:, None] + np.concatenate([line, line, n_l + line, n_l + line])).ravel()
+    rated = np.isfinite(limits).ravel()
+    kept = rated[flow_rows]  # entries of rated rows, renumbered past the rows left out
+    flows = ([((np.cumsum(rated) - 1)[flow_rows[kept]], angles[kept], flow_vals[kept])], limits.ravel()[rated])
     fixed = np.tile(np.arange(n_b) == network.reference_bus, n_s)
     return balance, flows, np.where(fixed, 0.0, -np.inf), np.where(fixed, 0.0, np.inf)
 
@@ -243,30 +243,31 @@ def welfare_program(
     return _program(c, lower, upper, [segments, lines], [chains, balance])
 
 
-def _ratings(market: Market, lm: LoadingMatrix | None) -> LoadingMatrix:
-    """``lm``, or the network's own loading matrix; it must have the network's ``(2L, N)`` shape."""
-    network = market.network
+def _ratings(market: Market, lm: LoadingMatrix | None) -> np.ndarray:
+    """The ``(S, 2L)`` line ratings: ``lm``'s, which must have the network's ``(2L, N)`` shape, else the network's."""
+    network, n_s = market.network, market.scenario_count
     if lm is None:
-        return build_loading_matrix(network)
+        ratings = network.ratings if network.scenario_ratings is None else network.scenario_ratings
+        return np.broadcast_to(ratings, (n_s, ratings.shape[-1]))
     expected = (2 * network.line_count, network.bus_count)
     if lm.rows.shape != expected:
         raise ValueError(f"loading matrix has shape {lm.rows.shape}, but the market's network needs {expected}")
-    return lm
+    return lm.stacked_limits(n_s)
 
 
 def solve_dispatch(market: Market, lm: LoadingMatrix | None = None) -> DispatchSolution:
     """Maximise total expected utility subject to local and network limits.
 
     The participant block is the trade search's at zero plans; the network
-    is the bus-angle block of ``market.network``, and ``lm`` supplies only
-    the line ratings (``lm.stacked_limits``).
+    is the bus-angle block of ``market.network`` under the ratings of
+    ``lm``, else the network's own; an unrated line's ``beta`` entries are 0.
     """
-    lm = _ratings(market, lm)
+    limits = _ratings(market, lm)
     network, table = market.network, market.table
     n_i, n_s, n_b = len(market.participants), market.scenario_count, network.bus_count
     c, lower, upper, segments, chains = _participant_block(market, np.arange(n_i), np.zeros((n_i, n_s)))
     node = (n_b * np.arange(n_s) + table.bus[:, None]).ravel()
-    balance, flows, angle_lower, angle_upper = _angle_block(network, lm.stacked_limits(n_s), node, c.size)
+    balance, flows, angle_lower, angle_upper = _angle_block(network, limits, node, c.size)
     sol = lp.solve(_program(
         np.concatenate([c, np.zeros(n_s * n_b)]),
         np.concatenate([lower, angle_lower]),
@@ -281,7 +282,8 @@ def solve_dispatch(market: Market, lm: LoadingMatrix | None = None) -> DispatchS
     ids = market.participant_ids
     plans = dict(zip(ids, sol.x[:n_d].reshape(n_i, n_s)))
     lambda_ = -sol.duals_eq[n_chain:].reshape(n_s, n_b)
-    beta = sol.duals_ub[sol.duals_ub.size - flows[1].size:].reshape(n_s, 2 * network.line_count)
+    beta = np.zeros(limits.shape)
+    beta[np.isfinite(limits)] = sol.duals_ub[sol.duals_ub.size - flows[1].size:]
     da_ids = [p.id for p in market.participants if p.timing == "DA"]
     chain = sol.duals_eq[:n_chain].reshape(len(da_ids), n_s - 1)
     # Commitment force in scenario s: chain dual s minus chain dual s - 1, zero past either end.
@@ -381,9 +383,9 @@ def _operator_profit(network: Network, prices: np.ndarray, limits: np.ndarray) -
         [flows],
         [balance],
     ))
-    if sol.status != "optimal":
+    if sol.status not in ("optimal", "unbounded"):
         raise lp.LpError(f"operator profit LP ended {sol.status}")
-    return sol.objective
+    return sol.objective if sol.status == "optimal" else np.inf
 
 
 def check_arrow_debreu(
@@ -401,10 +403,9 @@ def check_arrow_debreu(
     profit over the feasible polytope; and every contingent commodity clears.
     A plan of the wrong length or outside its bounds, prices or injections
     of a shape other than ``(S, N)``, or a loading matrix of a shape other
-    than the network's raises ``ValueError``.
+    than the network's raises ``ValueError``; an unbounded operator profit gives ``so_slack = inf``.
     """
-    lm = _ratings(market, lm)
-    limits = lm.stacked_limits(market.scenario_count)
+    limits = _ratings(market, lm)
     prices = np.asarray(prices, dtype=float)
     x = np.asarray(x, dtype=float)
     shape = (market.scenario_count, market.network.bus_count)
@@ -427,7 +428,7 @@ def check_arrow_debreu(
     participant_ok = dict(zip(ids, (slack <= _EQUILIBRIUM_TOL * (1.0 + np.abs(best))).tolist()))
 
     so_slack = _operator_profit(market.network, prices, limits) + float(np.sum(prices * x))
-    so_scale = 1.0 + abs(float(np.abs(prices).sum())) * float(np.abs(limits).max() if limits.size else 0.0)
+    so_scale = 1.0 + abs(float(np.abs(prices).sum())) * float(limits[np.isfinite(limits)].max(initial=0.0))
     so_ok = so_slack <= _EQUILIBRIUM_TOL * so_scale
 
     clearing = float(np.max(np.abs(x - injection), initial=0.0))

@@ -49,8 +49,8 @@ class DisconnectedNetworkError(ValueError):
 class Line:
     """Transmission line between two buses (0-indexed endpoints).
 
-    ``capacity`` limits the magnitude of the flow in both directions; the
-    positive flow direction is ``from_bus -> to_bus``.
+    ``capacity`` limits the magnitude of the flow in both directions (``inf``
+    is no limit); the positive flow direction is ``from_bus -> to_bus``.
     """
 
     from_bus: int
@@ -72,7 +72,10 @@ class Network:
     """Connected transmission network with a flow reference bus.
 
     ``scenario_capacities``, when given, holds one row of line ratings per
-    scenario and replaces each ``Line.capacity`` in that scenario.
+    scenario and replaces each ``Line.capacity`` in that scenario.  The
+    read-only arrays ``from_buses``, ``to_buses``, ``susceptances`` and, in the
+    loading rows' layout, ``ratings`` ``(2L,)`` and ``scenario_ratings``
+    ``(S, 2L)`` or ``None`` are the one source of line data.
 
     Construction walks the bus graph depth first from bus 0, visiting
     neighbours in ascending order.  ``walk_order`` lists the buses in visit
@@ -91,6 +94,7 @@ class Network:
         if self.bus_count < 1:
             raise ValueError("bus_count must be >= 1")
         object.__setattr__(self, "lines", tuple(self.lines))
+        scenario = None
         if self.scenario_capacities is not None:
             caps = tuple(tuple(float(c) for c in row) for row in self.scenario_capacities)
             if any(len(row) != len(self.lines) for row in caps):
@@ -98,6 +102,7 @@ class Network:
             if not all(c > 0 for row in caps for c in row):
                 raise ValueError("scenario_capacities must be positive")
             object.__setattr__(self, "scenario_capacities", caps)
+            scenario = _both_directions(np.array(caps, dtype=float).reshape(len(caps), len(self.lines)))
         for line in self.lines:
             for b in (line.from_bus, line.to_bus):
                 if not 0 <= b < self.bus_count:
@@ -107,6 +112,13 @@ class Network:
         self._walk()
         if len(self.walk_order) != self.bus_count:
             raise DisconnectedNetworkError("bus graph is not connected")
+        data = np.array([(ln.from_bus, ln.to_bus, ln.reactance, ln.capacity) for ln in self.lines], dtype=float)
+        f, t, x, c = data.reshape(self.line_count, 4).T
+        for name, arr in zip(("from_buses", "to_buses", "susceptances", "ratings", "scenario_ratings"),
+                             (f.astype(int), t.astype(int), 1.0 / x, _both_directions(c), scenario)):
+            if arr is not None:
+                arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def line_count(self) -> int:
@@ -136,13 +148,10 @@ class Network:
         object.__setattr__(self, "walk_order", tuple(order))
         object.__setattr__(self, "walk_links", tuple(links))
 
-    def incidence(self) -> np.ndarray:
-        """Oriented incidence matrix, one row per line (+1 from, -1 to)."""
-        a = np.zeros((self.line_count, self.bus_count))
-        for idx, line in enumerate(self.lines):
-            a[idx, line.from_bus] = 1.0
-            a[idx, line.to_bus] = -1.0
-        return a
+
+def _both_directions(ratings: np.ndarray) -> np.ndarray:
+    """Line ratings ``(..., L)`` in the loading rows' layout ``(..., 2L)``: forward rows, then reverse."""
+    return np.concatenate([ratings, ratings], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +222,7 @@ class LoadingMatrix:
         caps = np.asarray(capacities, dtype=float)
         if caps.ndim != 2 or caps.shape[1] != self.line_count:
             raise ValueError("capacities must have shape (S, L)")
-        return LoadingMatrix(self.rows, self.limits, np.hstack([caps, caps]))
+        return LoadingMatrix(self.rows, self.limits, _both_directions(caps))
 
 
 def build_loading_matrix(network: Network) -> LoadingMatrix:
@@ -222,11 +231,12 @@ def build_loading_matrix(network: Network) -> LoadingMatrix:
     For any balanced injection ``p`` (sum zero), ``H_hat @ p`` is the DC line
     flow vector with the network's reference bus as the angle reference.
     Exact for the DC model; O(N^3) which is fine at the scale used here.
-    The network's ``scenario_capacities``, if any, become ``scenario_limits``.
+    The limits are the network's ``ratings`` and ``scenario_ratings``.
     """
     n, ref = network.bus_count, network.reference_bus
-    a = network.incidence()
-    b = np.array([1.0 / line.reactance for line in network.lines])
+    buses = np.arange(n)  # a is the oriented incidence: +1 at each line's from bus, -1 at its to bus
+    a = (network.from_buses[:, None] == buses) - (network.to_buses[:, None] == buses).astype(float)
+    b = network.susceptances
     lap = a.T @ (b[:, None] * a)
     keep = [i for i in range(n) if i != ref]
     h_hat = np.zeros((network.line_count, n))
@@ -237,11 +247,7 @@ def build_loading_matrix(network: Network) -> LoadingMatrix:
         except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by Network
             raise DisconnectedNetworkError("singular susceptance matrix") from exc
         h_hat[:, keep] = sol.T
-    caps = np.array([line.capacity for line in network.lines])
-    lm = LoadingMatrix(np.vstack([h_hat, -h_hat]), np.concatenate([caps, caps]))
-    if network.scenario_capacities is not None:
-        lm = lm.with_scenario_capacities(network.scenario_capacities)
-    return lm
+    return LoadingMatrix(np.vstack([h_hat, -h_hat]), network.ratings, network.scenario_ratings)
 
 
 def _as_scenario_major(x: np.ndarray, n: int) -> np.ndarray:

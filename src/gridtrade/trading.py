@@ -172,25 +172,16 @@ class TradingResult:
 
 def validate_trade(trade: Trade, state: TradingState, market: Market) -> list[str]:
     """Empty list when acceptable, else one message per violation."""
-    market.table.rows(trade.plans)  # an unknown id raises KeyError before any shape check
-    n_s = market.scenario_count
-    problems = [
-        f"shape: {pid} plan has {plan.size} entries, expected {n_s}"
-        for pid, plan in trade.plans.items()
-        if plan.size != n_s
-    ]
-    if problems:
-        return problems
+    try:
+        rows, d = market.table.stack(trade.plans)  # an unknown id raises KeyError before any shape check
+    except ValueError:
+        return [f"shape: {pid} plan has {plan.size} entries, expected {market.scenario_count}"
+                for pid, plan in trade.plans.items() if plan.size != market.scenario_count]
     if not trade.group:
         return ["degenerate: all increments are zero"]
-    sums = np.zeros(n_s)
-    for plan in trade.plans.values():
-        sums += plan
-    for s, r in enumerate(sums):
-        if abs(r) > BALANCE_TOL:
-            problems.append(f"balance: scenario {s} sums to {r:.3e}")
-    rows, y, d = _members(trade, state, market)
-    outside, spread = market.table.local_violations(rows, y + d)
+    sums = np.cumsum(d, axis=0)[-1]  # in id order, bit for bit a loop over the plans; d.sum(axis=0) is not
+    problems = [f"balance: scenario {s} sums to {r:.3e}" for s, r in enumerate(sums) if abs(r) > BALANCE_TOL]
+    outside, spread = market.table.local_violations(rows, state.plans[rows] + d)
     for i in np.flatnonzero(d.any(axis=1) & (outside.any(axis=1) | spread)):
         problems.append(f"local: {state.ids[rows[i]]} violates {'non-anticipation' if spread[i] else 'bounds'}")
     return problems

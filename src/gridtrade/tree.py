@@ -142,9 +142,9 @@ def tree_flows(network: Network, injections: Sequence) -> list[Fraction]:
 
 def _feasible_trade(
     network: Network, trade: Sequence, accumulated: Sequence | None
-) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """The trade, the accumulated state's flows and the trade's flows, once the
-    trade is known to balance and to fit the line ratings on top of that state.
+) -> tuple[list[Fraction], list[Fraction], list[Fraction], list[Fraction | float]]:
+    """The trade, the accumulated state's flows, the trade's flows and the exact ratings (``inf``
+    if unrated), once the trade is known to balance and to fit the ratings on that state.
     """
     p = _to_fractions(trade)
     flows = tree_flows(network, p)
@@ -152,13 +152,14 @@ def _feasible_trade(
         # A decomposition checks one set of ratings; per-scenario ones would go unchecked.
         raise ValueError("decomposition checks one set of line ratings, not scenario_capacities")
     base = tree_flows(network, accumulated) if accumulated is not None else [Fraction(0)] * network.line_count
-    if any(abs(b + f) > Fraction(line.capacity) for b, f, line in zip(base, flows, network.lines)):
+    ratings = [Fraction(r) if r < np.inf else np.inf for r in network.ratings[: network.line_count].tolist()]
+    if any(abs(b + f) > r for b, f, r in zip(base, flows, ratings)):
         raise ValueError("trade is not feasible at the accumulated state")
-    return p, base, flows
+    return p, base, flows, ratings
 
 
 def _peel(
-    network: Network, p: list[Fraction], capacity: list[Fraction], flows: list[Fraction]
+    network: Network, p: list[Fraction], capacity: list[Fraction | float], flows: list[Fraction]
 ) -> list[BilateralTrade]:
     """Route ``p``'s supply to its demand one augmenting path at a time.
 
@@ -203,8 +204,8 @@ def decompose_sequential(
     rating less the accumulated state's flow.  Each step stays inside that
     room, which is exactly prefix feasibility.
     """
-    p, base, _ = _feasible_trade(network, trade, accumulated)
-    return _peel(network, p, [Fraction(line.capacity) for line in network.lines], base)
+    p, base, _, ratings = _feasible_trade(network, trade, accumulated)
+    return _peel(network, p, ratings, base)
 
 
 def decompose_conformal(
@@ -221,7 +222,7 @@ def decompose_conformal(
     prefix between the accumulated state and the fully applied trade, hence
     feasible.
     """
-    p, _, flows = _feasible_trade(network, trade, accumulated)
+    p, _, flows, _ = _feasible_trade(network, trade, accumulated)
     return _peel(network, p, [Fraction(0)] * network.line_count, [-f for f in flows])
 
 

@@ -6,6 +6,8 @@ import pytest
 
 from gridtrade import build_loading_matrix, solve_dispatch, two_bus_market
 from gridtrade.generators import random_market
+from gridtrade.market import Market
+from gridtrade.network import Network
 from gridtrade.trading import TradingState
 
 FLEET_SEED = 20240817
@@ -22,6 +24,18 @@ def fleet_markets():
         )
         for k in range(FLEET_SIZE)
     ]
+
+
+def scenario_rated_markets(count: int = 4):
+    """The first ``count`` fleet markets with ``scenario_capacities``: each rating times a draw in [0.5, 1]."""
+    rng = np.random.default_rng(FLEET_SEED)
+    markets = []
+    for m in fleet_markets()[:count]:
+        net = m.network
+        caps = rng.uniform(0.5, 1.0, (m.scenario_count, net.line_count)) * [line.capacity for line in net.lines]
+        rated = Network(net.bus_count, net.lines, net.reference_bus, scenario_capacities=caps.tolist())
+        markets.append(Market(rated, m.scenarios, m.participants))
+    return markets
 
 
 def medium_full_markets(seed: int = 1):
@@ -119,7 +133,8 @@ def kkt_report(market, solution, lm, atol=1e-6):
         if np.min(solution.beta[s]) < -1e-8:
             problems.append(f"negative loading dual scenario {s}")
         slack = lm.limits_for(s) - lm.rows @ solution.x[s]
-        comp = np.abs(solution.beta[s] * slack)
+        # An unrated row never binds, so its dual must vanish (0 * inf would hide it as NaN).
+        comp = np.abs(solution.beta[s] * np.where(np.isfinite(slack), slack, 1.0))
         if np.max(comp, initial=0.0) > atol * (1 + float(np.max(np.abs(solution.x[s]), initial=0.0))):
             problems.append(f"loading complementarity scenario {s}")
     return problems

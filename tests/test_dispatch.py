@@ -1,10 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from gridtrade import dispatch, lp
+from gridtrade import dispatch, lp, network
 from gridtrade.dispatch import (
     DispatchInfeasibleError,
     check_arrow_debreu,
@@ -19,7 +20,13 @@ from gridtrade.participants import Participant, ScenarioSet, UtilityFunction
 from gridtrade.proposer import ProposerStrategy, find_worthy_fd_trade, make_proposer
 from gridtrade.trading import EngineConfig, announce, run_trading
 
-from conftest import assert_plans_close, fleet_markets, kkt_report, medium_full_markets
+from conftest import (
+    assert_plans_close,
+    fleet_markets,
+    kkt_report,
+    medium_full_markets,
+    scenario_rated_markets,
+)
 
 
 def two_bus_cost_oracle(cap: float) -> float:
@@ -331,6 +338,87 @@ class TestMismatchedLoadingMatrix:
         with pytest.raises(ValueError, match=r"shape \(4, 3\), but the market's network needs \(2, 2\)"):
             check_arrow_debreu(two_bus, two_bus_dispatch.plans, two_bus_dispatch.x,
                                two_bus_dispatch.lambda_, lm=self.three_bus_lm())
+
+
+class TestNetworkRatings:
+    """Without ``lm`` the dispatch and the equilibrium check read the network's own ratings."""
+
+    def test_no_shift_factors_and_the_same_results_by_bytes(self, monkeypatch):
+        markets = [*fleet_markets(), *medium_full_markets(), *scenario_rated_markets()]
+        assert any(m.network.scenario_capacities is not None for m in markets)
+        expected = []
+        for market in markets:
+            lm = build_loading_matrix(market.network)
+            solution = solve_dispatch(market, lm)
+            report = check_arrow_debreu(market, solution.plans, solution.x, solution.lambda_, lm=lm)
+            expected.append((solution, report))
+
+        def refuse(net):
+            raise AssertionError("shift factors built for a call without lm")
+
+        for module in (network, dispatch):  # dispatch must reach it under neither module's name
+            monkeypatch.setattr(module, "build_loading_matrix", refuse, raising=False)
+        for market, (want, want_report) in zip(markets, expected):
+            got = solve_dispatch(market)
+            report = check_arrow_debreu(market, got.plans, got.x, got.lambda_)
+            assert got.objective == want.objective
+            for name in ("x", "lambda_", "beta"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert report.participant_slack == want_report.participant_slack
+            assert report.so_slack == want_report.so_slack
+            assert report.verdict == want_report.verdict
+
+
+def unrated_two_bus(capacity=math.inf):
+    base = two_bus_market()
+    return Market(Network(2, (Line(0, 1, 1.0, capacity),), reference_bus=1), base.scenarios, base.participants)
+
+
+class TestUnratedLines:
+    """An infinite rating is no limit: the line gets no flow row and its ``beta`` entries are 0."""
+
+    def test_two_bus_dispatch_matches_a_rating_that_never_binds(self):
+        market = unrated_two_bus()
+        lm = build_loading_matrix(market.network)
+        result = run_trading(market, EngineConfig(), make_proposer(ProposerStrategy(), lm), lm)
+        assert result.converged and result.final_welfare == 145900.0
+        solution = solve_dispatch(market)
+        assert solution.objective == 145900.0 == solve_dispatch(unrated_two_bus(1e6)).objective
+        np.testing.assert_array_equal(solution.lambda_, [[18.0, 18.0], [32.0, 32.0]])
+        np.testing.assert_array_equal(solution.beta, 0.0)
+
+    def test_two_bus_equilibrium_at_the_dispatch_prices(self):
+        market = unrated_two_bus()
+        solution = solve_dispatch(market)
+        report = check_arrow_debreu(market, solution.plans, solution.x, solution.lambda_)
+        assert report.verdict and report.so_slack == 0.0
+        assert kkt_report(market, solution, build_loading_matrix(market.network)) == []
+
+    def test_prices_that_differ_across_an_unrated_line_fail(self):
+        market = unrated_two_bus()
+        solution = solve_dispatch(market)
+        prices = solution.lambda_ + [[0.0, 1.0], [0.0, 0.0]]
+        report = check_arrow_debreu(market, solution.plans, solution.x, prices)
+        assert report.so_slack == math.inf
+        assert not report.so_ok and not report.verdict
+
+    def test_one_unrated_line_in_one_scenario_of_meshed_markets(self):
+        # Scenario 0's first line is unrated; with a rating of 1e7 MW in its
+        # place, which never binds, the optimum is the same.
+        for market in fleet_markets()[::2]:
+            net = market.network
+            caps = np.tile([line.capacity for line in net.lines], (market.scenario_count, 1))
+            outcomes = []
+            for rating in (math.inf, 1e7):
+                caps[0, 0] = rating
+                rated = Network(net.bus_count, net.lines, net.reference_bus, scenario_capacities=caps.tolist())
+                outcomes.append(Market(rated, market.scenarios, market.participants))
+            unrated, rated = outcomes
+            solution = solve_dispatch(unrated)
+            assert solution.objective == pytest.approx(solve_dispatch(rated).objective, rel=1e-9, abs=1e-9)
+            assert solution.beta[0, [0, net.line_count]].tolist() == [0.0, 0.0]
+            assert kkt_report(unrated, solution, build_loading_matrix(unrated.network)) == []
+            assert check_arrow_debreu(unrated, solution.plans, solution.x, solution.lambda_).verdict
 
 
 def shift_factor_dispatch(market, lm):

@@ -22,11 +22,38 @@ from gridtrade.network import (
 )
 from gridtrade.trading import EngineConfig, announce, run_trading
 
+from conftest import fleet_markets, medium_full_markets, scenario_rated_markets
+
+
+def incidence_per_line(network):
+    """Oriented incidence matrix built line by line (+1 at the from bus, -1 at the to bus)."""
+    a = np.zeros((network.line_count, network.bus_count))
+    for idx, line in enumerate(network.lines):
+        a[idx, line.from_bus] = 1.0
+        a[idx, line.to_bus] = -1.0
+    return a
+
+
+def loading_matrix_per_line(network):
+    """``build_loading_matrix`` from ``network.lines`` one line at a time: the by-bytes reference."""
+    n, ref = network.bus_count, network.reference_bus
+    a = incidence_per_line(network)
+    b = np.array([1.0 / line.reactance for line in network.lines])
+    lap = a.T @ (b[:, None] * a)
+    keep = [i for i in range(n) if i != ref]
+    h_hat = np.zeros((network.line_count, n))
+    if keep:
+        h_hat[:, keep] = np.linalg.solve(lap[np.ix_(keep, keep)], (b[:, None] * a[:, keep]).T).T
+    caps = np.array([line.capacity for line in network.lines])
+    lm = LoadingMatrix(np.vstack([h_hat, -h_hat]), np.concatenate([caps, caps]))
+    if network.scenario_capacities is not None:
+        lm = lm.with_scenario_capacities(network.scenario_capacities)
+    return lm
+
 
 def ptdf_via_pseudoinverse(network):
     """Independent oracle: shift factors from the full Laplacian pseudoinverse."""
-    n = network.bus_count
-    a = network.incidence()
+    a = incidence_per_line(network)
     b = np.array([1.0 / line.reactance for line in network.lines])
     lap = a.T @ (b[:, None] * a)
     lplus = np.linalg.pinv(lap)
@@ -101,6 +128,28 @@ class TestBuildLoadingMatrix:
             net = random_connected_network(rng, int(rng.integers(2, 7)), extra=int(rng.integers(0, 3)))
             lm = build_loading_matrix(net)
             np.testing.assert_allclose(lm.rows[: net.line_count], ptdf_via_pseudoinverse(net), atol=1e-8)
+
+    def test_network_arrays_match_the_per_line_construction_by_bytes(self):
+        for market in [*fleet_markets(), *medium_full_markets(), *scenario_rated_markets()]:
+            got, want = build_loading_matrix(market.network), loading_matrix_per_line(market.network)
+            assert got.rows.tobytes() == want.rows.tobytes()
+            assert got.limits.tobytes() == want.limits.tobytes()
+            if want.scenario_limits is None:
+                assert got.scenario_limits is None
+            else:
+                assert got.scenario_limits.tobytes() == want.scenario_limits.tobytes()
+
+    def test_network_arrays_are_read_only_and_in_row_layout(self):
+        net = Network(3, (Line(0, 1, 2.0, 10.0), Line(2, 1, 0.5, np.inf)), reference_bus=1,
+                      scenario_capacities=((10.0, 5.0), (np.inf, 7.0)))
+        np.testing.assert_array_equal(net.from_buses, [0, 2])
+        np.testing.assert_array_equal(net.to_buses, [1, 1])
+        np.testing.assert_array_equal(net.susceptances, [0.5, 2.0])
+        np.testing.assert_array_equal(net.ratings, [10.0, np.inf, 10.0, np.inf])
+        np.testing.assert_array_equal(net.scenario_ratings, [[10.0, 5.0, 10.0, 5.0], [np.inf, 7.0, np.inf, 7.0]])
+        for arr in (net.from_buses, net.to_buses, net.susceptances, net.ratings, net.scenario_ratings):
+            assert not arr.flags.writeable
+        assert Network(1, ()).ratings.shape == (0,) and Network(1, ()).scenario_ratings is None
 
     def test_reverse_rows_are_negated_forward_rows(self):
         rng = np.random.default_rng(8)

@@ -7,7 +7,7 @@ from gridtrade import trading, two_bus_market
 from gridtrade.dispatch import solve_dispatch
 from gridtrade.market import Market
 from gridtrade.market_io import write_trace
-from gridtrade.network import Line, Network, ViolationReport, build_loading_matrix, check_feasible
+from gridtrade.network import BALANCE_TOL, Line, Network, ViolationReport, build_loading_matrix, check_feasible
 from gridtrade.participants import Participant, ScenarioSet, UtilityFunction
 from gridtrade.proposer import ProposerStrategy, make_proposer
 from gridtrade.trading import (
@@ -136,6 +136,29 @@ class TestValidateTrade:
     def test_zero_trade_is_degenerate(self, market):
         state = TradingState.initial(market)
         assert validate_trade(Trade({"G1": np.zeros(2)}), state, market)
+
+    def test_balance_messages_match_the_per_plan_loop(self):
+        # Ten-member trades balanced up to noise near the tolerance, in one
+        # scenario, where numpy's pairwise sum over members would differ
+        # from the loop: flagged scenarios and their sums are the loop's.
+        market = Market(
+            Network(2, (Line(0, 1, 1.0, 100.0),)), ScenarioSet((1.0,)),
+            tuple(Participant.producer(f"G{k}", k % 2, "RT", (100.0,), 10.0) for k in range(10)),
+        )
+        rng = np.random.default_rng(3)
+        state = TradingState.initial(market)
+        flagged = 0
+        for _ in range(300):
+            d = rng.uniform(-50.0, 50.0, (10, 1))
+            d[-1] = rng.normal(0.0, 1e-9) - d[:-1].sum()
+            trade = Trade(dict(zip(market.participant_ids, d)))
+            sums = np.zeros(1)
+            for plan in trade.plans.values():
+                sums += plan
+            want = [f"balance: scenario {s} sums to {r:.3e}" for s, r in enumerate(sums) if abs(r) > BALANCE_TOL]
+            assert [p for p in validate_trade(trade, state, market) if p.startswith("balance")] == want
+            flagged += bool(want)
+        assert 0 < flagged < 300
 
 
 class TestIsWorthy:

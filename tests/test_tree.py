@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -46,7 +47,7 @@ def prefixes_feasible(network, components, base):
         step = tree_flows(network, c.as_vector(network.bus_count))
         flows = [f + s for f, s in zip(flows, step)]
         for e, f in enumerate(flows):
-            if abs(f) > F(network.lines[e].capacity):
+            if abs(f) > network.lines[e].capacity:  # exact against a float rating, inf included
                 return False
     return True
 
@@ -96,6 +97,15 @@ class TestDecomposeSequential:
     def test_unbalanced_trade_rejected(self):
         with pytest.raises(ValueError, match="balance"):
             decompose_sequential(path3(), [F(1), F(0), F(0)])
+
+    @pytest.mark.parametrize("decompose", [decompose_sequential, decompose_conformal])
+    @pytest.mark.parametrize("state", [None, [F(100), F(-95), F(-5)]])
+    def test_unrated_line_has_unbounded_room(self, decompose, state):
+        net = Network(3, (Line(0, 1, 1.0, math.inf), Line(1, 2, 1.0, 10.0)))
+        trade = [F(5), F(0), F(-5)]
+        comps = decompose(net, trade, state)
+        assert components_sum(comps, 3) == trade
+        assert prefixes_feasible(net, comps, state or [F(0)] * 3)
 
     @pytest.mark.parametrize("decompose", [
         decompose_sequential,
