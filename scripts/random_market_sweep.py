@@ -18,7 +18,6 @@ import numpy as np
 
 from gridtrade.dispatch import check_arrow_debreu, solve_dispatch, welfare_gap
 from gridtrade.generators import random_market
-from gridtrade.network import build_loading_matrix
 from gridtrade.proposer import ProposerStrategy, make_proposer
 from gridtrade.trading import EngineConfig, run_trading
 
@@ -43,16 +42,15 @@ def main():
     for k in range(args.count):
         rng = np.random.default_rng(master.integers(2**63))
         market = random_market(rng, meshed=(k % 2 == 0))
-        lm = build_loading_matrix(market.network)
-        proposer = make_proposer(modes[args.proposer], lm)
+        proposer = make_proposer(modes[args.proposer])
         t0 = time.perf_counter()
-        result = run_trading(market, EngineConfig(epsilon=args.epsilon), proposer, lm)
-        solution = solve_dispatch(market, lm)
+        result = run_trading(market, EngineConfig(epsilon=args.epsilon), proposer)
+        solution = solve_dispatch(market)
         times.append(time.perf_counter() - t0)
         gap = welfare_gap(market, dict(result.state.y), solution)
         gaps.append(gap / (1.0 + abs(solution.objective)))
         steps.append(result.steps)
-        verdict = check_arrow_debreu(market, solution.plans, solution.x, solution.lambda_, lm=lm).verdict
+        verdict = check_arrow_debreu(market, solution.plans, solution.x, solution.lambda_).verdict
         if not result.converged or gaps[-1] > args.epsilon or not verdict:
             failures += 1
             print(f"  market {k}: converged={result.converged} rel_gap={gaps[-1]:.3e} equilibrium={verdict}")

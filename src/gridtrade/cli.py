@@ -54,22 +54,18 @@ def _run_spec(args) -> market_io.RunSpec:
 def cmd_run(args) -> int:
     spec = _run_spec(args)
     out_dir = market_io.output_dir(args.out)
-    lm = build_loading_matrix(spec.market.network)
-    proposer = make_proposer(spec.strategy, lm)
     started = time.perf_counter()
-    result = run_trading(spec.market, spec.engine, proposer, lm)
+    result = run_trading(spec.market, spec.engine, make_proposer(spec.strategy))
     elapsed = time.perf_counter() - started
 
     oracle_gap = None
     prices = None
     verdict = None
     if not args.skip_oracle:
-        solution = dispatch_mod.solve_dispatch(spec.market, lm)
+        solution = dispatch_mod.solve_dispatch(spec.market)
         oracle_gap = dispatch_mod.welfare_gap(spec.market, result.state.y, solution)
         prices = solution.lambda_
-        verdict = dispatch_mod.check_arrow_debreu(
-            spec.market, solution.plans, solution.x, solution.lambda_, lm=lm
-        ).verdict
+        verdict = dispatch_mod.check_arrow_debreu(spec.market, solution.plans, solution.x, prices).verdict
 
     with open(out_dir / "trace.jsonl", "w") as fp:
         market_io.write_trace(result.state.records, fp)

@@ -15,7 +15,7 @@ scenario.  The contingent nodal prices are the nodal balance duals:
 ``lambda[s, n]`` is the marginal expected system cost of delivering one
 more MW at bus ``n`` in scenario ``s``.  With ``beta`` the flow-row duals
 and ``gamma[s] = -lambda[s, ref]``, ``lambda[s] = -(gamma[s] + beta[s] @ H)``
-for the shift factors ``H`` of the loading matrix.
+for the shift factors ``H = network.shift_factors``.
 
 The equilibrium check never reads the LP for the participant side: each
 price-taking problem is separable and piecewise linear, so
@@ -35,7 +35,7 @@ from scipy import sparse
 
 from . import lp
 from .market import Market
-from .network import LoadingMatrix, Network
+from .network import LoadingMatrix, Network, own_loading_matrix
 from .participants import UtilityTable, scan_maximum
 
 __all__ = [
@@ -67,7 +67,7 @@ class DispatchSolution:
     scenarios).  ``lambda_`` holds the prices, the negated nodal balance
     duals, shape ``(S, N)``.  ``beta`` holds the flow-row duals, shape
     ``(S, 2L)``: line ``l``'s forward row at ``l`` and its reverse row at
-    ``L + l``, the layout of the loading matrix's rows ``H``.
+    ``L + l``, the layout of ``H = network.shift_factors``.
     ``gamma_s[s] = -lambda_[s, ref]`` is the price at the reference bus,
     negated, so that ``lambda_[s] = -(gamma_s[s] + beta[s] @ H)``.
     """
@@ -209,7 +209,6 @@ def welfare_program(
     market: Market,
     members: Sequence[int],
     y: np.ndarray,
-    lm: LoadingMatrix,
     rows: np.ndarray,
     rhs: np.ndarray,
 ) -> lp.LinearProgram:
@@ -219,8 +218,8 @@ def welfare_program(
     plans, shape ``(M, S)``.  Variables are the increments ``d``
     (member-major, then scenario) followed by the utility epigraph values
     ``u``.  Rows, in order: ``u - m d <= a + m y`` per utility segment;
-    loading row ``r`` of ``lm`` over scenario ``s``'s increments, bounded by
-    ``rhs[s, r]``, wherever the ``(S, 2L)`` mask ``rows[s, r]`` is true
+    row ``r`` of ``market.network.shift_factors`` over scenario ``s``'s
+    increments, bounded by ``rhs[s, r]``, wherever the ``(S, 2L)`` mask ``rows[s, r]`` is true
     (scenario-major); ``d[s] = d[s + 1]`` chains per day-ahead member;
     balance ``sum d[s] = 0`` per scenario.  Working in increments keeps
     ``y`` on the right-hand side, so no ``z - y`` cancels.  The search
@@ -232,7 +231,7 @@ def welfare_program(
     n_m, n_s = members.size, market.scenario_count
     n_d = n_m * n_s
     line_scenario, line_row = np.nonzero(rows)
-    loading = lm.rows[line_row][:, market.table.bus[members]]
+    loading = market.network.shift_factors[line_row][:, market.table.bus[members]]
     lines = (
         [(np.repeat(np.arange(line_scenario.size), n_m),
           (line_scenario[:, None] + n_s * np.arange(n_m)).ravel(),
@@ -244,15 +243,12 @@ def welfare_program(
 
 
 def _ratings(market: Market, lm: LoadingMatrix | None) -> np.ndarray:
-    """The ``(S, 2L)`` line ratings: ``lm``'s, which must have the network's ``(2L, N)`` shape, else the network's."""
+    """The ``(S, 2L)`` line ratings: ``lm``'s, which must hold the network's own rows, else the network's."""
     network, n_s = market.network, market.scenario_count
     if lm is None:
         ratings = network.ratings if network.scenario_ratings is None else network.scenario_ratings
         return np.broadcast_to(ratings, (n_s, ratings.shape[-1]))
-    expected = (2 * network.line_count, network.bus_count)
-    if lm.rows.shape != expected:
-        raise ValueError(f"loading matrix has shape {lm.rows.shape}, but the market's network needs {expected}")
-    return lm.stacked_limits(n_s)
+    return own_loading_matrix(network, lm).stacked_limits(n_s)
 
 
 def solve_dispatch(market: Market, lm: LoadingMatrix | None = None) -> DispatchSolution:
@@ -402,8 +398,8 @@ def check_arrow_debreu(
     the given prices; the network operator's injection maximises conversion
     profit over the feasible polytope; and every contingent commodity clears.
     A plan of the wrong length or outside its bounds, prices or injections
-    of a shape other than ``(S, N)``, or a loading matrix of a shape other
-    than the network's raises ``ValueError``; an unbounded operator profit gives ``so_slack = inf``.
+    of a shape other than ``(S, N)``, or a loading matrix of another network
+    raises ``ValueError``; an unbounded operator profit gives ``so_slack = inf``.
     """
     limits = _ratings(market, lm)
     prices = np.asarray(prices, dtype=float)

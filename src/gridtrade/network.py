@@ -4,12 +4,14 @@ Line flows are linear in nodal injections.  The loading matrix stacks the
 shift-factor rows for both flow directions, so every capacity constraint has
 the one-sided form ``h @ x <= limit``.  Injection arrays are scenario-major:
 shape ``(S, N)``, one row per scenario.  Every query treats all scenarios
-at once as ``(S, 2L)`` arrays of loadings and limits.
+at once as ``(S, 2L)`` arrays of loadings and limits, of the ``lm`` it is
+given, which it neither defaults from a network nor checks against one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +22,7 @@ __all__ = [
     "ViolationReport",
     "DisconnectedNetworkError",
     "build_loading_matrix",
+    "own_loading_matrix",
     "check_feasible",
     "binding_mask",
     "binding_lines",
@@ -128,6 +131,32 @@ class Network:
     def is_tree(self) -> bool:
         return self.line_count == self.bus_count - 1
 
+    @cached_property
+    def shift_factors(self) -> np.ndarray:
+        """The read-only ``(2L, N)`` loading rows ``[H; -H]``, by the reduced weighted-Laplacian inverse.
+
+        For any balanced injection ``p`` (sum zero), ``H @ p`` is the DC line
+        flow vector with ``reference_bus`` as the angle reference.  Exact for
+        the DC model; the O(N^3) solve runs once per network, on first use.
+        """
+        n, ref = self.bus_count, self.reference_bus
+        buses = np.arange(n)  # a is the oriented incidence: +1 at each line's from bus, -1 at its to bus
+        a = (self.from_buses[:, None] == buses) - (self.to_buses[:, None] == buses).astype(float)
+        b = self.susceptances
+        lap = a.T @ (b[:, None] * a)
+        keep = [i for i in range(n) if i != ref]
+        h_hat = np.zeros((self.line_count, n))
+        if keep:
+            reduced = lap[np.ix_(keep, keep)]
+            try:
+                sol = np.linalg.solve(reduced, (b[:, None] * a[:, keep]).T)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by the walk
+                raise DisconnectedNetworkError("singular susceptance matrix") from exc
+            h_hat[:, keep] = sol.T
+        rows = np.vstack([h_hat, -h_hat])
+        rows.setflags(write=False)
+        return rows
+
     def _walk(self) -> None:
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.bus_count)]
         for idx, line in enumerate(self.lines):
@@ -226,28 +255,24 @@ class LoadingMatrix:
 
 
 def build_loading_matrix(network: Network) -> LoadingMatrix:
-    """Shift factors via the reduced weighted-Laplacian inverse.
+    """The network's ``shift_factors`` with its ``ratings`` and ``scenario_ratings`` as limits."""
+    return LoadingMatrix(network.shift_factors, network.ratings, network.scenario_ratings)
 
-    For any balanced injection ``p`` (sum zero), ``H_hat @ p`` is the DC line
-    flow vector with the network's reference bus as the angle reference.
-    Exact for the DC model; O(N^3) which is fine at the scale used here.
-    The limits are the network's ``ratings`` and ``scenario_ratings``.
+
+def own_loading_matrix(network: Network, lm: LoadingMatrix | None = None) -> LoadingMatrix:
+    """``lm``, which may override only the ratings, else the network's loading matrix.
+
+    A given ``lm`` of another shape than ``(2L, N)``, or with rows other than
+    ``network.shift_factors``, belongs to another network: ``ValueError``.
     """
-    n, ref = network.bus_count, network.reference_bus
-    buses = np.arange(n)  # a is the oriented incidence: +1 at each line's from bus, -1 at its to bus
-    a = (network.from_buses[:, None] == buses) - (network.to_buses[:, None] == buses).astype(float)
-    b = network.susceptances
-    lap = a.T @ (b[:, None] * a)
-    keep = [i for i in range(n) if i != ref]
-    h_hat = np.zeros((network.line_count, n))
-    if keep:
-        reduced = lap[np.ix_(keep, keep)]
-        try:
-            sol = np.linalg.solve(reduced, (b[:, None] * a[:, keep]).T)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by Network
-            raise DisconnectedNetworkError("singular susceptance matrix") from exc
-        h_hat[:, keep] = sol.T
-    return LoadingMatrix(np.vstack([h_hat, -h_hat]), network.ratings, network.scenario_ratings)
+    if lm is None:
+        return build_loading_matrix(network)
+    expected = (2 * network.line_count, network.bus_count)
+    if lm.rows.shape != expected:
+        raise ValueError(f"loading matrix has shape {lm.rows.shape}, but the market's network needs {expected}")
+    if not np.array_equal(lm.rows, network.shift_factors):
+        raise ValueError("loading matrix rows are not the shift factors of the market's network")
+    return lm
 
 
 def _as_scenario_major(x: np.ndarray, n: int) -> np.ndarray:

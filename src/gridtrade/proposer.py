@@ -36,7 +36,7 @@ import numpy as np
 from . import lp
 from .dispatch import welfare_program
 from .market import Market
-from .network import LoadingMatrix, build_loading_matrix
+from .network import LoadingMatrix, own_loading_matrix
 from .participants import UtilityTable, scan_maximum
 from .trading import Certificate, Trade, TradingState, require_integers
 
@@ -86,7 +86,6 @@ def find_worthy_fd_trade(
     announcements: np.ndarray,
     epsilon: float,
     market: Market,
-    lm: LoadingMatrix,
 ) -> tuple[Trade | None, float]:
     """Best balanced feasible-direction move for ``group``.
 
@@ -102,7 +101,7 @@ def find_worthy_fd_trade(
     members = table.rows(ids)
     y = state.plans[members]
     base_utility = float(np.sum(table.weights[members] * table.value(members, y[..., None])[..., 0]))
-    program = welfare_program(market, members, y, lm, announcements, np.zeros(announcements.shape))
+    program = welfare_program(market, members, y, announcements, np.zeros(announcements.shape))
     # A plan may sit past its bound by round-off (within LOCAL_TOL); the
     # search's box must still contain d = 0, so staying put stays feasible.
     np.minimum(program.lower, 0.0, out=program.lower)
@@ -123,13 +122,13 @@ def pair_bound(
     pair: tuple[str, str],
     state: TradingState,
     announcements: np.ndarray,
-    lm: LoadingMatrix,
+    shift_factors: np.ndarray,
 ) -> float | None:
     """The pair's best utility gain by breakpoint scan, or ``None`` where it does not apply.
 
     Equals :func:`find_worthy_fd_trade`'s optimum for the pair up to
-    round-off, or exceeds it where announced rows with a coefficient
-    within ``_COEF_TOL * max|H|`` of zero were dropped.
+    round-off, or exceeds it where announced rows with a coefficient within
+    ``_COEF_TOL * max|H|`` of zero were dropped (``H`` is ``shift_factors``).
     """
     i, j = table.rows(pair)
     ya, yb = state.plans[i], state.plans[j]
@@ -137,8 +136,8 @@ def pair_bound(
     upper = np.minimum(table.upper[i] - ya, yb - table.lower[j])
     scenario, rows = np.nonzero(announcements)
     if rows.size:
-        coef = lm.rows[rows, table.bus[i]] - lm.rows[rows, table.bus[j]]
-        tol = _COEF_TOL * np.max(np.abs(lm.rows))
+        coef = shift_factors[rows, table.bus[i]] - shift_factors[rows, table.bus[j]]
+        tol = _COEF_TOL * np.max(np.abs(shift_factors))
         np.minimum.at(upper, scenario[coef > tol], 0.0)
         np.maximum.at(lower, scenario[coef < -tol], 0.0)
     ya, yb = ya[:, None], yb[:, None]
@@ -169,14 +168,16 @@ class Proposer:
         )
 
     def _bind(self, market: Market) -> None:
-        """Rebuild what is cached per market when ``market`` is not the last one seen.
+        """Reset the subset cycle when ``market`` is not the last one seen.
 
-        A loading matrix given to the constructor serves the first market.
+        A loading matrix given to the constructor must hold the first
+        market's shift factors; it is checked there, then dropped.
         """
         if market is self._market:
             return
-        if self._market is not None or self._lm is None:
-            self._lm = build_loading_matrix(market.network)
+        if self._lm is not None:
+            own_loading_matrix(market.network, self._lm)
+            self._lm = None
         self._market = market
         self._subsets = None
 
@@ -211,15 +212,13 @@ class Proposer:
         self._bind(market)
         for group in self.groups(market.participant_ids, rng):
             if len(group) == 2:
-                bound = pair_bound(market.table, group, state, announcements, self._lm)
+                bound = pair_bound(market.table, group, state, announcements, market.network.shift_factors)
                 if bound is not None and bound < epsilon - _SCREEN_MARGIN:
                     continue
-            trade, _ = find_worthy_fd_trade(group, state, announcements, epsilon, market, self._lm)
+            trade, _ = find_worthy_fd_trade(group, state, announcements, epsilon, market)
             if trade is not None:
                 return trade
-        trade, optimum = find_worthy_fd_trade(
-            market.participant_ids, state, announcements, epsilon, market, self._lm
-        )
+        trade, optimum = find_worthy_fd_trade(market.participant_ids, state, announcements, epsilon, market)
         return Certificate(optimum) if trade is None else trade
 
 

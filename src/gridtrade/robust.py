@@ -7,7 +7,8 @@ network state and curtails each new trade so that the worst case of every
 loading row stays within its limit for every combination of realisations.
 The per-row worst case of a box is closed form, so the maximal factor is a
 ratio test; a bisection solver is kept alongside as a cross-check because
-the feasibility predicate is monotone in the factor.
+the feasibility predicate is monotone in the factor.  Each function uses the
+``lm`` it is given, unchecked against any network.
 """
 
 from __future__ import annotations

@@ -27,11 +27,11 @@ from .network import (
     BALANCE_TOL,
     LoadingMatrix,
     binding_mask,
-    build_loading_matrix,
     check_feasible,
     curtailment_factor,
     curtailment_factors,
     is_feasible_direction,
+    own_loading_matrix,
 )
 from .participants import UtilityTable
 
@@ -241,7 +241,7 @@ def _normalize(d: np.ndarray, day_ahead: np.ndarray) -> np.ndarray:
 
 
 def announce(x: np.ndarray, lm: LoadingMatrix) -> np.ndarray:
-    """The operator's guidance at injections ``x``: the read-only ``(S, 2L)`` mask of binding loading rows."""
+    """The operator's guidance at ``x``: the read-only ``(S, 2L)`` mask of binding rows of ``lm``, unchecked."""
     mask = binding_mask(lm, x)
     mask.setflags(write=False)
     return mask
@@ -263,7 +263,7 @@ def so_step(
     hybrid mode and only when no day-ahead participant is involved, since
     they would otherwise break non-anticipation.  An accepted state is
     checked before it is announced: one over a line limit or unbalanced
-    raises :class:`InfeasibleStateError`.
+    raises :class:`InfeasibleStateError`.  ``lm`` is used as given, unchecked.
     """
     reasons = validate_trade(trade, state, market)
     if not reasons and not is_worthy(trade, state, config.epsilon, market)[0]:
@@ -325,8 +325,10 @@ def run_trading(
 
     ``proposer`` must expose ``propose(market, state, announcements, epsilon,
     rng)`` returning either a :class:`Trade` or a :class:`Certificate`.
+    ``lm``, when given, may override only the ratings: rows other than
+    ``market.network.shift_factors`` raise ``ValueError``.
     """
-    lm = build_loading_matrix(market.network) if lm is None else lm
+    lm = own_loading_matrix(market.network, lm)
     state = TradingState.initial(market)
     rng = np.random.default_rng(config.seed)
     converged = False

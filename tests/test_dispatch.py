@@ -197,7 +197,7 @@ class TestArrowDebreu:
         # Arrays inside: == is identity and hash works, as for trading records.
         lm = build_loading_matrix(two_bus.network)
         rows = np.ones((2, lm.rows.shape[0]), dtype=bool)
-        program = dispatch.welfare_program(two_bus, [0, 1], np.zeros((2, 2)), lm, rows, lm.stacked_limits(2))
+        program = dispatch.welfare_program(two_bus, [0, 1], np.zeros((2, 2)), rows, lm.stacked_limits(2))
         for a, b in [
             (two_bus_dispatch, solve_dispatch(two_bus)),
             (lm, build_loading_matrix(two_bus.network)),
@@ -324,27 +324,75 @@ class TestDualConsistency:
 
 
 class TestMismatchedLoadingMatrix:
-    """A loading matrix of another network's shape is an input error at each entry point."""
+    """A loading matrix of another network is an input error at each entry point, of its shape or not."""
+
+    SHAPE = r"shape \(4, 3\), but the market's network needs \(2, 2\)"
+    ROWS = "loading matrix rows are not the shift factors of the market's network"
 
     @staticmethod
     def three_bus_lm():
         return build_loading_matrix(Network(3, (Line(0, 1, 1.0, 100.0), Line(1, 2, 1.0, 100.0))))
 
+    @staticmethod
+    def other_reference_lm():
+        """The two-bus network's shape, but bus 0 as the reference: other shift factors."""
+        return build_loading_matrix(Network(2, (Line(0, 1, 1.0, 120.0),), reference_bus=0))
+
     def test_solve_dispatch_rejects_it(self, two_bus):
-        with pytest.raises(ValueError, match=r"shape \(4, 3\), but the market's network needs \(2, 2\)"):
+        with pytest.raises(ValueError, match=self.SHAPE):
             solve_dispatch(two_bus, self.three_bus_lm())
+        with pytest.raises(ValueError, match=self.ROWS):
+            solve_dispatch(two_bus, self.other_reference_lm())
 
     def test_check_arrow_debreu_rejects_it(self, two_bus, two_bus_dispatch):
-        with pytest.raises(ValueError, match=r"shape \(4, 3\), but the market's network needs \(2, 2\)"):
-            check_arrow_debreu(two_bus, two_bus_dispatch.plans, two_bus_dispatch.x,
-                               two_bus_dispatch.lambda_, lm=self.three_bus_lm())
+        for lm, message in ((self.three_bus_lm(), self.SHAPE), (self.other_reference_lm(), self.ROWS)):
+            with pytest.raises(ValueError, match=message):
+                check_arrow_debreu(two_bus, two_bus_dispatch.plans, two_bus_dispatch.x,
+                                   two_bus_dispatch.lambda_, lm=lm)
+
+    def test_run_trading_and_make_proposer_reject_it(self, two_bus):
+        own = build_loading_matrix(two_bus.network)
+        for lm, message in ((self.three_bus_lm(), self.SHAPE), (self.other_reference_lm(), self.ROWS)):
+            with pytest.raises(ValueError, match=message):
+                run_trading(two_bus, EngineConfig(), make_proposer(ProposerStrategy()), lm)
+            with pytest.raises(ValueError, match=message):
+                run_trading(two_bus, EngineConfig(), make_proposer(ProposerStrategy(), lm), own)
+
+    def test_fleet_matrices_of_the_same_shape_are_refused(self):
+        # Without the check, fleet market 0's matrix certified market 10 at a
+        # state over its own lines, and kept market 13's proposer from certifying.
+        fleet = fleet_markets()
+        lm0 = build_loading_matrix(fleet[0].network)
+        assert lm0.rows.shape == fleet[10].network.shift_factors.shape == fleet[13].network.shift_factors.shape
+        config = EngineConfig(epsilon=1e-3)
+        with pytest.raises(ValueError, match=self.ROWS):
+            run_trading(fleet[10], config, make_proposer(ProposerStrategy(), lm0), lm0)
+        with pytest.raises(ValueError, match=self.ROWS):
+            solve_dispatch(fleet[10], lm0)
+        with pytest.raises(ValueError, match=self.ROWS):
+            run_trading(fleet[13], config, make_proposer(ProposerStrategy(), lm0),
+                        build_loading_matrix(fleet[13].network))
+
+    def test_a_copy_of_the_network_and_its_ratings_override_are_accepted(self, two_bus):
+        net = two_bus.network
+        copy = build_loading_matrix(Network(net.bus_count, net.lines, net.reference_bus))
+        rated = copy.with_scenario_capacities(np.full((2, 1), 60.0))
+        result = run_trading(two_bus, EngineConfig(), make_proposer(ProposerStrategy(), rated), rated)
+        assert result.converged
+        solution = solve_dispatch(two_bus, rated)
+        assert solution.objective == solve_dispatch(unrated_two_bus(60.0)).objective
+        assert check_arrow_debreu(two_bus, solution.plans, solution.x, solution.lambda_, lm=rated).verdict
 
 
 class TestNetworkRatings:
     """Without ``lm`` the dispatch and the equilibrium check read the network's own ratings."""
 
+    @staticmethod
+    def markets():
+        return [*fleet_markets(), *medium_full_markets(), *scenario_rated_markets()]
+
     def test_no_shift_factors_and_the_same_results_by_bytes(self, monkeypatch):
-        markets = [*fleet_markets(), *medium_full_markets(), *scenario_rated_markets()]
+        markets = self.markets()
         assert any(m.network.scenario_capacities is not None for m in markets)
         expected = []
         for market in markets:
@@ -358,9 +406,10 @@ class TestNetworkRatings:
 
         for module in (network, dispatch):  # dispatch must reach it under neither module's name
             monkeypatch.setattr(module, "build_loading_matrix", refuse, raising=False)
-        for market, (want, want_report) in zip(markets, expected):
+        for market, (want, want_report) in zip(self.markets(), expected):  # networks no call has touched
             got = solve_dispatch(market)
             report = check_arrow_debreu(market, got.plans, got.x, got.lambda_)
+            assert "shift_factors" not in vars(market.network)
             assert got.objective == want.objective
             for name in ("x", "lambda_", "beta"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -429,7 +478,7 @@ def shift_factor_dispatch(market, lm):
     """
     n_p, n_s, n_rows = len(market.participants), market.scenario_count, lm.rows.shape[0]
     program = dispatch.welfare_program(
-        market, np.arange(n_p), np.zeros((n_p, n_s)), lm,
+        market, np.arange(n_p), np.zeros((n_p, n_s)),
         np.ones((n_s, n_rows), dtype=bool), lm.stacked_limits(n_s),
     )
     sol = lp.solve(program)
@@ -534,7 +583,7 @@ class TestWelfareProgramMatrixForms:
             solution = solve_dispatch(market, lm)
             report = check_arrow_debreu(market, solution.plans, solution.x, solution.lambda_, lm=lm)
             trade, optimum = find_worthy_fd_trade(
-                market.participant_ids, state, announcements, 1e-3, market, lm
+                market.participant_ids, state, announcements, 1e-3, market
             )
             monkeypatch.setattr(lp, "solve", inner)
             assert len(programs) == 3  # the dispatch, one operator LP and the search

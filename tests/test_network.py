@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gridtrade import ProposerStrategy, make_proposer, two_bus_market
+from gridtrade import ProposerStrategy, cli, make_proposer, two_bus_market
 from gridtrade.dispatch import check_arrow_debreu, solve_dispatch
 from gridtrade.market import Market
 from gridtrade.network import (
@@ -132,6 +134,9 @@ class TestBuildLoadingMatrix:
     def test_network_arrays_match_the_per_line_construction_by_bytes(self):
         for market in [*fleet_markets(), *medium_full_markets(), *scenario_rated_markets()]:
             got, want = build_loading_matrix(market.network), loading_matrix_per_line(market.network)
+            rows = market.network.shift_factors
+            assert rows.tobytes() == want.rows.tobytes() and not rows.flags.writeable
+            assert market.network.shift_factors is rows
             assert got.rows.tobytes() == want.rows.tobytes()
             assert got.limits.tobytes() == want.limits.tobytes()
             if want.scenario_limits is None:
@@ -392,6 +397,29 @@ class TestScenarioLimits:
             check_feasible(lm, x)
         with pytest.raises(ValueError, match=names):
             curtailment_factor(lm, x, x)
+
+
+class TestShiftFactorSolves:
+    """The shift factors are solved once per network, on first use."""
+
+    @staticmethod
+    def counting_solves(monkeypatch) -> list:
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args) or solve(*args))
+        return calls
+
+    def test_a_run_without_lm_solves_once(self, monkeypatch):
+        market = two_bus_market()
+        calls = self.counting_solves(monkeypatch)
+        assert run_trading(market, EngineConfig(), make_proposer(ProposerStrategy())).converged
+        assert len(calls) == 1 and "shift_factors" in vars(market.network)
+
+    def test_gridtrade_run_solves_once(self, monkeypatch, tmp_path, capsys):
+        calls = self.counting_solves(monkeypatch)
+        market_file = Path(__file__).resolve().parents[1] / "markets" / "two_bus.json"
+        assert cli.main(["run", str(market_file), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
 
 class TestLoadingMatrixValidation:

@@ -112,7 +112,7 @@ class TestFindWorthyFdTrade:
     def test_curtailed_state_yields_congestion_relief_trade(self, market, lm, curtailed_state, golden_plans):
         announcements = announce(curtailed_state.x, lm)
         trade, optimum = find_worthy_fd_trade(
-            market.participant_ids, curtailed_state, announcements, 1e-3, market, lm
+            market.participant_ids, curtailed_state, announcements, 1e-3, market
         )
         assert trade is not None and optimum == pytest.approx(28280.0, abs=1e-5)
         expected = {
@@ -129,7 +129,7 @@ class TestFindWorthyFdTrade:
         )
         announcements = announce(state.x, lm)
         trade, optimum = find_worthy_fd_trade(
-            market.participant_ids, state, announcements, 1e-9, market, lm
+            market.participant_ids, state, announcements, 1e-9, market
         )
         assert trade is None and optimum <= 1e-9
 
@@ -145,8 +145,7 @@ class TestFindWorthyFdTrade:
             {"a": np.array([30.0]), "b": np.array([30.0])},
             np.array([[60.0]]),
         )
-        trade, optimum = find_worthy_fd_trade(("a", "b"), state, NO_LINES, 1e-9, market,
-                                              build_loading_matrix(network))
+        trade, optimum = find_worthy_fd_trade(("a", "b"), state, NO_LINES, 1e-9, market)
         assert trade is None and optimum == pytest.approx(0.0, abs=1e-9)
 
     def test_plan_past_its_bound_by_round_off_still_searches(self):
@@ -159,14 +158,13 @@ class TestFindWorthyFdTrade:
         market = Market(network, ScenarioSet((1.0,)), (a, b))
         state = state_at(market, {"a": np.array([100.0 + 1e-10]), "b": np.array([100.0])},
                          np.array([[200.0 + 1e-10]]))
-        trade, optimum = find_worthy_fd_trade(("a", "b"), state, NO_LINES, 1e-3, market,
-                                              build_loading_matrix(network))
+        trade, optimum = find_worthy_fd_trade(("a", "b"), state, NO_LINES, 1e-3, market)
         assert trade is None and optimum == pytest.approx(0.0, abs=1e-9)
 
     def test_returned_trade_is_valid_and_directional(self, market, lm, curtailed_state):
         announcements = announce(curtailed_state.x, lm)
         trade, optimum = find_worthy_fd_trade(
-            market.participant_ids, curtailed_state, announcements, 1e-3, market, lm
+            market.participant_ids, curtailed_state, announcements, 1e-3, market
         )
         assert validate_trade(trade, curtailed_state, market) == []
         q = market.aggregate_nodal(trade.plans)
@@ -177,7 +175,7 @@ class TestFindWorthyFdTrade:
     def test_group_without_freedom_certifies_zero(self, market, lm):
         state = TradingState.initial(market)
         trade, optimum = find_worthy_fd_trade(("G1", "G3"), state, announce(state.x, lm),
-                                              1e500, market, lm)
+                                              1e500, market)
         assert trade is None and optimum >= 0.0
 
 
@@ -222,7 +220,7 @@ class GapCheckingProposer:
 
     def propose(self, market, state, announcements, epsilon, rng):
         trade, optimum = find_worthy_fd_trade(
-            market.participant_ids, state, announcements, epsilon, market, self.lm
+            market.participant_ids, state, announcements, epsilon, market
         )
         gap = self.objective - market.total_utility(dict(state.y), subjective=True)
         slack = (gap - optimum) / (1.0 + abs(self.objective))
@@ -280,8 +278,8 @@ class PairChecker:
     def propose(self, market, state, announcements, epsilon, rng):
         _, rows = np.nonzero(announcements)
         for pair in itertools.combinations(market.participant_ids, 2):
-            bound = pair_bound(market.table, pair, state, announcements, self.lm)
-            _, optimum = find_worthy_fd_trade(pair, state, announcements, epsilon, market, self.lm)
+            bound = pair_bound(market.table, pair, state, announcements, market.network.shift_factors)
+            _, optimum = find_worthy_fd_trade(pair, state, announcements, epsilon, market)
             if bound is None:  # bounds crossed by round-off: the pair goes to the LP
                 continue
             assert abs(bound - optimum) <= 1e-9, (pair, bound, optimum)
@@ -360,7 +358,7 @@ class TestPairScreen:
         lm = build_loading_matrix(network)
         state = state_at(market, {"a": np.array([100.0 + 1e-12]), "b": np.array([100.0])},
                          np.array([[200.0 + 1e-12]]))
-        assert pair_bound(market.table, ("a", "b"), state, NO_LINES, lm) is None
+        assert pair_bound(market.table, ("a", "b"), state, NO_LINES, network.shift_factors) is None
         proposer = make_proposer(ProposerStrategy("exhaustive_subsets", max_size=2), lm)
         searches = counting_searches(monkeypatch)
         outcome = proposer.propose(market, state, NO_LINES, 1e-3, np.random.default_rng(0))
