@@ -58,21 +58,16 @@ def cmd_run(args) -> int:
     result = run_trading(spec.market, spec.engine, make_proposer(spec.strategy))
     elapsed = time.perf_counter() - started
 
-    oracle_gap = None
-    prices = None
-    verdict = None
+    report = market_io.result_to_jsonable(result)
     if not args.skip_oracle:
         solution = dispatch_mod.solve_dispatch(spec.market)
-        oracle_gap = dispatch_mod.welfare_gap(spec.market, result.state.y, solution)
-        prices = solution.lambda_
-        verdict = dispatch_mod.check_arrow_debreu(spec.market, solution.plans, solution.x, prices).verdict
+        report["oracle_gap"] = dispatch_mod.welfare_gap(spec.market, result.state.y, solution)
+        report["prices"] = solution.lambda_
+        report["equilibrium_verdict"] = dispatch_mod.check_arrow_debreu(
+            spec.market, solution.plans, solution.x, solution.lambda_).verdict
 
     with open(out_dir / "trace.jsonl", "w") as fp:
         market_io.write_trace(result.state.records, fp)
-    report = market_io.result_to_jsonable(result, oracle_gap)
-    if prices is not None:
-        report["prices"] = [list(row) for row in prices]
-        report["equilibrium_verdict"] = verdict
     report["timing_sec"] = elapsed
     (out_dir / "report.json").write_text(market_io.dumps(report) + "\n")
     print(market_io.dumps(report))
@@ -99,15 +94,15 @@ def cmd_dispatch(args) -> int:
     doc = {
         "status": "optimal",
         "objective": solution.objective,
-        "plans": {pid: list(v) for pid, v in solution.plans.items()},
-        "injections": [list(row) for row in solution.x],
+        "plans": solution.plans,
+        "injections": solution.x,
         "duals": {
-            "lambda": [list(row) for row in solution.lambda_],
-            "gamma_s": list(solution.gamma_s),
-            "beta": [list(row) for row in solution.beta],
-            "eta_lower": {pid: list(v) for pid, v in solution.eta_lower.items()},
-            "eta_upper": {pid: list(v) for pid, v in solution.eta_upper.items()},
-            "zeta": {pid: list(v) for pid, v in solution.zeta.items()},
+            "lambda": solution.lambda_,
+            "gamma_s": solution.gamma_s,
+            "beta": solution.beta,
+            "eta_lower": solution.eta_lower,
+            "eta_upper": solution.eta_upper,
+            "zeta": solution.zeta,
         },
     }
     print(market_io.dumps(doc))
@@ -119,16 +114,10 @@ def cmd_prices(args) -> int:
     solution = _dispatch_or_status(spec.market)
     if solution is None:
         return EXIT_OK
-    quotes = []
-    for s in range(spec.market.scenario_count):
-        row = []
-        for n in range(spec.market.network.bus_count):
-            row.append(dispatch_mod.lmp_from_marginals(spec.market, solution.plans, n, s))
-        quotes.append(row)
-    doc = {
-        "lambda": [list(row) for row in solution.lambda_],
-        "marginal_quotes": quotes,
-    }
+    quotes = [[dispatch_mod.lmp_from_marginals(spec.market, solution.plans, n, s)
+               for n in range(spec.market.network.bus_count)]
+              for s in range(spec.market.scenario_count)]
+    doc = {"lambda": solution.lambda_, "marginal_quotes": quotes}
     print(market_io.dumps(doc))
     return EXIT_OK
 
@@ -219,20 +208,14 @@ def cmd_robust_run(args) -> int:
     for trade in spec.interval_trades:
         _, state = robust.accept_interval_trade(state, trade, lm, spec.market)
     with open(out_dir / "robust_trace.jsonl", "w") as fp:
-        for step, record in enumerate(state.records):
-            doc = {
-                "step": step,
-                "lower": dict(record.trade.lower),
-                "upper": dict(record.trade.upper),
-                "gamma": record.gamma,
-                "accepted": record.accepted,
-            }
-            fp.write(market_io.dumps(doc, indent=None) + "\n")
+        market_io.write_lines(({"step": step, "lower": r.trade.lower, "upper": r.trade.upper,
+                                "gamma": r.gamma, "accepted": r.accepted}
+                               for step, r in enumerate(state.records)), fp)
     summary = {
         "trades": len(state.records),
         "accepted": sum(1 for r in state.records if r.accepted),
-        "state_lower": list(state.x_lower),
-        "state_upper": list(state.x_upper),
+        "state_lower": state.x_lower,
+        "state_upper": state.x_upper,
     }
     (out_dir / "robust_report.json").write_text(market_io.dumps(summary) + "\n")
     print(market_io.dumps(summary))

@@ -6,9 +6,9 @@ directories through ``output_dir``) are checked here; each problem raises
 :class:`MarketFormatError` naming its field or flag.
 
 Market files are JSON with 1-based bus indices (as humans label diagrams);
-everything in memory is 0-based.  Numbers are serialised with 12 significant
-digits and all object keys in a fixed order, so outputs are diffable and two
-runs with the same inputs produce byte-identical traces.
+everything in memory is 0-based.  :func:`canonical` writes numbers with 12
+significant digits and all object keys in a fixed order, so outputs are
+diffable and two runs with the same inputs produce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "market_to_jsonable",
     "canonical",
     "dumps",
+    "write_lines",
     "write_trace",
     "record_to_jsonable",
     "result_to_jsonable",
@@ -97,13 +98,19 @@ def _array(value: Any, path: str) -> list:
     return value
 
 
-def _numbers(value: Any, path: str) -> tuple[float, ...]:
-    return tuple(_number(v, f"{path}[{k}]") for k, v in enumerate(_array(value, path)))
+def _rating(value: Any, path: str) -> float:
+    """A line rating: a finite number, or ``null`` for an unrated line (``inf``)."""
+    return math.inf if value is None else _number(value, path)
 
 
-def parse_matrix(value: Any, shape: tuple[int, int], path: str, columns: str) -> tuple[tuple[float, ...], ...]:
-    """One row per scenario of finite numbers; ``columns`` names a row's entries."""
-    rows = tuple(_numbers(row, f"{path}[{s}]") for s, row in enumerate(_array(value, path)))
+def _numbers(value: Any, path: str, entry=_number) -> tuple[float, ...]:
+    return tuple(entry(v, f"{path}[{k}]") for k, v in enumerate(_array(value, path)))
+
+
+def parse_matrix(value: Any, shape: tuple[int, int], path: str, columns: str,
+                 entry=_number) -> tuple[tuple[float, ...], ...]:
+    """One row per scenario of numbers read by ``entry`` (finite by default); ``columns`` names a row's entries."""
+    rows = tuple(_numbers(row, f"{path}[{s}]", entry) for s, row in enumerate(_array(value, path)))
     if len(rows) != shape[0]:
         raise MarketFormatError(path, f"expected {shape[0]} rows, one per scenario")
     for s, row in enumerate(rows):
@@ -142,14 +149,14 @@ def _parse_network(section: Any, scenario_count: int) -> Network:
                 from_bus=_bus_index(_require(rec, "from", p), buses, f"{p}.from"),
                 to_bus=_bus_index(_require(rec, "to", p), buses, f"{p}.to"),
                 reactance=_number(_require(rec, "reactance", p), f"{p}.reactance"),
-                capacity=_number(_require(rec, "capacity", p), f"{p}.capacity"),
+                capacity=_rating(_require(rec, "capacity", p), f"{p}.capacity"),
             )
         )
     ref = _bus_index(_require(section, "reference_bus", path), buses, f"{path}.reference_bus")
     caps = None
     if "scenario_capacities" in section:
         caps = parse_matrix(section["scenario_capacities"], (scenario_count, len(lines)),
-                            f"{path}.scenario_capacities", "ratings, one per line")
+                            f"{path}.scenario_capacities", "ratings, one per line", _rating)
     try:
         return Network(bus_count=buses, lines=tuple(lines), reference_bus=ref, scenario_capacities=caps)
     except ValueError as exc:
@@ -378,10 +385,15 @@ def market_to_jsonable(spec_or_market: "RunSpec | Market") -> dict:
 
 
 def canonical(value: Any) -> Any:
-    """Recursively round floats to 12 significant digits for stable output."""
+    """The JSON form of a library value: floats to 12 significant digits, ``±inf`` as ``null``.
+
+    Arrays, numpy scalars, tuples and dicts convert recursively; NaN is left for :func:`dumps` to refuse.
+    """
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (np.floating, float)):
+        if math.isinf(value):
+            return None
         return float(f"{float(value):.12g}") + 0.0  # +0.0 folds -0.0 into 0.0
     if isinstance(value, (np.integer, int)):
         return int(value)
@@ -399,38 +411,34 @@ def dumps(value: Any, indent: int | None = 2) -> str:
 
 
 def record_to_jsonable(record: TradeRecord) -> dict:
-    gamma: Any = record.gamma
-    if record.gamma_by_scenario is not None:
-        gamma = list(record.gamma_by_scenario)
     return {
         "step": record.step,
-        "group": list(record.trade.group),
-        "plans": {pid: list(record.trade.plans[pid]) for pid in record.trade.group},
-        "gamma": gamma,
+        "group": record.trade.group,
+        "plans": {pid: record.trade.plans[pid] for pid in record.trade.group},
+        "gamma": record.gamma if record.gamma_by_scenario is None else record.gamma_by_scenario,
         "accepted": record.accepted,
-        "reasons": list(record.reasons),
+        "reasons": record.reasons,
         "welfare_delta": record.welfare_delta,
-        "binding_lines_after": [np.flatnonzero(rows).tolist() for rows in record.binding_after],
+        "binding_lines_after": [np.flatnonzero(rows) for rows in record.binding_after],
     }
 
 
-def write_trace(records, fp: IO[str]) -> None:
-    for record in records:
-        fp.write(json.dumps(canonical(record_to_jsonable(record)), allow_nan=False))
+def write_lines(docs, fp: IO[str]) -> None:
+    """Write each document as one line of canonical JSON (the JSON-lines form of every trace)."""
+    for doc in docs:
+        fp.write(dumps(doc, indent=None))
         fp.write("\n")
 
 
-def result_to_jsonable(result: TradingResult, oracle_gap: float | None = None) -> dict:
-    doc = {
+def write_trace(records, fp: IO[str]) -> None:
+    write_lines(map(record_to_jsonable, records), fp)
+
+
+def result_to_jsonable(result: TradingResult) -> dict:
+    return {
         "steps": result.steps,
         "converged": result.converged,
         "certified_bound": result.certified_bound,
         "final_welfare": result.final_welfare,
-        "final_state": {
-            "plans": {pid: list(plan) for pid, plan in result.state.y.items()},
-            "injections": [list(row) for row in result.state.x],
-        },
+        "final_state": {"plans": result.state.y, "injections": result.state.x},
     }
-    if oracle_gap is not None:
-        doc["oracle_gap"] = oracle_gap
-    return doc

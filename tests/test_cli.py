@@ -11,7 +11,7 @@ import pytest
 import gridtrade
 from gridtrade import cli, market_io, robust, trading
 from gridtrade.cli import main
-from gridtrade.dispatch import solve_dispatch
+from gridtrade.dispatch import check_arrow_debreu, solve_dispatch
 from gridtrade.generators import random_market
 from gridtrade.market_io import load_market, market_to_jsonable
 from gridtrade.network import Network, ViolationReport, build_loading_matrix, check_feasible
@@ -19,6 +19,7 @@ from gridtrade.proposer import ProposerStrategy, make_proposer
 from gridtrade.trading import EngineConfig, run_trading
 
 MARKET_FILE = str(Path(__file__).resolve().parents[1] / "markets" / "two_bus.json")
+UNRATED_FILE = str(Path(__file__).resolve().parents[1] / "markets" / "two_bus_unrated.json")
 
 
 def run_cli(capsys, *argv):
@@ -352,6 +353,42 @@ class TestScenarioCapacities:
         code, stdout, err = run_cli(capsys, "decompose", market, "--trade", "50,-50")
         assert code == 2
         assert "scenario_capacities" in err and stdout == ""
+
+
+class TestUnratedLine:
+    """``markets/two_bus_unrated.json``: the two-bus market with ``"capacity": null``."""
+
+    def test_file_is_the_two_bus_market_with_an_unrated_line(self):
+        doc = json.loads(Path(MARKET_FILE).read_text())
+        doc["network"]["lines"][0]["capacity"] = None
+        assert json.loads(Path(UNRATED_FILE).read_text()) == doc
+        assert load_market(UNRATED_FILE).market.network.ratings.tolist() == [math.inf, math.inf]
+
+    def test_dispatch_clears_at_one_price_per_scenario(self, capsys):
+        code, stdout, _ = run_cli(capsys, "dispatch", UNRATED_FILE)
+        assert code == 0
+        doc = json.loads(stdout)
+        assert doc["objective"] == 145900.0
+        assert doc["duals"]["lambda"] == [[18.0, 18.0], [32.0, 32.0]]
+        assert doc["duals"]["beta"] == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_check_eq_passes_on_dispatch_prices(self, capsys):
+        code, stdout, _ = run_cli(capsys, "check-eq", UNRATED_FILE)
+        assert code == 0
+        assert json.loads(stdout)["verdict"] is True
+
+    def test_infinite_so_slack_is_written_as_null(self, capsys, tmp_path):
+        prices = [[18.0, 40.0], [32.0, 32.0]]
+        path = tmp_path / "prices.json"
+        path.write_text(json.dumps(prices))
+        spec = load_market(UNRATED_FILE)
+        solution = solve_dispatch(spec.market)
+        report = check_arrow_debreu(spec.market, solution.plans, solution.x, np.array(prices))
+        assert report.so_slack == math.inf
+        code, stdout, _ = run_cli(capsys, "check-eq", UNRATED_FILE, "--prices", str(path))
+        assert code == 1
+        assert '"so_slack": null' in stdout
+        assert json.loads(stdout)["verdict"] is False
 
 
 class TestDispatchCommands:

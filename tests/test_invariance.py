@@ -9,7 +9,12 @@ certificate and solves its dispatch, and compares with the original:
 - bus relabelling: the same steps, welfare and dispatch objective to
   round-off, and an equilibrium at the relabelled market's own prices.
   Prices are compared by verdict, not entry by entry, since the dual
-  solution need not be unique.
+  solution need not be unique;
+- line order: the same steps and welfare, the dispatch objective to
+  round-off, and an equilibrium at the reordered market's own prices;
+- reference bus: the same steps, welfare and dispatch objective to
+  round-off, and an equilibrium at both the moved market's own prices and
+  the original market's (the prices themselves may differ).
 """
 
 import io
@@ -89,3 +94,35 @@ def test_bus_relabelling_keeps_steps_welfare_and_equilibrium(fleet):
         assert solution.objective == pytest.approx(solve_dispatch(market).objective, rel=1e-12, abs=0.0), k
         report = check_arrow_debreu(relabelled, solution.plans, solution.x, solution.lambda_)
         assert report.verdict, k
+
+
+def test_line_order_keeps_steps_welfare_and_equilibrium(fleet):
+    rng = np.random.default_rng(13)
+    for k, market in enumerate(fleet):
+        net = market.network
+        order = rng.permutation(net.line_count)
+        caps = net.scenario_capacities and [[row[i] for i in order] for row in net.scenario_capacities]
+        reordered = Market(Network(net.bus_count, tuple(net.lines[i] for i in order), net.reference_bus, caps),
+                           market.scenarios, market.participants)
+        base, moved = trade(market), trade(reordered)
+        assert moved.converged and moved.steps == base.steps, k
+        assert moved.final_welfare == base.final_welfare, k
+        solution = solve_dispatch(reordered)
+        assert solution.objective == pytest.approx(solve_dispatch(market).objective, rel=1e-15, abs=0.0), k
+        assert check_arrow_debreu(reordered, solution.plans, solution.x, solution.lambda_).verdict, k
+
+
+def test_reference_bus_keeps_steps_welfare_and_equilibrium(fleet):
+    rng = np.random.default_rng(14)
+    for k, market in enumerate(fleet):
+        net = market.network
+        reference = int(rng.choice([b for b in range(net.bus_count) if b != net.reference_bus]))
+        moved_market = Market(Network(net.bus_count, net.lines, reference, net.scenario_capacities),
+                              market.scenarios, market.participants)
+        base, moved = trade(market), trade(moved_market)
+        assert moved.converged and moved.steps == base.steps, k
+        assert moved.final_welfare == pytest.approx(base.final_welfare, rel=1e-12, abs=0.0), k
+        original, solution = solve_dispatch(market), solve_dispatch(moved_market)
+        assert solution.objective == pytest.approx(original.objective, rel=1e-12, abs=0.0), k
+        for prices in (solution.lambda_, original.lambda_):
+            assert check_arrow_debreu(moved_market, solution.plans, solution.x, prices).verdict, k

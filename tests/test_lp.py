@@ -293,3 +293,40 @@ class TestColumns:
         markets = [two_bus_market(), *fleet_markets()[:10]]
         for lp in captured_programs(monkeypatch, lambda: [solve_dispatch(m) for m in markets]):
             self.assert_csc(lp)
+
+
+def _solution(**residuals):
+    """An 'optimal' one-variable solution at 0 whose residuals are zero but for ``residuals``."""
+    r = {"primal": 0.0, "stationarity": 0.0, "complementarity": 0.0, "sign": 0.0, "gap": 0.0, **residuals}
+    empty = np.zeros(0)
+    return lp_mod.LpSolution("optimal", np.zeros(1), 0.0, empty, empty, np.zeros(1), np.zeros(1), r)
+
+
+def _quality(**residuals):
+    lp_mod._check_quality(LinearProgram(c=np.ones(1)), _solution(**residuals))
+
+
+INPUT_ERRORS = [
+    (lambda: LinearProgram(c=np.ones(1), a_eq=np.ones((1, 1))), ValueError,
+     "a_eq and b_eq must be given together"),
+    (lambda: LinearProgram(c=np.ones(1), a_ub=np.full((1, 1), np.inf), b_ub=np.ones(1)), ValueError,
+     "ub constraints must be finite"),
+    (lambda: LinearProgram(c=np.ones(1), a_eq=np.ones((1, 1)), b_eq=np.full(1, np.nan)), ValueError,
+     "eq constraints must be finite"),
+    (lambda: LinearProgram(c=np.ones(1), lower=np.zeros(2)), ValueError, "bounds must match the variable count"),
+    (lambda: _quality(primal=1e-6), LpNumericalError, "primal residual 1.00e-06 exceeds 1e-07"),
+    (lambda: _quality(complementarity=1e-3), LpNumericalError, "complementarity residual 1.00e-03 too large"),
+    (lambda: _quality(gap=1e-3), LpNumericalError, "duality gap 1.00e-03 exceeds 1e-06 * (1+|obj|)"),
+    (lambda: _quality(sign=1e-6), LpNumericalError, "negative multiplier magnitude 1.00e-06"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", INPUT_ERRORS, ids=[m for *_, m in INPUT_ERRORS])
+def test_documented_input_errors(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_crafted_solution_within_every_bound_passes():
+    lp_mod._check_quality(LinearProgram(c=np.ones(1)), _solution())

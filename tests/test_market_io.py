@@ -1,4 +1,6 @@
+import io
 import json
+import math
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -14,7 +16,9 @@ from gridtrade.market_io import (
     load_market,
     market_to_jsonable,
     parse_market,
+    write_lines,
 )
+from gridtrade.network import Line, Network
 from gridtrade.proposer import ProposerStrategy
 from gridtrade.robust import IntervalTrade
 from gridtrade.trading import EngineConfig
@@ -82,6 +86,42 @@ MISSING_FIELD_CASES = [
     (lambda d: d["participants"][0].pop("utility"), "participants[0].utility"),
     (lambda d: d["participants"][0]["utility"][0].pop("slope"), "participants[0].utility[0].slope"),
 ]
+
+
+class TestUnratedLines:
+    """``null`` is an unrated rating (``inf``) in a file, and ``inf`` is written as ``null``."""
+
+    def test_unrated_line_and_scenario_rating_round_trip(self):
+        base = two_bus_market()
+        network = Network(2, (Line(0, 1, 1.0, math.inf),), reference_bus=1,
+                          scenario_capacities=((math.inf,), (60.0,)))
+        market = Market(network, base.scenarios, base.participants)
+        text = dumps(market_to_jsonable(market))
+        again = parse_market(json.loads(text)).market.network
+        assert again.lines == network.lines
+        assert again.scenario_capacities == network.scenario_capacities
+        assert json.loads(text)["network"]["lines"][0]["capacity"] is None
+
+    @pytest.mark.parametrize("edit,field", [
+        (lambda d: d["network"]["lines"][0].update(reactance=None), "network.lines[0].reactance"),
+        (lambda d: d["scenarios"].update(probabilities=[None, 0.4]), "scenarios.probabilities[0]"),
+        (lambda d: d["participants"][0]["bounds"][0].__setitem__(1, None), "participants[0].bounds[0][1]"),
+        (lambda d: d["participants"][0]["utility"][0].update(slope=None), "participants[0].utility[0].slope"),
+        (lambda d: d["engine"].update(epsilon=None), "engine.epsilon"),
+    ], ids=["reactance", "probability", "bound", "slope", "epsilon"])
+    def test_null_elsewhere_is_still_refused(self, edit, field):
+        doc = base_doc()
+        edit(doc)
+        with pytest.raises(MarketFormatError) as err:
+            parse_market(doc)
+        assert str(err.value) == f"{field}: expected a number, got None"
+
+    def test_infinite_literal_rating_is_still_refused(self):
+        doc = base_doc()
+        doc["network"]["scenario_capacities"] = [[math.inf], [60.0]]
+        with pytest.raises(MarketFormatError) as err:
+            parse_market(doc)
+        assert str(err.value) == "network.scenario_capacities[0][0]: expected a finite number, got inf"
 
 
 class TestDiagnostics:
@@ -202,3 +242,25 @@ class TestCanonicalOutput:
 
     def test_key_order_preserved(self):
         assert list(canonical({"z": 1, "a": 2})) == ["z", "a"]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, np.float64(np.inf)], ids=repr)
+    def test_infinity_written_as_null(self, value):
+        assert dumps(value) == "null"
+        assert dumps({"so_slack": value, "b": np.array([1.0, value])}, indent=None) == \
+            '{"so_slack": null, "b": [1.0, null]}'
+
+    @pytest.mark.parametrize("value", [math.nan, np.float64(np.nan), np.array([0.0, np.nan])], ids=repr)
+    def test_nan_still_refused(self, value):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant: nan"):
+            dumps(value)
+
+    def test_library_values_as_held(self):
+        doc = {"plans": {"A": np.array([1.5, -0.0])}, "ids": ("A", "B"), "mask": np.array([True, False]),
+               "rows": [np.flatnonzero([True, False, True])], "x": np.eye(2)[:1]}
+        assert canonical(doc) == {"plans": {"A": [1.5, 0.0]}, "ids": ["A", "B"], "mask": [True, False],
+                                  "rows": [[0, 2]], "x": [[1.0, 0.0]]}
+
+    def test_write_lines_writes_one_compact_line_per_document(self):
+        buf = io.StringIO()
+        write_lines(iter([{"a": np.array([1 / 3, np.inf])}, {"b": ("x",)}]), buf)
+        assert buf.getvalue() == '{"a": [0.333333333333, null]}\n{"b": ["x"]}\n'

@@ -477,3 +477,37 @@ class TestNetworkScenarioCapacities:
         net = Network(2, base.network.lines, reference_bus=1, scenario_capacities=((60.0,),) * rows)
         with pytest.raises(ValueError, match=f"{rows} rows for 2 scenarios"):
             Market(net, base.scenarios, base.participants)
+
+
+TWO_BUS = two_bus_market().network
+TWO_BUS_LM = build_loading_matrix(TWO_BUS)
+ROWS = np.ones((2, 2))
+
+INPUT_ERRORS = [
+    (lambda: curtailment_factors(TWO_BUS_LM, [[200.0, -200.0]], [[1.0, -1.0]]), ValueError,
+     "curtailment_factor requires a feasible state"),
+    (lambda: curtailment_factors(TWO_BUS_LM, np.zeros((2, 2)), np.zeros((1, 2))), ValueError,
+     "state and direction must have matching shapes"),
+    (lambda: binding_lines(TWO_BUS_LM, np.zeros((1, 2))), ValueError,
+     "binding_lines expects a single scenario vector"),
+    (lambda: check_feasible(TWO_BUS_LM, np.zeros(3)), ValueError, "injections must have shape (S, 2) or (2,)"),
+    (lambda: LoadingMatrix(np.ones((3, 2)), np.ones(3)), ValueError, "rows must be a (2L, N) matrix"),
+    (lambda: LoadingMatrix(np.ones(2), np.ones(2)), ValueError, "rows must be a (2L, N) matrix"),
+    (lambda: LoadingMatrix(ROWS, np.ones(3)), ValueError, "limits must have one entry per row"),
+    (lambda: LoadingMatrix(ROWS, np.ones(2), np.ones((2, 3))), ValueError,
+     "scenario_limits must have shape (S, 2L)"),
+    (lambda: LoadingMatrix(ROWS, np.ones(2), np.ones(2)), ValueError, "scenario_limits must have shape (S, 2L)"),
+    (lambda: TWO_BUS_LM.with_scenario_capacities(np.ones((2, 2))), ValueError,
+     "capacities must have shape (S, L)"),
+    (lambda: TWO_BUS_LM.with_scenario_capacities(np.ones(1)), ValueError, "capacities must have shape (S, L)"),
+    (lambda: Network(0, ()), ValueError, "bus_count must be >= 1"),
+    (lambda: Network(2, (Line(0, 2, 1.0, 1.0),)), ValueError, "line endpoint 2 out of range [0, 2)"),
+    (lambda: Network(2, (Line(0, 1, 1.0, 1.0),), reference_bus=2), ValueError, "reference_bus 2 out of range"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", INPUT_ERRORS, ids=[m for *_, m in INPUT_ERRORS])
+def test_documented_input_errors(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -454,3 +454,48 @@ class TestConcavityProperties:
         plan = np.array([abs(c), abs(c)])
         assert local_feasible(da, plan)
         assert local_feasible(da, gamma * plan)
+
+
+TWO_BUS_MARKET = two_bus_market()
+G1 = TWO_BUS_MARKET.participants[0]
+FLAT = UtilityFunction((0.0, 200.0), (-50.0,))
+
+
+def one_market(*participants, bus_count=2):
+    base = TWO_BUS_MARKET.network
+    return Market(Network(bus_count, base.lines, base.reference_bus), TWO_BUS_MARKET.scenarios, participants)
+
+
+def participant(**changes):
+    fields = {"id": "G1", "bus": 0, "kind": "producer", "timing": "RT",
+              "bounds": ((0.0, 200.0),) * 2, "utility": (FLAT,) * 2, **changes}
+    return Participant(**fields)
+
+
+INPUT_ERRORS = [
+    # market
+    (lambda: one_market(G1, G1), ValueError, "duplicate participant id 'G1'"),
+    (lambda: one_market(participant(bus=2)), ValueError, "G1: bus 2 out of range"),
+    (lambda: one_market(participant(bounds=((0.0, 200.0),), utility=(FLAT,))), ValueError,
+     "G1: expected 2 scenarios"),
+    # participants
+    (lambda: ScenarioSet(()), ValueError, "at least one scenario is required"),
+    (lambda: ScenarioSet((0.5, 0.5), names=("a",)), ValueError, "names must match the number of scenarios"),
+    (lambda: UtilityFunction((0.0,), ()), ValueError, "need K >= 2 breakpoints and K-1 slopes"),
+    (lambda: UtilityFunction((0.0, 0.0), (1.0,)), ValueError, "breakpoints must be strictly increasing"),
+    (lambda: participant(kind="x"), ValueError, "kind must be one of ('producer', 'load'), got 'x'"),
+    (lambda: participant(timing="x"), ValueError, "timing must be one of ('DA', 'RT'), got 'x'"),
+    (lambda: participant(utility=(FLAT,)), ValueError, "bounds and utility must cover the same S >= 1 scenarios"),
+    (lambda: participant(bounds=((10.0, 5.0),) * 2), ValueError, "G1: empty bound interval [10.0, 5.0]"),
+    (lambda: participant(subjective_probabilities=(1.0,)), ValueError,
+     "G1: subjective probabilities must cover S scenarios"),
+    (lambda: evaluate_utility(G1, np.zeros(3), np.full(3, 1 / 3)), ValueError,
+     "plan must have one entry per scenario"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", INPUT_ERRORS, ids=[m for *_, m in INPUT_ERRORS])
+def test_documented_input_errors(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

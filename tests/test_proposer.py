@@ -402,3 +402,15 @@ class TestProposerReuse:
             assert reused.steps == fresh.steps and reused.certified_bound == fresh.certified_bound
             for pid, plan in fresh.state.y.items():
                 np.testing.assert_array_equal(reused.state.y[pid], plan)
+
+
+INPUT_ERRORS = [
+    (lambda: ProposerStrategy(attempts=0), ValueError, "attempts must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", INPUT_ERRORS, ids=[m for *_, m in INPUT_ERRORS])
+def test_documented_input_errors(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -240,3 +240,22 @@ class TestCornerSoundness:
                 _, state = accept_interval_trade(state, trade, lm, market)
             for x in corner_states(state.records, market.network.bus_count):
                 assert np.all(lm.rows @ x <= lm.limits + 1e-8)
+
+
+OVERLOADED = IntervalState(np.array([100.0, -200.0]), np.array([200.0, -100.0]))
+INPUT_ERRORS = [
+    (lambda: robust_curtailment_factor(build_loading_matrix(two_bus_market().network), OVERLOADED,
+                                       np.zeros(2), np.zeros(2)),
+     ValueError, "accumulated state is not robustly feasible"),
+    (lambda: IntervalTrade(lower={"A": 0.0}, upper={"B": 1.0}), ValueError,
+     "lower and upper must cover the same participants"),
+    (lambda: IntervalState(np.zeros(2), np.zeros(3)), ValueError, "bounds must be equal-length vectors"),
+    (lambda: IntervalState(np.ones(2), np.zeros(2)), ValueError, "lower state bound exceeds upper state bound"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", INPUT_ERRORS, ids=[m for *_, m in INPUT_ERRORS])
+def test_documented_input_errors(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

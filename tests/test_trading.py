@@ -562,3 +562,16 @@ class TestSubjectiveWorthiness:
         record, _ = so_step(state, trade, config, lm, market)
         market_delta = 0.5 * (-100.0) + 0.5 * (-1000.0) + 300.0
         assert record.welfare_delta == pytest.approx(market_delta)
+
+
+INPUT_ERRORS = [
+    (lambda: Trade({"A": np.zeros((2, 2))}), ValueError, "A: plan must be a per-scenario vector"),
+    (lambda: EngineConfig(curtailment_mode="x"), ValueError, "curtailment_mode must be 'uniform' or 'hybrid'"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", INPUT_ERRORS, ids=[m for *_, m in INPUT_ERRORS])
+def test_documented_input_errors(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -259,3 +259,23 @@ class TestRandomRadialInstances:
             for _ in range(20):
                 order = rng.permutation(len(conf)).tolist()
                 assert prefixes_feasible(net, [conf[i] for i in order], state)
+
+
+PATH3 = Network(3, (Line(0, 1, 1.0, 10.0), Line(1, 2, 1.0, 10.0)))
+LINEAR = UtilityFunction((-10.0, 10.0), (1.0,))
+
+INPUT_ERRORS = [
+    (lambda: BilateralTrade(0, 0, Fraction(1)), ValueError, "bilateral trade needs two distinct buses"),
+    (lambda: BilateralTrade(0, 1, Fraction(0)), ValueError, "quantity must be positive"),
+    (lambda: tree_flows(PATH3, [1, -1]), ValueError, "one injection per bus required"),
+    (lambda: decompose_profitable(PATH3, [1, -1, 0], [2, 1]), ValueError, "one marginal per bus required"),
+    (lambda: split_nonlinear([1, -1], 1, [LINEAR]), ValueError, "one utility per bus required"),
+    (lambda: split_nonlinear([1, -1], 0, [LINEAR, LINEAR]), ValueError, "m_copies must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", INPUT_ERRORS, ids=[m for *_, m in INPUT_ERRORS])
+def test_documented_input_errors(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
