@@ -103,14 +103,18 @@ def _participant_block(market: Market, members: np.ndarray, y: np.ndarray):
 
     ``members`` are rows of ``market.table`` and ``y`` holds their current
     plans, shape ``(M, S)``.  Columns are the increments ``d`` (member-major,
-    then scenario) followed by the utility epigraph values ``u``.  Returns
-    the objective, the column bounds, the segment rows ``u - m d <= a + m y``
-    (one per utility segment) and the chains ``d[s] = d[s + 1]`` per
-    day-ahead member, each as a row block (see :func:`_program`).
+    then scenario) followed by the utility epigraph values ``u`` in units of
+    ``V = table.value_base``.  Returns the objective (in $: cost ``w V`` on
+    ``u``), the column bounds, the segment rows ``u - (m / V) d <= (a + m y)
+    / V`` (one per utility segment) and the chains ``d[s] = d[s + 1]`` per
+    day-ahead member, each as a row block (see :func:`_program`).  As ``V``
+    is a power of two, a market whose slopes are scaled by a power of two
+    poses the same rows.
     """
     if not members.size:
         raise ValueError("the welfare program needs at least one member")
     table = market.table
+    base = table.value_base
     n_d = members.size * market.scenario_count
     y = np.asarray(y, dtype=float).reshape(n_d)
     real = table.real[members]
@@ -119,8 +123,8 @@ def _participant_block(market: Market, members: np.ndarray, y: np.ndarray):
     owner = np.repeat(np.arange(n_d), real.sum(axis=-1).ravel())
     seg = np.arange(owner.size)
     segments = (
-        [(seg, n_d + owner, np.ones(seg.size)), (seg, owner, -slopes)],
-        intercepts + slopes * y[owner],
+        [(seg, n_d + owner, np.ones(seg.size)), (seg, owner, slopes / -base)],
+        (intercepts + slopes * y[owner]) / base,
     )
     n_s = market.scenario_count
     da_first = (n_s * np.flatnonzero(table.day_ahead[members])[:, None] + np.arange(n_s - 1)).ravel()
@@ -129,7 +133,7 @@ def _participant_block(market: Market, members: np.ndarray, y: np.ndarray):
         [(chain, da_first, np.ones(chain.size)), (chain, da_first + 1, -np.ones(chain.size))],
         np.zeros(chain.size),
     )
-    c = np.concatenate([np.zeros(n_d), table.weights[members].ravel()])
+    c = np.concatenate([np.zeros(n_d), table.weights[members].ravel() * base])
     lower = np.concatenate([table.lower[members].ravel() - y, np.full(n_d, -np.inf)])
     upper = np.concatenate([table.upper[members].ravel() - y, np.full(n_d, np.inf)])
     return c, lower, upper, segments, chains
@@ -217,7 +221,8 @@ def welfare_program(
     ``members`` are rows of ``market.table`` and ``y`` holds their current
     plans, shape ``(M, S)``.  Variables are the increments ``d``
     (member-major, then scenario) followed by the utility epigraph values
-    ``u``.  Rows, in order: ``u - m d <= a + m y`` per utility segment;
+    ``u``, in units of ``market.table.value_base``.  Rows, in order: ``u -
+    m d <= a + m y`` per utility segment (see :func:`_participant_block`);
     row ``r`` of ``market.network.shift_factors`` over scenario ``s``'s
     increments, bounded by ``rhs[s, r]``, wherever the ``(S, 2L)`` mask ``rows[s, r]`` is true
     (scenario-major); ``d[s] = d[s + 1]`` chains per day-ahead member;

@@ -10,7 +10,15 @@ empty one (no rows), so every routine below handles both families alike.
 Each solve builds a fresh column-wise ``HighsLp``: the CSC form of the
 ``a_ub`` rows stacked over the ``a_eq`` rows, from one stable sort of the
 stored entries by column, with every array handed over as a Python list,
-which the binding copies faster than a numpy array.
+which the binding copies faster than a numpy array.  The cost goes to HiGHS
+divided by the power of two at or above ``max|c|``, and the duals come back
+multiplied by it: both are exact, so a program whose cost is scaled by a
+power of two reaches HiGHS unchanged and its duals scale exactly.
+
+A solve may start from a :class:`Basis`, the statuses of an earlier solve's
+optimal basis (see :func:`solve`); HiGHS then skips presolve and repairs the
+basis with the dual simplex, which takes few iterations when the program
+moved little.
 
 Every program is a maximisation of ``c @ x``, and every consumer here needs
 duals, so the solution carries Lagrange multipliers in a single documented
@@ -31,13 +39,14 @@ multiplier is zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize._highspy import _core as _highs
 
-__all__ = ["LinearProgram", "LpSolution", "LpError", "LpNumericalError", "solve"]
+__all__ = ["LinearProgram", "LpSolution", "LpError", "LpNumericalError", "Basis", "COLD", "BASIC", "solve"]
 
 PRIMAL_TOL = 1e-7
 COMPLEMENTARITY_TOL = 1e-6
@@ -66,6 +75,7 @@ _STATUS = {
 }
 _AT_LOWER = int(_highs.HighsBasisStatus.kLower)
 _AT_UPPER = int(_highs.HighsBasisStatus.kUpper)
+BASIC = _highs.HighsBasisStatus.kBasic
 
 
 class LpError(RuntimeError):
@@ -126,8 +136,30 @@ class LinearProgram:
 
 
 @dataclass(frozen=True, eq=False)
+class Basis:
+    """A simplex basis: HiGHS's status of each column, then of each row (the ``a_ub`` rows first).
+
+    The lists hold the statuses as ``getBasis()`` returns them.  ``alien``
+    marks a basis whose count of basic statuses may differ from the row
+    count; HiGHS then completes or trims it before the solve.
+    """
+
+    col_status: list
+    row_status: list
+    alien: bool = False
+
+
+# A start for solve(): cold, with presolve, but the solution carries its optimal basis.
+COLD = Basis([], [])
+
+
+@dataclass(frozen=True, eq=False)
 class LpSolution:
-    """Primal/dual solution; multipliers follow the module convention."""
+    """Primal/dual solution; multipliers follow the module convention.
+
+    ``iterations`` counts HiGHS's simplex iterations; ``basis`` is the
+    optimal basis, kept only for a solve given a start.
+    """
 
     status: str
     x: np.ndarray | None = None
@@ -137,17 +169,50 @@ class LpSolution:
     duals_lower: np.ndarray | None = None
     duals_upper: np.ndarray | None = None
     residuals: dict = field(default_factory=dict)
+    iterations: int | None = None
+    basis: Basis | None = None
 
 
-def linprog(lp: LinearProgram) -> tuple[str, _highs._Highs]:
-    """Run HiGHS on ``lp``; return the status and the solved model.
+def linprog(lp: LinearProgram, start: Basis | None = None) -> tuple[str, _highs._Highs, float]:
+    """Run HiGHS on ``lp``, from ``start`` unless it is empty; return the status, the solved model and the cost scale.
 
     The model is ``row_lower <= A x <= row_upper`` with the ``a_ub`` rows
     first (``row_lower = -inf``) and the ``a_eq`` rows after them
     (``row_lower = row_upper = b_eq``), column bounds ``lower``/``upper`` and
-    the cost ``-c``.  A status other than optimal, infeasible or
-    unbounded raises :class:`LpError`.
+    the cost ``-c / scale``, where ``scale`` is the power of two at or
+    above ``max|c|``.  A status other than optimal, infeasible or
+    unbounded, or a basis HiGHS refuses, raises :class:`LpError`.
     """
+    scale = power_of_two_above(float(np.abs(lp.c).max()))
+    model = highs_model(lp, scale)
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    if highs.passModel(model) == _highs.HighsStatus.kError:
+        # A model HiGHS will not load, such as one with crossed bounds, is
+        # reported infeasible, as scipy's linprog reports it.
+        return "infeasible", highs, scale
+    if start is not None and start.col_status:
+        basis = _highs.HighsBasis()
+        basis.col_status = start.col_status
+        basis.row_status = start.row_status
+        basis.alien = start.alien
+        basis.valid = True
+        if highs.setBasis(basis) == _highs.HighsStatus.kError:
+            raise LpError("HiGHS refused the starting basis")
+    highs.run()
+    status = highs.getModelStatus()
+    if status not in _STATUS:
+        raise LpError(f"solver failure: {highs.modelStatusToString(status)}")
+    return _STATUS[status], highs, scale
+
+
+def power_of_two_above(value: float) -> float:
+    """The least power of two above ``value >= 0``, 1 for 0; ``value * 2**k`` gives it times ``2**k``."""
+    return math.ldexp(1.0, math.frexp(value)[1])
+
+
+def highs_model(lp: LinearProgram, scale: float) -> _highs.HighsLp:
+    """The ``HighsLp`` :func:`linprog` hands HiGHS for ``lp`` with the cost divided by ``scale``."""
     start, index, value = _columns([lp.a_ub, lp.a_eq], lp.n_vars)
     model = _highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = lp.n_vars
@@ -156,22 +221,12 @@ def linprog(lp: LinearProgram) -> tuple[str, _highs._Highs]:
     model.a_matrix_.start_ = start
     model.a_matrix_.index_ = index
     model.a_matrix_.value_ = value
-    model.col_cost_ = (-lp.c).tolist()
+    model.col_cost_ = (lp.c * (-1.0 / scale)).tolist()
     model.col_lower_ = lp.lower.tolist()
     model.col_upper_ = lp.upper.tolist()
     model.row_lower_ = [-np.inf] * lp.b_ub.size + lp.b_eq.tolist()
     model.row_upper_ = lp.b_ub.tolist() + lp.b_eq.tolist()
-    highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
-    if highs.passModel(model) == _highs.HighsStatus.kError:
-        # A model HiGHS will not load, such as one with crossed bounds, is
-        # reported infeasible, as scipy's linprog reports it.
-        return "infeasible", highs
-    highs.run()
-    status = highs.getModelStatus()
-    if status not in _STATUS:
-        raise LpError(f"solver failure: {highs.modelStatusToString(status)}")
-    return _STATUS[status], highs
+    return model
 
 
 def _columns(parts: list, n: int) -> tuple[list[int], list[int], list[float]]:
@@ -199,17 +254,24 @@ def _columns(parts: list, n: int) -> tuple[list[int], list[int], list[float]]:
     return start.tolist(), rows.tolist(), values.tolist()
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve ``lp``; on success the KKT residual contract is checked."""
-    status, highs = linprog(lp)
+def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
+    """Solve ``lp``; on success the KKT residual contract is checked.
+
+    A ``start`` basis, an earlier optimal basis of a program with the same
+    columns and rows (:data:`COLD` for none), asks for the optimal basis in
+    ``LpSolution.basis``; without one, none is fetched.
+    """
+    status, highs, scale = linprog(lp, start)
     if status != "optimal":
         return LpSolution(status=status)
 
     solution = highs.getSolution()
     x = np.array(solution.col_value)
-    row_dual = -np.array(solution.row_dual)
-    col_dual = np.array(solution.col_dual)
-    col_status = np.fromiter(map(int, highs.getBasis().col_status), dtype=int, count=lp.n_vars)
+    row_dual = np.array(solution.row_dual) * -scale
+    col_dual = np.array(solution.col_dual) * scale
+    basis = highs.getBasis()
+    statuses = basis.col_status  # a new list of new status objects on every read
+    col_status = np.fromiter(map(int, statuses), dtype=int, count=lp.n_vars)
     duals_eq, duals_ub = row_dual[lp.b_ub.size:], row_dual[:lp.b_ub.size]
     duals_lower = np.where(col_status == _AT_LOWER, col_dual, 0.0)
     duals_upper = -np.where(col_status == _AT_UPPER, col_dual, 0.0)
@@ -222,6 +284,8 @@ def solve(lp: LinearProgram) -> LpSolution:
         duals_lower=duals_lower,
         duals_upper=duals_upper,
         residuals=_kkt_residuals(lp, x, duals_eq, duals_ub, duals_lower, duals_upper),
+        iterations=highs.getInfoValue("simplex_iteration_count")[1],
+        basis=None if start is None else Basis(statuses, basis.row_status),
     )
     _check_quality(lp, sol)
     return sol

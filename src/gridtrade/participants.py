@@ -29,6 +29,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .lp import power_of_two_above
+
 __all__ = [
     "ScenarioSet",
     "UtilityFunction",
@@ -270,6 +272,7 @@ class UtilityTable:
     Each utility's :meth:`UtilityFunction.segments` are padded to ``K`` by
     repeating the last one, so ``min_k(intercepts + slopes * p)`` is still
     its value; ``real`` marks the segments that are not padding.
+    :attr:`value_base` is the roster's unit of value in the LPs.
     """
 
     index: dict[str, int]
@@ -310,6 +313,15 @@ class UtilityTable:
             breakpoints=padded([u.breakpoints for u in utilities], count + 1, k + 1),
             real=(np.arange(k) < count[:, None]).reshape(*shape, k),
         )
+
+    @cached_property
+    def value_base(self) -> float:
+        """The least power of two above the largest ``|slope|`` ($/MW), 1 for an empty roster.
+
+        A roster whose slopes are all scaled by a power of two has its base
+        scaled by the same power, so values in these units do not change.
+        """
+        return power_of_two_above(float(np.abs(self.slopes).max(initial=0.0)))
 
     def rows(self, ids: Iterable[str]) -> np.ndarray:
         """The table rows of participant ``ids``, in their order; an unknown id raises ``KeyError``."""

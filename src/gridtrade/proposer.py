@@ -23,6 +23,12 @@ _SCREEN_MARGIN``.  Rows whose coefficient on ``t`` is within ``_COEF_TOL *
 max|H|`` of zero are dropped, which only relaxes the scan; where it does not
 apply (bounds crossed by round-off) the LP runs.  Trades and certificates
 come from the LP alone.
+
+Consecutive whole-market searches of a run pose the same LP but for bounds,
+right-hand sides and the announced rows, so each starts from the last one's
+optimal basis (:class:`WarmStart`), which the dual simplex repairs in a few
+iterations.  No basis outlives a run: the first step of a run, and a new
+market, start cold.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .trading import Certificate, Trade, TradingState, require_integers
 __all__ = [
     "ProposerStrategy",
     "Proposer",
+    "WarmStart",
     "find_worthy_fd_trade",
     "make_proposer",
     "pair_bound",
@@ -80,12 +87,48 @@ class ProposerStrategy:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
+class WarmStart:
+    """The last whole-market search's optimal basis and the announced ``(S, 2L)`` mask it was posed under.
+
+    Searches of one group on one market share their columns and their
+    segment, chain and balance rows; only the announced rows differ.
+    :meth:`start` carries the basis over to a new mask: an announced row
+    kept, matched by ``(scenario, row)``, keeps its status and a newly
+    announced row enters basic.  A row dropped while nonbasic leaves one
+    basic status too many, so the basis is then marked alien for HiGHS to
+    repair.  A new instance starts cold.
+    """
+
+    def __init__(self) -> None:
+        self.mask: np.ndarray | None = None
+        self.basis = lp.COLD
+
+    def start(self, mask: np.ndarray, n_ub: int) -> lp.Basis:
+        """The starting basis of a search under ``mask`` with ``n_ub`` inequality rows."""
+        if self.mask is None:
+            return lp.COLD
+        old, new = np.flatnonzero(self.mask), np.flatnonzero(mask)
+        first = n_ub - new.size  # the segment rows come first, then the announced rows
+        rows = self.basis.row_status
+        lines = rows[first:first + old.size]
+        kept = self.mask.ravel()[new].tolist()
+        at = np.searchsorted(old, new).tolist()
+        statuses = [lines[i] if k else lp.BASIC for i, k in zip(at, kept)]
+        dropped = np.flatnonzero(~mask.ravel()[old]).tolist()
+        alien = any(lines[i] != lp.BASIC for i in dropped)
+        return lp.Basis(self.basis.col_status, rows[:first] + statuses + rows[first + old.size:], alien)
+
+    def keep(self, mask: np.ndarray, basis: lp.Basis) -> None:
+        self.mask, self.basis = mask, basis
+
+
 def find_worthy_fd_trade(
     group: tuple[str, ...],
     state: TradingState,
     announcements: np.ndarray,
     epsilon: float,
     market: Market,
+    warm: WarmStart | None = None,
 ) -> tuple[Trade | None, float]:
     """Best balanced feasible-direction move for ``group``.
 
@@ -94,7 +137,9 @@ def find_worthy_fd_trade(
     when the utility improvement reaches ``epsilon``, else ``(None,
     optimum)``: the optimum is the exact best improvement available to this
     group at this state, so a value below ``epsilon`` from the full group
-    certifies termination.
+    certifies termination.  A ``warm`` start, kept from earlier searches of
+    the same group on the same market, seeds the LP and takes its optimal
+    basis.
     """
     ids = sorted(set(group))
     table = market.table
@@ -106,9 +151,14 @@ def find_worthy_fd_trade(
     # search's box must still contain d = 0, so staying put stays feasible.
     np.minimum(program.lower, 0.0, out=program.lower)
     np.maximum(program.upper, 0.0, out=program.upper)
-    sol = lp.solve(program)
+    if warm is None:
+        sol = lp.solve(program)
+    else:
+        sol = lp.solve(program, warm.start(announcements, program.b_ub.size))
     if sol.status != "optimal":
         raise lp.LpError(f"trade search LP ended with status {sol.status}")
+    if warm is not None:
+        warm.keep(announcements, sol.basis)
     optimum = sol.objective - base_utility
     if optimum < epsilon:
         return None, optimum
@@ -155,7 +205,8 @@ class Proposer:
 
     Only the whole-market search can certify termination: when no earlier
     group has a worthy trade, its optimum below epsilon is returned as a
-    :class:`Certificate`.
+    :class:`Certificate`.  Each whole-market search starts from the last
+    one's basis of the same run.
     """
 
     def __init__(self, strategy: ProposerStrategy, lm: LoadingMatrix | None = None):
@@ -163,12 +214,13 @@ class Proposer:
         self._lm = lm
         self._market: Market | None = None
         self._subsets: tuple[Iterator[tuple[str, ...]], int] | None = None
+        self._warm = WarmStart()
         self._own_rng = (
             np.random.default_rng(strategy.seed) if strategy.seed is not None else None
         )
 
     def _bind(self, market: Market) -> None:
-        """Reset the subset cycle when ``market`` is not the last one seen.
+        """Reset the subset cycle and the warm start when ``market`` is not the last one seen.
 
         A loading matrix given to the constructor must hold the first
         market's shift factors; it is checked there, then dropped.
@@ -180,6 +232,7 @@ class Proposer:
             self._lm = None
         self._market = market
         self._subsets = None
+        self._warm = WarmStart()
 
     def groups(self, ids: tuple[str, ...], rng: np.random.Generator) -> Iterator[tuple[str, ...]]:
         """The groups one ``propose`` call searches before the whole market.
@@ -210,6 +263,8 @@ class Proposer:
 
     def propose(self, market, state, announcements, epsilon, rng):
         self._bind(market)
+        if not state.records:  # a run's first step: no basis from an earlier run
+            self._warm = WarmStart()
         for group in self.groups(market.participant_ids, rng):
             if len(group) == 2:
                 bound = pair_bound(market.table, group, state, announcements, market.network.shift_factors)
@@ -218,7 +273,9 @@ class Proposer:
             trade, _ = find_worthy_fd_trade(group, state, announcements, epsilon, market)
             if trade is not None:
                 return trade
-        trade, optimum = find_worthy_fd_trade(market.participant_ids, state, announcements, epsilon, market)
+        trade, optimum = find_worthy_fd_trade(
+            market.participant_ids, state, announcements, epsilon, market, self._warm
+        )
         return Certificate(optimum) if trade is None else trade
 
 

@@ -5,7 +5,9 @@ certificate and solves its dispatch, and compares with the original:
 
 - roster order: the same trace, byte for byte;
 - value scale: every utility slope and epsilon times a power of two gives
-  the same steps and exactly scaled welfare and dispatch objective;
+  the same steps and exactly scaled welfare and dispatch objective (and
+  prices, on the benchmark's medium markets), because HiGHS receives the
+  same LPs;
 - bus relabelling: the same steps, welfare and dispatch objective to
   round-off, and an equilibrium at the relabelled market's own prices.
   Prices are compared by verdict, not entry by entry, since the dual
@@ -23,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridtrade import ProposerStrategy, make_proposer
+from gridtrade import ProposerStrategy, lp, make_proposer
 from gridtrade.dispatch import check_arrow_debreu, solve_dispatch
 from gridtrade.market import Market
 from gridtrade.market_io import write_trace
@@ -31,7 +33,7 @@ from gridtrade.network import Line, Network
 from gridtrade.participants import UtilityFunction
 from gridtrade.trading import EngineConfig, run_trading
 
-from conftest import FLEET_SIZE, fleet_markets
+from conftest import FLEET_SIZE, fleet_markets, medium_full_markets
 
 EPSILON = 1e-3
 
@@ -73,6 +75,55 @@ def test_value_scale_by_a_power_of_two_scales_welfare_exactly(fleet):
         assert big.converged and big.steps == base.steps, k
         assert big.final_welfare == scale * base.final_welfare, k
         assert solve_dispatch(scaled).objective == scale * solve_dispatch(market).objective, k
+
+
+def value_scaled(market, scale):
+    """``market`` with every utility slope times ``scale``."""
+    participants = tuple(
+        replace(p, utility=tuple(UtilityFunction(u.breakpoints, tuple(scale * m for m in u.slopes))
+                                 for u in p.utility))
+        for p in market.participants
+    )
+    return Market(market.network, market.scenarios, participants)
+
+
+def test_value_scale_on_medium_markets_scales_welfare_exactly():
+    for k, market in enumerate(medium_full_markets()):
+        base, solution = trade(market), solve_dispatch(market)
+        for scale in (2.0**20, 2.0**-20):
+            scaled = value_scaled(market, scale)
+            big, big_solution = trade(scaled, scale * EPSILON), solve_dispatch(scaled)
+            assert big.converged and big.steps == base.steps, (k, scale)
+            assert big.final_welfare == scale * base.final_welfare, (k, scale)
+            assert big_solution.objective == scale * solution.objective, (k, scale)
+            assert np.array_equal(big_solution.lambda_, scale * solution.lambda_), (k, scale)
+
+
+def highs_models(monkeypatch, work) -> list[bytes]:
+    """The bytes of every model ``work()`` hands HiGHS, in order."""
+    models = []
+    build = lp.highs_model
+
+    def recorded(program, scale):
+        model = build(program, scale)
+        matrix = model.a_matrix_
+        fields = (model.col_cost_, model.col_lower_, model.col_upper_, model.row_lower_, model.row_upper_,
+                  matrix.start_, matrix.index_, matrix.value_)
+        models.append(b"|".join(np.asarray(f).tobytes() for f in fields))
+        return model
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "highs_model", recorded)
+        work()
+    return models
+
+
+def test_value_scale_by_a_power_of_two_leaves_the_lps_unchanged(monkeypatch, fleet):
+    market = fleet[42]
+    scaled = value_scaled(market, 4.0)
+    base = highs_models(monkeypatch, lambda: (trade(market), solve_dispatch(market)))
+    big = highs_models(monkeypatch, lambda: (trade(scaled, 4.0 * EPSILON), solve_dispatch(scaled)))
+    assert len(base) > 2 and big == base
 
 
 def test_bus_relabelling_keeps_steps_welfare_and_equilibrium(fleet):

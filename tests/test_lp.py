@@ -145,6 +145,47 @@ class TestSolve:
             LinearProgram(c=np.zeros(0))
 
 
+class TestStartingBasis:
+    """A solve given a start returns its optimal basis; restarting from it takes no iterations."""
+
+    def test_only_a_start_asks_for_the_basis(self):
+        lp = two_bus_initial_cost()
+        plain, cold = solve(lp), solve(lp, lp_mod.COLD)
+        assert plain.basis is None and plain.iterations > 0
+        assert cold.iterations == plain.iterations and cold.x.tobytes() == plain.x.tobytes()
+        assert len(cold.basis.col_status) == lp.n_vars and len(cold.basis.row_status) == lp.b_eq.size
+
+    def test_restart_from_the_optimal_basis(self):
+        for lp in [two_bus_initial_cost(), min_sense_cover(), *random_programs()]:
+            cold = solve(lp, lp_mod.COLD)
+            warm = solve(lp, cold.basis)
+            assert warm.iterations == 0
+            np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-9)
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
+
+    def test_moved_bound_is_repaired_from_the_old_basis(self):
+        lp = two_bus_initial_cost()
+        start = solve(lp, lp_mod.COLD).basis
+        moved = replace(lp, b_eq=np.array([160.0, 140.0]))
+        warm, reference = solve(moved, start), solve(moved)
+        assert warm.objective == pytest.approx(reference.objective, rel=1e-12)
+        assert kkt_holds(moved, warm)
+
+
+def test_cost_scaled_by_a_power_of_two_reaches_highs_unchanged():
+    """HiGHS sees ``c`` over the power of two at or above ``max|c|``; the duals come back exactly scaled."""
+    for lp in [two_bus_initial_cost(), *random_programs()]:
+        sol = solve(lp)
+        for factor in (2.0**-30, 8.0, 2.0**40):
+            scaled = replace(lp, c=factor * lp.c)
+            model, base = (lp_mod.highs_model(p, lp_mod.linprog(p)[2]) for p in (scaled, lp))
+            assert model.col_cost_.tobytes() == base.col_cost_.tobytes()
+            big = solve(scaled)
+            assert big.x.tobytes() == sol.x.tobytes()
+            for name in ("duals_eq", "duals_ub", "duals_lower", "duals_upper"):
+                assert (getattr(big, name) == factor * getattr(sol, name)).all(), name
+
+
 def _with_residuals(lp, sol, **changes):
     """``sol`` with some fields replaced and its residuals recomputed."""
     sol = replace(sol, **changes)

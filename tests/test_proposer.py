@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gridtrade import lp
 from gridtrade import proposer as proposer_mod
 from gridtrade import solve_dispatch, two_bus_market, welfare_gap
 from gridtrade.generators import random_market
@@ -30,7 +31,7 @@ from gridtrade.trading import (
     validate_trade,
 )
 
-from conftest import assert_plans_close, fleet_markets, state_at
+from conftest import assert_plans_close, fleet_markets, medium_full_markets, state_at
 
 # The announcement on a one-scenario network without lines.
 NO_LINES = np.zeros((1, 0), dtype=bool)
@@ -402,6 +403,75 @@ class TestProposerReuse:
             assert reused.steps == fresh.steps and reused.certified_bound == fresh.certified_bound
             for pid, plan in fresh.state.y.items():
                 np.testing.assert_array_equal(reused.state.y[pid], plan)
+
+
+@pytest.fixture(scope="module")
+def medium_warm_searches():
+    """Medium market 0's full-group run: its steps and each warm whole-market search with a cold solve of its LP.
+
+    Each warm search is ``(program, start, solution)``, in order; the first
+    search of the run starts cold.
+    """
+    searches = []
+    solve = lp.solve
+
+    def recorded(program, *start):
+        solution = solve(program, *start)
+        if start:
+            searches.append((program, start[0], solution))
+        return solution
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "solve", recorded)
+        result = run_trading(medium_full_markets()[0], EngineConfig(epsilon=1e-3), make_proposer(ProposerStrategy()))
+    assert result.converged and searches[0][1] is lp.COLD
+    warm = searches[1:]
+    return result.steps, warm, [lp.solve(program) for program, _, _ in warm]
+
+
+class TestWarmStart:
+    def test_every_whole_market_search_after_the_first_starts_warm(self, medium_warm_searches):
+        steps, warm, _ = medium_warm_searches
+        assert len(warm) == steps  # every step's search, then the certificate, after the first
+        assert all(start.col_status and solution.basis is not None for _, start, solution in warm)
+
+    def test_warm_searches_match_cold_solves(self, medium_warm_searches):
+        _, warm, cold = medium_warm_searches
+        for (program, _, solution), reference in zip(warm, cold):
+            assert abs(solution.objective - reference.objective) <= 1e-9 * (1.0 + abs(reference.objective))
+            n_d = program.c.size // 2  # the increments, then as many epigraph columns
+            np.testing.assert_allclose(solution.x[:n_d], reference.x[:n_d], rtol=0, atol=1e-8)
+
+    def test_warm_searches_take_under_a_fifth_of_the_cold_iterations(self, medium_warm_searches):
+        _, warm, cold = medium_warm_searches
+        warm_iterations = sum(solution.iterations for _, _, solution in warm)
+        assert 5 * warm_iterations < sum(reference.iterations for reference in cold)
+
+    def test_dropped_nonbasic_row_marks_the_basis_alien(self):
+        kept_mask, basis = np.array([[True, True]]), lp.Basis(["c"], ["seg", lp.BASIC, "nonbasic", "eq"])
+        warm = proposer_mod.WarmStart()
+        assert warm.start(kept_mask, 3) is lp.COLD
+        warm.keep(kept_mask, basis)
+        assert warm.start(kept_mask, 3).row_status == basis.row_status
+        first_only = warm.start(np.array([[True, False]]), 2)
+        assert first_only.row_status == ["seg", lp.BASIC, "eq"] and first_only.alien
+        second_only = warm.start(np.array([[False, True]]), 2)
+        assert second_only.row_status == ["seg", "nonbasic", "eq"] and not second_only.alien
+
+    def test_reused_proposer_traces_match_fresh_proposers(self):
+        def trace(market, proposer):
+            result = run_trading(market, EngineConfig(epsilon=1e-3), proposer)
+            buf = io.StringIO()
+            write_trace(result.state.records, buf)
+            return buf.getvalue()
+
+        first, second = medium_full_markets()[:2]
+        fresh = {id(m): trace(m, make_proposer(ProposerStrategy())) for m in (first, second)}
+        same = make_proposer(ProposerStrategy())
+        assert [trace(first, same) for _ in range(2)] == [fresh[id(first)]] * 2
+        alternating = make_proposer(ProposerStrategy())
+        for market in (first, second, first, second):
+            assert trace(market, alternating) == fresh[id(market)]
 
 
 INPUT_ERRORS = [
