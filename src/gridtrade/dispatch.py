@@ -89,7 +89,9 @@ class DispatchSolution:
 # the 20-bus searches (1.7M cells and up) and the bus-angle dispatch and
 # operator LPs of the 20- and 40-bus markets (5M cells and up) are under 1%
 # nonzero and densely spend most of their time on zeros.  The fleet's
-# dispatch and operator LPs (at most about 25k cells) stay dense.
+# dispatch and operator LPs (at most about 25k cells) stay dense.  The form
+# also sets presolve (lp runs it only on sparse programs): it pays on the
+# large LPs and costs more than the solve on the small ones.
 _DENSE_CELLS = 250_000
 
 # MW a quoting injection keeps from its bounds and breakpoints; relative

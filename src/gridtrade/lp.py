@@ -2,10 +2,11 @@
 
 HiGHS is called through the binding scipy bundles
 (``scipy.optimize._highspy._core``), with the model and options scipy's
-``linprog(method="highs")`` would pass it.  Constraint matrices may be
-dense arrays or ``scipy.sparse`` matrices; the solution and its
-verification are the same for both.  An omitted constraint family is an
-empty one (no rows), so every routine below handles both families alike.
+``linprog(method="highs")`` would pass it, presolve aside (below).
+Constraint matrices may be dense arrays or ``scipy.sparse`` matrices; the
+solution and its verification are the same for both.  An omitted
+constraint family is an empty one (no rows), so every routine below
+handles both families alike.
 
 Each solve builds a fresh column-wise ``HighsLp``: the CSC form of the
 ``a_ub`` rows stacked over the ``a_eq`` rows, from one stable sort of the
@@ -14,6 +15,12 @@ which the binding copies faster than a numpy array.  The cost goes to HiGHS
 divided by the power of two at or above ``max|c|``, and the duals come back
 multiplied by it: both are exact, so a program whose cost is scaled by a
 power of two reaches HiGHS unchanged and its duals scale exactly.
+
+Each thread keeps one HiGHS instance, made at its first solve and cleared
+before every model, so a solve pays no set-up and never sees an earlier
+one.  Presolve runs only on a program with a ``scipy.sparse`` constraint
+part: its fixed cost exceeds the whole solve of a small dense program, but
+it pays on the large sparse ones.
 
 A solve may start from a :class:`Basis`, the statuses of an earlier solve's
 optimal basis (see :func:`solve`); HiGHS then skips presolve and repairs the
@@ -32,14 +39,15 @@ the (nonnegative) shadow price of relaxing a row limit.
 
 HiGHS minimises ``-c @ x`` and reports minimisation duals, so
 ``y = -row_dual`` (split into the ``a_ub`` rows, then the ``a_eq`` rows),
-``mu_lower = col_dual`` for columns nonbasic at their lower bound and
-``mu_upper = -col_dual`` for those at their upper bound; every other bound
-multiplier is zero.
+``mu_lower = col_dual`` where it is positive and the lower bound finite, and
+``mu_upper = -col_dual`` where it is negative and the upper bound finite;
+every other bound multiplier is zero.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +64,6 @@ STATIONARITY_TOL = 1e-6
 
 def _options() -> _highs.HighsOptions:
     options = _highs.HighsOptions()
-    options.presolve = "on"
     options.primal_feasibility_tolerance = 1e-10
     options.dual_feasibility_tolerance = 1e-10
     options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -66,15 +73,13 @@ def _options() -> _highs.HighsOptions:
     return options
 
 
-_HIGHS_OPTIONS = _options()
+_THREAD = threading.local()  # .highs: this thread's instance, made at its first solve
 _STATUS = {
     _highs.HighsModelStatus.kOptimal: "optimal",
     _highs.HighsModelStatus.kInfeasible: "infeasible",
     _highs.HighsModelStatus.kModelError: "infeasible",
     _highs.HighsModelStatus.kUnbounded: "unbounded",
 }
-_AT_LOWER = int(_highs.HighsBasisStatus.kLower)
-_AT_UPPER = int(_highs.HighsBasisStatus.kUpper)
 BASIC = _highs.HighsBasisStatus.kBasic
 
 
@@ -127,6 +132,8 @@ class LinearProgram:
         upper = np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float)
         if lower.shape != (n,) or upper.shape != (n,):
             raise ValueError("bounds must match the variable count")
+        if not (np.all(lower < np.inf) and np.all(upper > -np.inf)):
+            raise ValueError("bounds must not be NaN, lower +inf or upper -inf")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -149,7 +156,7 @@ class Basis:
     alien: bool = False
 
 
-# A start for solve(): cold, with presolve, but the solution carries its optimal basis.
+# A start for solve(): cold, presolved as any other solve, but the solution carries its optimal basis.
 COLD = Basis([], [])
 
 
@@ -181,12 +188,17 @@ def linprog(lp: LinearProgram, start: Basis | None = None) -> tuple[str, _highs.
     (``row_lower = row_upper = b_eq``), column bounds ``lower``/``upper`` and
     the cost ``-c / scale``, where ``scale`` is the power of two at or
     above ``max|c|``.  A status other than optimal, infeasible or
-    unbounded, or a basis HiGHS refuses, raises :class:`LpError`.
+    unbounded, or a basis HiGHS refuses, raises :class:`LpError`.  The
+    returned instance is the thread's own, valid until the thread's next solve.
     """
     scale = power_of_two_above(float(np.abs(lp.c).max()))
     model = highs_model(lp, scale)
-    highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
+    highs = getattr(_THREAD, "highs", None)
+    if highs is None:
+        highs = _THREAD.highs = _highs._Highs()
+        highs.passOptions(_options())
+    highs.clearModel()
+    highs.setOptionValue("presolve", "on" if sparse.issparse(lp.a_ub) or sparse.issparse(lp.a_eq) else "off")
     if highs.passModel(model) == _highs.HighsStatus.kError:
         # A model HiGHS will not load, such as one with crossed bounds, is
         # reported infeasible, as scipy's linprog reports it.
@@ -269,12 +281,10 @@ def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     x = np.array(solution.col_value)
     row_dual = np.array(solution.row_dual) * -scale
     col_dual = np.array(solution.col_dual) * scale
-    basis = highs.getBasis()
-    statuses = basis.col_status  # a new list of new status objects on every read
-    col_status = np.fromiter(map(int, statuses), dtype=int, count=lp.n_vars)
     duals_eq, duals_ub = row_dual[lp.b_ub.size:], row_dual[:lp.b_ub.size]
-    duals_lower = np.where(col_status == _AT_LOWER, col_dual, 0.0)
-    duals_upper = -np.where(col_status == _AT_UPPER, col_dual, 0.0)
+    duals_lower = np.where((col_dual > 0) & np.isfinite(lp.lower), col_dual, 0.0)
+    duals_upper = -np.where((col_dual < 0) & np.isfinite(lp.upper), col_dual, 0.0)
+    basis = None if start is None else highs.getBasis()
     sol = LpSolution(
         status="optimal",
         x=x,
@@ -285,7 +295,7 @@ def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         duals_upper=duals_upper,
         residuals=_kkt_residuals(lp, x, duals_eq, duals_ub, duals_lower, duals_upper),
         iterations=highs.getInfoValue("simplex_iteration_count")[1],
-        basis=None if start is None else Basis(statuses, basis.row_status),
+        basis=None if basis is None else Basis(basis.col_status, basis.row_status),
     )
     _check_quality(lp, sol)
     return sol

@@ -1,14 +1,19 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.optimize
 from scipy import sparse
+from scipy.optimize._highspy._core import HighsBasisStatus
 
 from gridtrade import lp as lp_mod
 from gridtrade import two_bus_market
-from gridtrade.dispatch import solve_dispatch
+from gridtrade.dispatch import check_arrow_debreu, solve_dispatch
 from gridtrade.lp import LinearProgram, LpNumericalError, _kkt_residuals, solve
+from gridtrade.proposer import ProposerStrategy, make_proposer
+from gridtrade.trading import EngineConfig, run_trading
 
 from conftest import fleet_markets
 
@@ -371,3 +376,133 @@ def test_documented_input_errors(call, error, message):
 
 def test_crafted_solution_within_every_bound_passes():
     lp_mod._check_quality(LinearProgram(c=np.ones(1)), _solution())
+
+
+@pytest.mark.parametrize("lower, upper", [
+    ([np.nan], [1.0]), ([0.0], [np.nan]), ([np.inf], [np.inf]), ([-np.inf], [-np.inf]),
+], ids=["nan-lower", "nan-upper", "lower-plus-inf", "upper-minus-inf"])
+def test_non_finite_column_bounds_rejected(lower, upper):
+    with pytest.raises(ValueError, match="bounds must not be NaN, lower \\+inf or upper -inf"):
+        LinearProgram(c=np.ones(1), lower=np.array(lower), upper=np.array(upper))
+
+
+def _as_sparse(lp):
+    return replace(lp, a_eq=sparse.csr_matrix(lp.a_eq), a_ub=sparse.csr_matrix(lp.a_ub))
+
+
+def refused_start():
+    """A two-column program with a one-column start, which HiGHS refuses: the solve raises."""
+    lp = LinearProgram(c=np.ones(2), lower=np.zeros(2), upper=np.ones(2))
+    return lp, lp_mod.Basis([lp_mod.BASIC], [])
+
+
+def shared_solver_cases():
+    """Dense and sparse programs: optimal, infeasible, unbounded, refused by ``passModel``, and a raising solve."""
+    programs = [single_variable_box(), infeasible_row(), unbounded(), crossed_bounds(), random_box(),
+                min_sense_cover(), two_bus_initial_cost(), *random_programs()]
+    cases = [(p, None) for p in programs] + [(_as_sparse(p), None) for p in programs]
+    cases += [(two_bus_initial_cost(), lp_mod.COLD), (_as_sparse(min_sense_cover()), lp_mod.COLD), refused_start()]
+    return cases
+
+
+def outcome(case):
+    """Everything a solve returns, with its arrays as bytes, or the error it raised."""
+    try:
+        sol = solve(*case)
+    except lp_mod.LpError as err:
+        return "raised", str(err)
+    if sol.status != "optimal":
+        return (sol.status,)
+    arrays = (sol.x, sol.duals_eq, sol.duals_ub, sol.duals_lower, sol.duals_upper)
+    return sol.status, *(a.tobytes() for a in arrays), sol.objective, sol.iterations, sol.basis is None
+
+
+def run_threads(*targets):
+    """Run each target in its own new thread, with frequent thread switches, and wait for all."""
+    threads = [threading.Thread(target=target) for target in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def in_fresh_thread(function, *args):
+    result = []
+    run_threads(lambda: result.append(function(*args)))
+    return result[0]
+
+
+class TestSharedSolver:
+    """Each thread's one HiGHS instance gives every solve the answer a fresh instance gives."""
+
+    def test_solve_order_and_fresh_threads_agree(self):
+        cases = shared_solver_cases()
+        forward = [outcome(case) for case in cases]
+        backward = [outcome(case) for case in reversed(cases)][::-1]
+        alone = [in_fresh_thread(outcome, case) for case in cases]
+        assert forward == backward == alone
+        assert {o[0] for o in forward} == {"optimal", "infeasible", "unbounded", "raised"}
+
+    def test_concurrent_threads_match_serial_results(self):
+        cases = shared_solver_cases()
+        serial = [outcome(case) for case in cases]
+        results = [{} for _ in range(3)]
+
+        def work(k):
+            for i in np.random.default_rng(k).permutation(len(cases)):
+                results[k][i] = outcome(cases[i])
+
+        run_threads(*(lambda k=k: work(k) for k in range(len(results))))
+        for result in results:
+            assert [result[i] for i in range(len(cases))] == serial
+
+    def test_presolve_only_for_sparse_programs(self):
+        dense = two_bus_initial_cost()
+        for lp, presolve in ((dense, "off"), (_as_sparse(dense), "on"),
+                             (replace(dense, a_eq=sparse.csr_matrix(dense.a_eq)), "on")):
+            _, highs, _ = lp_mod.linprog(lp)
+            assert highs.getOptionValue("presolve")[1] == presolve
+
+    def test_only_a_warm_solve_reads_the_basis(self):
+        lp = two_bus_initial_cost()
+        assert solve(lp).basis is None
+        warm = solve(lp, solve(lp, lp_mod.COLD).basis)
+        assert isinstance(warm.basis, lp_mod.Basis) and len(warm.basis.col_status) == lp.n_vars
+
+
+def basis_split(lp, start=None):
+    """The bound multipliers of an optimal ``lp`` split by HiGHS's column statuses."""
+    status, highs, scale = lp_mod.linprog(lp, start)
+    assert status == "optimal"
+    col_dual = np.array(highs.getSolution().col_dual) * scale
+    statuses = np.array([int(s) for s in highs.getBasis().col_status])
+    at_lower, at_upper = (statuses == int(k) for k in (HighsBasisStatus.kLower, HighsBasisStatus.kUpper))
+    return np.where(at_lower, col_dual, 0.0), -np.where(at_upper, col_dual, 0.0)
+
+
+def test_sign_rule_reproduces_the_basis_status_split(monkeypatch):
+    """On the fleet's search, dispatch and operator LPs and the two-bus dispatch, bit for bit."""
+    calls = []
+    inner = lp_mod.solve
+    monkeypatch.setattr(lp_mod, "solve", lambda lp, *start: calls.append((lp, *start)) or inner(lp, *start))
+    for market in [two_bus_market(), *fleet_markets()]:
+        result = run_trading(market, EngineConfig(epsilon=1e-3), make_proposer(ProposerStrategy()))
+        solution = solve_dispatch(market)
+        check_arrow_debreu(market, solution.plans, solution.x, solution.lambda_)
+        assert result.converged
+    monkeypatch.undo()
+    cold = [(_as_sparse(lp),) for lp, *start in calls if not start]  # presolved
+    compared = 0
+    for call in calls + cold:
+        split = basis_split(*call)
+        sol = solve(*call)
+        assert sol.duals_lower.tobytes() == split[0].tobytes()
+        assert sol.duals_upper.tobytes() == split[1].tobytes()
+        compared += 1
+    assert compared == 369 and len(calls) == 267
