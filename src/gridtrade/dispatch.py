@@ -1,12 +1,14 @@
 """Centralised benchmark: stochastic dispatch, nodal prices, equilibrium checks.
 
-The dispatch LP maximises total expected utility over participant plans,
-with the piecewise-linear utilities expressed through epigraph variables.
-The trade search poses the same participant block for one group around its
-current plans, from the members' rows of the market's utility table
-(``market.table``), so one builder serves both.  They differ in the
-network: the search carries only the announced loading rows, as
-shift-factor rows over its members' increments (:func:`welfare_program`);
+The dispatch LP maximises total expected utility over participant plans.
+Each concave piecewise-linear utility is posed in separable form: a plan
+is a start plus one bounded column per utility segment, at the segment's
+slope, which an optimal LP fills in order, so no row poses a utility
+(Dantzig 1963, ch. 24).  The trade search poses the same participant block
+for one group around its current plans, from the members' columns of the
+market's utility table (``market.table``), so one builder serves both.
+They differ in the network: the search carries only the announced loading
+rows, as shift-factor rows over its members' plans (:func:`welfare_program`);
 the dispatch carries the whole network in bus-angle form (the DC OPF form
 of MATPOWER), with one angle column per bus and scenario, the reference
 angle fixed at 0, one nodal balance row per bus and scenario and a forward
@@ -43,6 +45,7 @@ __all__ = [
     "EquilibriumReport",
     "DispatchInfeasibleError",
     "welfare_program",
+    "welfare_plans",
     "solve_dispatch",
     "lmp_from_marginals",
     "welfare_gap",
@@ -84,15 +87,17 @@ class DispatchSolution:
 
 
 # LPs with at most this many dense cells (rows x columns) get dense matrices,
-# larger ones CSR matrices.  Over 500 subset_hybrid searches (median 44 x 36)
-# lp.solve took 1.05-1.18 ms dense against 1.39-1.65 ms with CSR (2 vCPUs);
-# the 20-bus searches (1.7M cells and up) and the bus-angle dispatch and
-# operator LPs of the 20- and 40-bus markets (5M cells and up) are under 1%
-# nonzero and densely spend most of their time on zeros.  The fleet's
-# dispatch and operator LPs (at most about 25k cells) stay dense.  The form
-# also sets presolve (lp runs it only on sparse programs): it pays on the
-# large LPs and costs more than the solve on the small ones.
-_DENSE_CELLS = 250_000
+# larger ones CSR matrices.  The form also sets presolve (lp runs it only on
+# sparse programs).  The fleet's LPs (at most about 9k cells) and
+# subset_hybrid's (searches at most about 8k, median 15 x 36; dispatch and
+# operator LPs at most 55k) stay dense: with every LP in CSR a seed-1
+# subset_hybrid pass spent 4.56 s trading against 2.93 s (2 vCPUs).  The
+# 20-bus searches (121-245 rows x 1,136-1,392 columns, 137k-329k cells) are
+# under 3% nonzero and all go to CSR: at 250k cells, where about half of
+# them were dense, medium_full traded in 0.96 s against 0.88 s.  The
+# bus-angle dispatch and operator LPs of the 20- and 40-bus markets (800k
+# cells and up) are sparse too.
+_DENSE_CELLS = 100_000
 
 # MW a quoting injection keeps from its bounds and breakpoints; relative
 # slack on each equilibrium condition.
@@ -100,45 +105,68 @@ _INTERIOR_TOL = 1e-7
 _EQUILIBRIUM_TOL = 1e-6
 
 
-def _participant_block(market: Market, members: np.ndarray, y: np.ndarray):
-    """The members' columns, bounds and rows, shared by the trade search and the dispatch.
+def _columns(table: UtilityTable, members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The members' columns of ``table.segment_columns``, gathered with one index.
 
-    ``members`` are rows of ``market.table`` and ``y`` holds their current
-    plans, shape ``(M, S)``.  Columns are the increments ``d`` (member-major,
-    then scenario) followed by the utility epigraph values ``u`` in units of
-    ``V = table.value_base``.  Returns the objective (in $: cost ``w V`` on
-    ``u``), the column bounds, the segment rows ``u - (m / V) d <= (a + m y)
-    / V`` (one per utility segment) and the chains ``d[s] = d[s + 1]`` per
-    day-ahead member, each as a row block (see :func:`_program`).  As ``V``
-    is a power of two, a market whose slopes are scaled by a power of two
-    poses the same rows.
+    Returns that index, each column's plan ``S m + s`` (member-major, then
+    scenario) and each plan's end: one past its last column.
+    """
+    first, count, _, _ = table.segment_columns
+    counts = count[members]
+    per_member = counts.sum(axis=-1)
+    offsets = np.cumsum(per_member) - per_member
+    index = np.repeat(first[members] - offsets, per_member) + np.arange(per_member.sum())
+    counts = counts.ravel()
+    return index, np.repeat(np.arange(counts.size), counts), np.cumsum(counts)
+
+
+def _participant_block(market: Market, members: np.ndarray, y: np.ndarray):
+    """The members' columns, bounds and chains, shared by the trade search and the dispatch.
+
+    ``members`` are rows of ``market.table``; ``y`` holds plans that must
+    stay feasible, shape ``(M, S)``.  The columns are the members' segment
+    columns (:attr:`UtilityTable.segment_columns`), at cost ``w m`` in $/MW:
+    a plan is its start ``min(lower, y)`` plus its columns, and the first
+    column reaches down to the start and the last up to ``max(upper, y)``.
+    Returns the cost, the columns' upper bounds (all lower bounds are 0),
+    the chains ``z[s] = z[s + 1]`` per day-ahead member as a row block (see
+    :func:`_program`), each column's plan and each plan's end (see
+    :func:`_columns`) and the ``(M, S)`` starts.
     """
     if not members.size:
         raise ValueError("the welfare program needs at least one member")
-    table = market.table
-    base = table.value_base
-    n_d = members.size * market.scenario_count
-    y = np.asarray(y, dtype=float).reshape(n_d)
-    real = table.real[members]
-    slopes = table.slopes[members][real]
-    intercepts = table.intercepts[members][real]
-    owner = np.repeat(np.arange(n_d), real.sum(axis=-1).ravel())
-    seg = np.arange(owner.size)
-    segments = (
-        [(seg, n_d + owner, np.ones(seg.size)), (seg, owner, slopes / -base)],
-        (intercepts + slopes * y[owner]) / base,
-    )
-    n_s = market.scenario_count
-    da_first = (n_s * np.flatnonzero(table.day_ahead[members])[:, None] + np.arange(n_s - 1)).ravel()
-    chain = np.arange(da_first.size)
-    chains = (
-        [(chain, da_first, np.ones(chain.size)), (chain, da_first + 1, -np.ones(chain.size))],
-        np.zeros(chain.size),
-    )
-    c = np.concatenate([np.zeros(n_d), table.weights[members].ravel() * base])
-    lower = np.concatenate([table.lower[members].ravel() - y, np.full(n_d, -np.inf)])
-    upper = np.concatenate([table.upper[members].ravel() - y, np.full(n_d, np.inf)])
-    return c, lower, upper, segments, chains
+    table, n_s = market.table, market.scenario_count
+    index, plan, ends = _columns(table, members)
+    _, _, length, cost = table.segment_columns
+    lower, upper = table.lower[members], table.upper[members]
+    start = np.minimum(lower, y)
+    col_upper = length[index]
+    col_upper[np.r_[0, ends[:-1]]] += (lower - start).ravel()
+    col_upper[ends - 1] += np.maximum(y - upper, 0.0).ravel()
+    day_ahead = table.day_ahead[members]
+    chains = ([], np.zeros(0))
+    if day_ahead.any():
+        member, scenario = np.divmod(plan, n_s)
+        chain = ((n_s - 1) * (np.cumsum(day_ahead) - 1))[member] + scenario  # chain s of the column's member
+        plus = np.flatnonzero(day_ahead[member] & (scenario < n_s - 1))
+        minus = np.flatnonzero(day_ahead[member] & (scenario > 0))
+        da_start = start[day_ahead]
+        chains = (
+            [(chain[plus], plus, np.ones(plus.size)), (chain[minus] - 1, minus, -np.ones(minus.size))],
+            (da_start[:, 1:] - da_start[:, :-1]).ravel(),
+        )
+    return cost[index], col_upper, chains, plan, ends, start
+
+
+def welfare_plans(market: Market, members: Sequence[int], y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The ``(M, S)`` plans of a solution ``x`` of :func:`welfare_program` (or of the dispatch, at ``y = lower``).
+
+    Each plan is its start ``min(lower, y)`` plus its segment columns.
+    """
+    members = np.asarray(members, dtype=int)
+    _, plan, _ = _columns(market.table, members)
+    start = np.minimum(market.table.lower[members], y)
+    return start + np.bincount(plan, x[:plan.size], minlength=start.size).reshape(start.shape)
 
 
 def _angle_block(network: Network, limits: np.ndarray, node: np.ndarray, col0: int):
@@ -218,35 +246,36 @@ def welfare_program(
     rows: np.ndarray,
     rhs: np.ndarray,
 ) -> lp.LinearProgram:
-    """The trade search's LP: maximise the members' expected utility at ``y + d`` over increments ``d``.
+    """The trade search's LP: maximise the members' expected utility over plans ``z`` from current plans ``y``.
 
     ``members`` are rows of ``market.table`` and ``y`` holds their current
-    plans, shape ``(M, S)``.  Variables are the increments ``d``
-    (member-major, then scenario) followed by the utility epigraph values
-    ``u``, in units of ``market.table.value_base``.  Rows, in order: ``u -
-    m d <= a + m y`` per utility segment (see :func:`_participant_block`);
-    row ``r`` of ``market.network.shift_factors`` over scenario ``s``'s
-    increments, bounded by ``rhs[s, r]``, wherever the ``(S, 2L)`` mask ``rows[s, r]`` is true
-    (scenario-major); ``d[s] = d[s + 1]`` chains per day-ahead member;
-    balance ``sum d[s] = 0`` per scenario.  Working in increments keeps
-    ``y`` on the right-hand side, so no ``z - y`` cancels.  The search
-    carries only the announced rows, so shift-factor rows serve it better
-    than bus angles; the dispatch shares its participant block.
+    plans, shape ``(M, S)``.  The columns are the members' segment columns
+    (see :func:`_participant_block`), which hold ``z`` minus its start
+    ``min(lower, y)``, so staying put is feasible; :func:`welfare_plans`
+    reads the plans back.  The objective is ``U(z) - U(start)``.  Rows, in
+    order: row ``r`` of ``market.network.shift_factors`` over scenario
+    ``s``'s plans, bounded by its loading at ``y`` plus ``rhs[s, r]``,
+    wherever the ``(S, 2L)`` mask ``rows[s, r]`` is true (scenario-major);
+    ``z[s] = z[s + 1]`` chains per day-ahead member; balance ``sum z[s] =
+    sum y[s]`` per scenario.  The search carries only the announced rows,
+    so shift-factor rows serve it better than bus angles; the dispatch
+    shares its participant block.
     """
     members = np.asarray(members, dtype=int)
-    c, lower, upper, segments, chains = _participant_block(market, members, y)
-    n_m, n_s = members.size, market.scenario_count
-    n_d = n_m * n_s
+    n_s = market.scenario_count
+    y = np.asarray(y, dtype=float).reshape(members.size, n_s)
+    c, upper, chains, plan, _, start = _participant_block(market, members, y)
+    moved = y - start
     line_scenario, line_row = np.nonzero(rows)
     loading = market.network.shift_factors[line_row][:, market.table.bus[members]]
+    member, scenario = np.divmod(plan, n_s)
+    line, cols = np.nonzero(scenario == line_scenario[:, None])  # each announced row's scenario's columns
     lines = (
-        [(np.repeat(np.arange(line_scenario.size), n_m),
-          (line_scenario[:, None] + n_s * np.arange(n_m)).ravel(),
-          loading.ravel())],
-        rhs[rows],
+        [(line, cols, loading[line, member[cols]])],
+        rhs[rows] + np.einsum("rm,mr->r", loading, moved[:, line_scenario]),
     )
-    balance = ([(np.arange(n_d) % n_s, np.arange(n_d), np.ones(n_d))], np.zeros(n_s))
-    return _program(c, lower, upper, [segments, lines], [chains, balance])
+    balance = ([(scenario, np.arange(c.size), np.ones(c.size))], moved.sum(axis=0))
+    return _program(c, np.zeros(c.size), upper, [lines], [chains, balance])
 
 
 def _ratings(market: Market, lm: LoadingMatrix | None) -> np.ndarray:
@@ -261,45 +290,52 @@ def _ratings(market: Market, lm: LoadingMatrix | None) -> np.ndarray:
 def solve_dispatch(market: Market, lm: LoadingMatrix | None = None) -> DispatchSolution:
     """Maximise total expected utility subject to local and network limits.
 
-    The participant block is the trade search's at zero plans; the network
-    is the bus-angle block of ``market.network`` under the ratings of
-    ``lm``, else the network's own; an unrated line's ``beta`` entries are 0.
+    The participant block is the trade search's with every plan starting
+    at its lower bound, whose utility the objective adds; the network is
+    the bus-angle block of ``market.network`` under the ratings of ``lm``,
+    else the network's own; an unrated line's ``beta`` entries are 0.
     """
     limits = _ratings(market, lm)
     network, table = market.network, market.table
     n_i, n_s, n_b = len(market.participants), market.scenario_count, network.bus_count
-    c, lower, upper, segments, chains = _participant_block(market, np.arange(n_i), np.zeros((n_i, n_s)))
-    node = (n_b * np.arange(n_s) + table.bus[:, None]).ravel()
-    balance, flows, angle_lower, angle_upper = _angle_block(network, limits, node, c.size)
+    members = np.arange(n_i)
+    c, upper, chains, plan, ends, start = _participant_block(market, members, table.lower)
+    node = (n_b * np.arange(n_s) + table.bus[:, None]).ravel()  # each plan's balance row
+    balance, flows, angle_lower, angle_upper = _angle_block(network, limits, node[plan], c.size)
+    # The starts are fixed injections: they move to the balance right-hand sides.
+    balance = (balance[0], -np.bincount(node, start.ravel(), n_s * n_b))
     sol = lp.solve(_program(
         np.concatenate([c, np.zeros(n_s * n_b)]),
-        np.concatenate([lower, angle_lower]),
+        np.concatenate([np.zeros(c.size), angle_lower]),
         np.concatenate([upper, angle_upper]),
-        [segments, flows],
+        [flows],
         [chains, balance],
     ))
     if sol.status != "optimal":
         raise DispatchInfeasibleError(sol.status)
 
-    n_d, n_chain = n_i * n_s, chains[1].size
+    n_chain = chains[1].size
     ids = market.participant_ids
-    plans = dict(zip(ids, sol.x[:n_d].reshape(n_i, n_s)))
+    plans = dict(zip(ids, welfare_plans(market, members, table.lower, sol.x)))
     lambda_ = -sol.duals_eq[n_chain:].reshape(n_s, n_b)
     beta = np.zeros(limits.shape)
-    beta[np.isfinite(limits)] = sol.duals_ub[sol.duals_ub.size - flows[1].size:]
+    beta[np.isfinite(limits)] = sol.duals_ub
     da_ids = [p.id for p in market.participants if p.timing == "DA"]
     chain = sol.duals_eq[:n_chain].reshape(len(da_ids), n_s - 1)
     # Commitment force in scenario s: chain dual s minus chain dual s - 1, zero past either end.
     zeta = dict(zip(da_ids, np.diff(chain, axis=1, prepend=0.0, append=0.0)))
+    # A plan's bound multipliers are its first column's lower one and its last column's upper one.
+    first = np.r_[0, ends[:-1]]
+    utility_at_start = float(np.sum(table.weights * table.value(members, start[..., None])[..., 0]))
     return DispatchSolution(
         plans=plans,
         x=market.aggregate_nodal(plans),
-        objective=sol.objective,
+        objective=sol.objective + utility_at_start,
         lambda_=lambda_,
         gamma_s=-lambda_[:, network.reference_bus],
         beta=beta,
-        eta_lower=dict(zip(ids, sol.duals_lower[:n_d].reshape(n_i, n_s))),
-        eta_upper=dict(zip(ids, sol.duals_upper[:n_d].reshape(n_i, n_s))),
+        eta_lower=dict(zip(ids, sol.duals_lower[first].reshape(n_i, n_s))),
+        eta_upper=dict(zip(ids, sol.duals_upper[ends - 1].reshape(n_i, n_s))),
         zeta=zeta,
     )
 

@@ -29,8 +29,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .lp import power_of_two_above
-
 __all__ = [
     "ScenarioSet",
     "UtilityFunction",
@@ -272,7 +270,7 @@ class UtilityTable:
     Each utility's :meth:`UtilityFunction.segments` are padded to ``K`` by
     repeating the last one, so ``min_k(intercepts + slopes * p)`` is still
     its value; ``real`` marks the segments that are not padding.
-    :attr:`value_base` is the roster's unit of value in the LPs.
+    :attr:`segment_columns` poses them as LP columns.
     """
 
     index: dict[str, int]
@@ -315,13 +313,32 @@ class UtilityTable:
         )
 
     @cached_property
-    def value_base(self) -> float:
-        """The least power of two above the largest ``|slope|`` ($/MW), 1 for an empty roster.
+    def segment_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The segments clipped to the bounds, as LP columns: ``(first, count, length, cost)``, built on first use.
 
-        A roster whose slopes are all scaled by a power of two has its base
-        scaled by the same power, so values in these units do not change.
+        A plan is its lower bound plus one column per segment, each between
+        0 and its ``length``, at ``cost`` $/MW (the weight times the slope);
+        concavity makes an optimal LP fill them in order.  Columns run
+        participant-major, then scenario, then segment: participant ``i``'s
+        start at ``first[i]`` and ``count[i, s]`` are those of scenario
+        ``s``.  A segment the bounds cut to nothing gets no column, but a
+        plan fixed by its bounds keeps the segment holding it, of length 0,
+        so every plan has a first and a last column.  The first real segment
+        reaches down and the last up without end before the clip, so the
+        columns cover the bounds even where they pass the domain by round-off.
         """
-        return power_of_two_above(float(np.abs(self.slopes).max(initial=0.0)))
+        k = np.arange(self.slopes.shape[-1])
+        last = self.real.sum(axis=-1, keepdims=True) - 1
+        lo, hi = self.lower[..., None], self.upper[..., None]
+        top = np.where(k == last, np.inf, self.breakpoints[..., 1:])
+        left = np.clip(np.where(k == 0, -np.inf, self.breakpoints[..., :-1]), lo, hi)
+        length = np.where(self.real, np.clip(top, lo, hi) - left, 0.0)
+        keep = length > 0
+        keep |= ~keep.any(axis=-1, keepdims=True) & (k == np.argmax(top >= lo, axis=-1)[..., None])
+        count = keep.sum(axis=-1)
+        per_participant = count.sum(axis=-1)
+        first = np.cumsum(per_participant) - per_participant
+        return first, count, length[keep], (self.weights[..., None] * self.slopes)[keep]
 
     def rows(self, ids: Iterable[str]) -> np.ndarray:
         """The table rows of participant ``ids``, in their order; an unknown id raises ``KeyError``."""

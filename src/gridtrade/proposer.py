@@ -20,9 +20,8 @@ sign limit on ``t[s]``, so :func:`pair_bound` finds the pair's best gain
 exactly with :func:`participants.scan_maximum` over the market's utility
 table.  The LP is skipped when that optimum is below ``epsilon -
 _SCREEN_MARGIN``.  Rows whose coefficient on ``t`` is within ``_COEF_TOL *
-max|H|`` of zero are dropped, which only relaxes the scan; where it does not
-apply (bounds crossed by round-off) the LP runs.  Trades and certificates
-come from the LP alone.
+max|H|`` of zero are dropped, which only relaxes the scan.  Trades and
+certificates come from the LP alone.
 
 Consecutive whole-market searches of a run pose the same LP but for bounds,
 right-hand sides and the announced rows, so each starts from the last one's
@@ -40,7 +39,7 @@ from typing import Iterator
 import numpy as np
 
 from . import lp
-from .dispatch import welfare_program
+from .dispatch import welfare_plans, welfare_program
 from .market import Market
 from .network import LoadingMatrix, own_loading_matrix
 from .participants import UtilityTable, scan_maximum
@@ -91,32 +90,30 @@ class WarmStart:
     """The last whole-market search's optimal basis and the announced ``(S, 2L)`` mask it was posed under.
 
     Searches of one group on one market share their columns and their
-    segment, chain and balance rows; only the announced rows differ.
-    :meth:`start` carries the basis over to a new mask: an announced row
-    kept, matched by ``(scenario, row)``, keeps its status and a newly
-    announced row enters basic.  A row dropped while nonbasic leaves one
-    basic status too many, so the basis is then marked alien for HiGHS to
-    repair.  A new instance starts cold.
+    chain and balance rows; only the announced rows, which come first,
+    differ.  :meth:`start` carries the basis over to a new mask: an
+    announced row kept, matched by ``(scenario, row)``, keeps its status
+    and a newly announced row enters basic.  A row dropped while nonbasic
+    leaves one basic status too many, so the basis is then marked alien for
+    HiGHS to repair.  A new instance starts cold.
     """
 
     def __init__(self) -> None:
         self.mask: np.ndarray | None = None
         self.basis = lp.COLD
 
-    def start(self, mask: np.ndarray, n_ub: int) -> lp.Basis:
-        """The starting basis of a search under ``mask`` with ``n_ub`` inequality rows."""
+    def start(self, mask: np.ndarray) -> lp.Basis:
+        """The starting basis of a search under ``mask``."""
         if self.mask is None:
             return lp.COLD
         old, new = np.flatnonzero(self.mask), np.flatnonzero(mask)
-        first = n_ub - new.size  # the segment rows come first, then the announced rows
         rows = self.basis.row_status
-        lines = rows[first:first + old.size]
         kept = self.mask.ravel()[new].tolist()
         at = np.searchsorted(old, new).tolist()
-        statuses = [lines[i] if k else lp.BASIC for i, k in zip(at, kept)]
+        statuses = [rows[i] if k else lp.BASIC for i, k in zip(at, kept)]
         dropped = np.flatnonzero(~mask.ravel()[old]).tolist()
-        alien = any(lines[i] != lp.BASIC for i in dropped)
-        return lp.Basis(self.basis.col_status, rows[:first] + statuses + rows[first + old.size:], alien)
+        alien = any(rows[i] != lp.BASIC for i in dropped)
+        return lp.Basis(self.basis.col_status, statuses + rows[old.size:], alien)
 
     def keep(self, mask: np.ndarray, basis: lp.Basis) -> None:
         self.mask, self.basis = mask, basis
@@ -145,24 +142,18 @@ def find_worthy_fd_trade(
     table = market.table
     members = table.rows(ids)
     y = state.plans[members]
-    base_utility = float(np.sum(table.weights[members] * table.value(members, y[..., None])[..., 0]))
     program = welfare_program(market, members, y, announcements, np.zeros(announcements.shape))
-    # A plan may sit past its bound by round-off (within LOCAL_TOL); the
-    # search's box must still contain d = 0, so staying put stays feasible.
-    np.minimum(program.lower, 0.0, out=program.lower)
-    np.maximum(program.upper, 0.0, out=program.upper)
-    if warm is None:
-        sol = lp.solve(program)
-    else:
-        sol = lp.solve(program, warm.start(announcements, program.b_ub.size))
+    sol = lp.solve(program) if warm is None else lp.solve(program, warm.start(announcements))
     if sol.status != "optimal":
         raise lp.LpError(f"trade search LP ended with status {sol.status}")
     if warm is not None:
         warm.keep(announcements, sol.basis)
-    optimum = sol.objective - base_utility
+    # The LP's objective is the gain over the plans' starts; move it to a gain over y.
+    values = table.value(members, np.stack([np.minimum(table.lower[members], y), y], axis=-1))
+    optimum = sol.objective + float(np.sum(table.weights[members] * (values[..., 0] - values[..., 1])))
     if optimum < epsilon:
         return None, optimum
-    deltas = sol.x[: y.size].reshape(y.shape)
+    deltas = welfare_plans(market, members, y, sol.x) - y
     deltas[np.abs(deltas) < _ENTRY_EPS] = 0.0
     return Trade({pid: d for pid, d in zip(ids, deltas) if np.any(d != 0.0)}), optimum
 
@@ -179,11 +170,14 @@ def pair_bound(
     Equals :func:`find_worthy_fd_trade`'s optimum for the pair up to
     round-off, or exceeds it where announced rows with a coefficient within
     ``_COEF_TOL * max|H|`` of zero were dropped (``H`` is ``shift_factors``).
+    Both pose the same box, which holds staying put, so a plan past its
+    bound by round-off is scanned too.
     """
     i, j = table.rows(pair)
     ya, yb = state.plans[i], state.plans[j]
-    lower = np.maximum(table.lower[i] - ya, yb - table.upper[j])
-    upper = np.minimum(table.upper[i] - ya, yb - table.lower[j])
+    # The search's box: each member's bounds, stretched to its plan where round-off left it outside.
+    lower = np.maximum(np.minimum(table.lower[i] - ya, 0.0), np.minimum(yb - table.upper[j], 0.0))
+    upper = np.minimum(np.maximum(table.upper[i] - ya, 0.0), np.maximum(yb - table.lower[j], 0.0))
     scenario, rows = np.nonzero(announcements)
     if rows.size:
         coef = shift_factors[rows, table.bus[i]] - shift_factors[rows, table.bus[j]]

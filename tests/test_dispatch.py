@@ -79,6 +79,15 @@ class TestSolveDispatch:
         assert solution.plans["gen"][0] == pytest.approx(100.0)
         assert solution.objective == pytest.approx(-5000.0)
 
+    def test_objective_is_the_utility_of_its_plans(self, two_bus, two_bus_dispatch):
+        # Two-sided, unlike welfare_gap, which clamps at 0: an objective too low fails too.
+        for market, solution in [
+            (two_bus, two_bus_dispatch),
+            *((m, solve_dispatch(m)) for m in [*fleet_markets(), *medium_full_markets()]),
+        ]:
+            achieved = market.total_utility(solution.plans, subjective=True)
+            assert abs(solution.objective - achieved) <= 1e-9 * (1 + abs(solution.objective))
+
     def test_infeasible_market_reported(self):
         network = Network(2, (Line(0, 1, 1.0, 10.0),), reference_bus=1)
         gen = Participant.producer("gen", 0, "RT", (200.0,), 50.0)
@@ -473,18 +482,20 @@ class TestUnratedLines:
 def shift_factor_dispatch(market, lm):
     """Reference dispatch in shift-factor form: ``welfare_program`` with every loading row at its limit.
 
-    Returns the objective and the prices ``-(gamma + beta H)`` read from its
-    system balance duals ``gamma`` and loading-row duals ``beta``.
+    Returns the objective, the utility of its plans, and the prices
+    ``-(gamma + beta H)`` read from its system balance duals ``gamma`` and
+    loading-row duals ``beta``.
     """
     n_p, n_s, n_rows = len(market.participants), market.scenario_count, lm.rows.shape[0]
+    members, y = np.arange(n_p), np.zeros((n_p, n_s))
     program = dispatch.welfare_program(
-        market, np.arange(n_p), np.zeros((n_p, n_s)),
-        np.ones((n_s, n_rows), dtype=bool), lm.stacked_limits(n_s),
+        market, members, y, np.ones((n_s, n_rows), dtype=bool), lm.stacked_limits(n_s),
     )
     sol = lp.solve(program)
     assert sol.status == "optimal"
+    plans = dict(zip(market.participant_ids, dispatch.welfare_plans(market, members, y, sol.x)))
     beta = sol.duals_ub[sol.duals_ub.size - n_s * n_rows:].reshape(n_s, n_rows)
-    return sol.objective, -(sol.duals_eq[-n_s:, None] + beta @ lm.rows)
+    return market.total_utility(plans, subjective=True), -(sol.duals_eq[-n_s:, None] + beta @ lm.rows)
 
 
 def per_scenario_operator_profit(lm, prices, limits):

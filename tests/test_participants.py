@@ -231,6 +231,24 @@ class TestUtilityTable:
                 checked += expected.size
         assert checked > 10_000
 
+    def test_segment_columns_cover_each_plans_bounds(self):
+        # A segment cut by a bound, an upper bound past the domain by
+        # round-off, and a plan fixed at a breakpoint, which keeps the
+        # segment reaching it as one column of length 0.
+        cut = UtilityFunction((0.0, 20.0, 50.0), (-1.0, -4.0))
+        kinked = UtilityFunction((-30.0, -20.0, 0.0), (60.0, 10.0))
+        top = 50.0 + 1e-10
+        participants = (
+            Participant("a", 0, "producer", "RT", ((0.0, 30.0), (0.0, top)), (cut, cut)),
+            Participant("b", 0, "load", "RT", ((-20.0, -20.0), (-30.0, 0.0)), (kinked, kinked)),
+        )
+        table = UtilityTable.of(participants, SCENARIOS)
+        assert "segment_columns" not in vars(table)
+        first, count, length, cost = table.segment_columns
+        assert first.tolist() == [0, 4] and count.tolist() == [[2, 2], [1, 2]]
+        assert length.tolist() == [20.0, 10.0, 20.0, top - 20.0, 0.0, 10.0, 20.0]
+        assert cost.tolist() == [0.6 * -1.0, 0.6 * -4.0, 0.4 * -1.0, 0.4 * -4.0, 0.6 * 60.0, 0.4 * 60.0, 0.4 * 10.0]
+
     def test_padding_repeats_each_functions_last_entry(self):
         # One, two and three segments mixed within rows and within scenarios.
         one = UtilityFunction.constant_marginal(-5.0, 0.0, 50.0)

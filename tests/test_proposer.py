@@ -254,6 +254,45 @@ class TestCertifiedGap:
         self.check_every_step(market)
 
 
+class ExactSearchProposer:
+    """Full-group search that checks every trade it returns against the utility table.
+
+    The optimum must be the trade's exact gain, the trade must balance in
+    every scenario, and the plans it leads to must stay within bounds.
+    """
+
+    def __init__(self):
+        self.trades = 0
+
+    def propose(self, market, state, announcements, epsilon, rng):
+        trade, optimum = find_worthy_fd_trade(
+            market.participant_ids, state, announcements, epsilon, market
+        )
+        if trade is None:
+            return Certificate(optimum)
+        table = market.table
+        rows, d = table.stack(dict(trade.plans))
+        y = state.plans[rows]
+        gain = table.weights[rows] * (table.value(rows, (y + d)[..., None]) - table.value(rows, y[..., None]))[..., 0]
+        utility = market.total_utility(dict(state.y), subjective=True)
+        assert abs(float(np.sum(gain)) - optimum) <= 1e-9 * (1.0 + abs(utility)), (gain.sum(), optimum)
+        assert np.max(np.abs(d.sum(axis=0))) <= 1e-9
+        outside, spread = table.local_violations(rows, y + d)
+        assert not outside.any() and not spread.any()
+        self.trades += 1
+        return trade
+
+
+def test_search_optimum_is_the_exact_gain_of_its_trade_along_fleet_runs():
+    trades = 0
+    for market in fleet_markets():
+        proposer = ExactSearchProposer()
+        result = run_trading(market, EngineConfig(epsilon=1e-3), proposer)
+        assert result.converged and proposer.trades == result.steps
+        trades += proposer.trades
+    assert trades > 0
+
+
 def rated_subjective(market, rng):
     """``market`` with per-scenario line ratings and every other member's own beliefs."""
     lines = market.network.lines
@@ -349,9 +388,10 @@ class TestPairScreen:
             skipped += unscreened[2] - screened[2]
         assert skipped > 0
 
-    def test_crossed_bounds_fall_back_to_the_lp(self, monkeypatch):
+    def test_plans_past_their_bounds_are_scanned_in_the_searchs_box(self, monkeypatch):
         # a sits 1e-12 MW above its upper bound and b at its own: a pair
-        # trade must lower a and raise b, so the scan's interval is empty.
+        # trade must lower a and raise b.  The search's box keeps a's plan,
+        # so the scan's interval is t = 0, as the LP's is.
         a = Participant.producer("a", 0, "RT", (100.0,), 40.0)
         b = Participant.producer("b", 0, "RT", (100.0,), 30.0)
         network = Network(1, (), reference_bus=0)
@@ -359,15 +399,17 @@ class TestPairScreen:
         lm = build_loading_matrix(network)
         state = state_at(market, {"a": np.array([100.0 + 1e-12]), "b": np.array([100.0])},
                          np.array([[200.0 + 1e-12]]))
-        assert pair_bound(market.table, ("a", "b"), state, NO_LINES, network.shift_factors) is None
+        bound = pair_bound(market.table, ("a", "b"), state, NO_LINES, network.shift_factors)
+        _, optimum = find_worthy_fd_trade(("a", "b"), state, NO_LINES, 1e-3, market)
+        assert bound == 0.0 and optimum == pytest.approx(0.0, abs=1e-9)
         proposer = make_proposer(ProposerStrategy("exhaustive_subsets", max_size=2), lm)
         searches = counting_searches(monkeypatch)
         outcome = proposer.propose(market, state, NO_LINES, 1e-3, np.random.default_rng(0))
-        # At a state the scan covers, the pair's LP is skipped.
+        # The pair's LP is skipped there and at an interior state; the whole market is searched.
         searches.append("interior")
         inside = state_at(market, {"a": np.array([50.0]), "b": np.array([50.0])}, np.array([[100.0]]))
         proposer.propose(market, inside, NO_LINES, 1e3, np.random.default_rng(0))
-        assert searches == [("a", "b"), ("a", "b"), "interior", ("a", "b")]
+        assert searches == [("a", "b"), "interior", ("a", "b")]
         assert isinstance(outcome, Certificate) and outcome.optimum == pytest.approx(0.0, abs=1e-9)
 
 
@@ -437,10 +479,9 @@ class TestWarmStart:
 
     def test_warm_searches_match_cold_solves(self, medium_warm_searches):
         _, warm, cold = medium_warm_searches
-        for (program, _, solution), reference in zip(warm, cold):
+        for (_, _, solution), reference in zip(warm, cold):
             assert abs(solution.objective - reference.objective) <= 1e-9 * (1.0 + abs(reference.objective))
-            n_d = program.c.size // 2  # the increments, then as many epigraph columns
-            np.testing.assert_allclose(solution.x[:n_d], reference.x[:n_d], rtol=0, atol=1e-8)
+            np.testing.assert_allclose(solution.x, reference.x, rtol=0, atol=1e-8)
 
     def test_warm_searches_take_under_a_fifth_of_the_cold_iterations(self, medium_warm_searches):
         _, warm, cold = medium_warm_searches
@@ -448,15 +489,15 @@ class TestWarmStart:
         assert 5 * warm_iterations < sum(reference.iterations for reference in cold)
 
     def test_dropped_nonbasic_row_marks_the_basis_alien(self):
-        kept_mask, basis = np.array([[True, True]]), lp.Basis(["c"], ["seg", lp.BASIC, "nonbasic", "eq"])
+        kept_mask, basis = np.array([[True, True]]), lp.Basis(["c"], [lp.BASIC, "nonbasic", "eq"])
         warm = proposer_mod.WarmStart()
-        assert warm.start(kept_mask, 3) is lp.COLD
+        assert warm.start(kept_mask) is lp.COLD
         warm.keep(kept_mask, basis)
-        assert warm.start(kept_mask, 3).row_status == basis.row_status
-        first_only = warm.start(np.array([[True, False]]), 2)
-        assert first_only.row_status == ["seg", lp.BASIC, "eq"] and first_only.alien
-        second_only = warm.start(np.array([[False, True]]), 2)
-        assert second_only.row_status == ["seg", "nonbasic", "eq"] and not second_only.alien
+        assert warm.start(kept_mask).row_status == basis.row_status
+        first_only = warm.start(np.array([[True, False]]))
+        assert first_only.row_status == [lp.BASIC, "eq"] and first_only.alien
+        second_only = warm.start(np.array([[False, True]]))
+        assert second_only.row_status == ["nonbasic", "eq"] and not second_only.alien
 
     def test_reused_proposer_traces_match_fresh_proposers(self):
         def trace(market, proposer):
