@@ -2,11 +2,11 @@
 
 The dispatch LP maximises total expected utility over participant plans.
 Each concave piecewise-linear utility is posed in separable form: a plan
-is a start plus one bounded column per utility segment, at the segment's
-slope, which an optimal LP fills in order, so no row poses a utility
-(Dantzig 1963, ch. 24).  The trade search poses the same participant block
-for one group around its current plans, from the members' columns of the
-market's utility table (``market.table``), so one builder serves both.
+is its lower bound plus one bounded column per utility segment, at the
+segment's slope, which an optimal LP fills in order, so no row poses a
+utility (Dantzig 1963, ch. 24).  The trade search poses the same block for
+one group, from the members' columns of the market's utility table
+(``market.table``); its current plans enter only right-hand sides.
 They differ in the network: the search carries only the announced loading
 rows, as shift-factor rows over its members' plans (:func:`welfare_program`);
 the dispatch carries the whole network in bus-angle form (the DC OPF form
@@ -120,29 +120,23 @@ def _columns(table: UtilityTable, members: np.ndarray) -> tuple[np.ndarray, np.n
     return index, np.repeat(np.arange(counts.size), counts), np.cumsum(counts)
 
 
-def _participant_block(market: Market, members: np.ndarray, y: np.ndarray):
+def _participant_block(market: Market, members: np.ndarray):
     """The members' columns, bounds and chains, shared by the trade search and the dispatch.
 
-    ``members`` are rows of ``market.table``; ``y`` holds plans that must
-    stay feasible, shape ``(M, S)``.  The columns are the members' segment
-    columns (:attr:`UtilityTable.segment_columns`), at cost ``w m`` in $/MW:
-    a plan is its start ``min(lower, y)`` plus its columns, and the first
-    column reaches down to the start and the last up to ``max(upper, y)``.
-    Returns the cost, the columns' upper bounds (all lower bounds are 0),
-    the chains ``z[s] = z[s + 1]`` per day-ahead member as a row block (see
-    :func:`_program`), each column's plan and each plan's end (see
-    :func:`_columns`) and the ``(M, S)`` starts.
+    ``members`` are rows of ``market.table``.  The columns are the members'
+    segment columns (:attr:`UtilityTable.segment_columns`), at cost ``w m``
+    in $/MW: a plan is its lower bound plus its columns, each between 0 and
+    its segment's length.  Returns the cost, the columns' upper bounds (all
+    lower bounds are 0), the chains ``z[s] = z[s + 1]`` per day-ahead
+    member as a row block (see :func:`_program`), whose right-hand sides are
+    0 since a day-ahead member's bounds are the same in every scenario, and
+    each column's plan and each plan's end (see :func:`_columns`).
     """
     if not members.size:
         raise ValueError("the welfare program needs at least one member")
     table, n_s = market.table, market.scenario_count
     index, plan, ends = _columns(table, members)
     _, _, length, cost = table.segment_columns
-    lower, upper = table.lower[members], table.upper[members]
-    start = np.minimum(lower, y)
-    col_upper = length[index]
-    col_upper[np.r_[0, ends[:-1]]] += (lower - start).ravel()
-    col_upper[ends - 1] += np.maximum(y - upper, 0.0).ravel()
     day_ahead = table.day_ahead[members]
     chains = ([], np.zeros(0))
     if day_ahead.any():
@@ -150,23 +144,22 @@ def _participant_block(market: Market, members: np.ndarray, y: np.ndarray):
         chain = ((n_s - 1) * (np.cumsum(day_ahead) - 1))[member] + scenario  # chain s of the column's member
         plus = np.flatnonzero(day_ahead[member] & (scenario < n_s - 1))
         minus = np.flatnonzero(day_ahead[member] & (scenario > 0))
-        da_start = start[day_ahead]
         chains = (
             [(chain[plus], plus, np.ones(plus.size)), (chain[minus] - 1, minus, -np.ones(minus.size))],
-            (da_start[:, 1:] - da_start[:, :-1]).ravel(),
+            np.zeros(day_ahead.sum() * (n_s - 1)),
         )
-    return cost[index], col_upper, chains, plan, ends, start
+    return cost[index], length[index], chains, plan, ends
 
 
-def welfare_plans(market: Market, members: Sequence[int], y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The ``(M, S)`` plans of a solution ``x`` of :func:`welfare_program` (or of the dispatch, at ``y = lower``).
+def welfare_plans(market: Market, members: Sequence[int], x: np.ndarray) -> np.ndarray:
+    """The ``(M, S)`` plans of a solution ``x`` of :func:`welfare_program` or of the dispatch.
 
-    Each plan is its start ``min(lower, y)`` plus its segment columns.
+    Each plan is its lower bound plus its segment columns.
     """
     members = np.asarray(members, dtype=int)
     _, plan, _ = _columns(market.table, members)
-    start = np.minimum(market.table.lower[members], y)
-    return start + np.bincount(plan, x[:plan.size], minlength=start.size).reshape(start.shape)
+    lower = market.table.lower[members]
+    return lower + np.bincount(plan, x[:plan.size], minlength=lower.size).reshape(lower.shape)
 
 
 def _angle_block(network: Network, limits: np.ndarray, node: np.ndarray, col0: int):
@@ -249,23 +242,23 @@ def welfare_program(
     """The trade search's LP: maximise the members' expected utility over plans ``z`` from current plans ``y``.
 
     ``members`` are rows of ``market.table`` and ``y`` holds their current
-    plans, shape ``(M, S)``.  The columns are the members' segment columns
-    (see :func:`_participant_block`), which hold ``z`` minus its start
-    ``min(lower, y)``, so staying put is feasible; :func:`welfare_plans`
-    reads the plans back.  The objective is ``U(z) - U(start)``.  Rows, in
-    order: row ``r`` of ``market.network.shift_factors`` over scenario
-    ``s``'s plans, bounded by its loading at ``y`` plus ``rhs[s, r]``,
-    wherever the ``(S, 2L)`` mask ``rows[s, r]`` is true (scenario-major);
-    ``z[s] = z[s + 1]`` chains per day-ahead member; balance ``sum z[s] =
-    sum y[s]`` per scenario.  The search carries only the announced rows,
-    so shift-factor rows serve it better than bus angles; the dispatch
-    shares its participant block.
+    plans, shape ``(M, S)``, within their bounds so that staying put is
+    feasible.  The columns are the members' segment columns (see
+    :func:`_participant_block`), which hold ``z`` minus its lower bound;
+    :func:`welfare_plans` reads the plans back.  The objective is ``U(z) -
+    U(lower)``.  Rows, in order: row ``r`` of ``market.network.shift_factors``
+    over scenario ``s``'s plans, bounded by its loading at ``y`` plus
+    ``rhs[s, r]``, wherever the ``(S, 2L)`` mask ``rows[s, r]`` is true
+    (scenario-major); ``z[s] = z[s + 1]`` chains per day-ahead member;
+    balance ``sum z[s] = sum y[s]`` per scenario.  The search carries only
+    the announced rows, so shift-factor rows serve it better than bus
+    angles; the dispatch shares its participant block.
     """
     members = np.asarray(members, dtype=int)
     n_s = market.scenario_count
     y = np.asarray(y, dtype=float).reshape(members.size, n_s)
-    c, upper, chains, plan, _, start = _participant_block(market, members, y)
-    moved = y - start
+    c, upper, chains, plan, _ = _participant_block(market, members)
+    moved = y - market.table.lower[members]
     line_scenario, line_row = np.nonzero(rows)
     loading = market.network.shift_factors[line_row][:, market.table.bus[members]]
     member, scenario = np.divmod(plan, n_s)
@@ -290,8 +283,8 @@ def _ratings(market: Market, lm: LoadingMatrix | None) -> np.ndarray:
 def solve_dispatch(market: Market, lm: LoadingMatrix | None = None) -> DispatchSolution:
     """Maximise total expected utility subject to local and network limits.
 
-    The participant block is the trade search's with every plan starting
-    at its lower bound, whose utility the objective adds; the network is
+    The participant block is the trade search's, and the objective adds
+    the utility of the lower bounds it starts from; the network is
     the bus-angle block of ``market.network`` under the ratings of ``lm``,
     else the network's own; an unrated line's ``beta`` entries are 0.
     """
@@ -299,11 +292,11 @@ def solve_dispatch(market: Market, lm: LoadingMatrix | None = None) -> DispatchS
     network, table = market.network, market.table
     n_i, n_s, n_b = len(market.participants), market.scenario_count, network.bus_count
     members = np.arange(n_i)
-    c, upper, chains, plan, ends, start = _participant_block(market, members, table.lower)
+    c, upper, chains, plan, ends = _participant_block(market, members)
     node = (n_b * np.arange(n_s) + table.bus[:, None]).ravel()  # each plan's balance row
     balance, flows, angle_lower, angle_upper = _angle_block(network, limits, node[plan], c.size)
-    # The starts are fixed injections: they move to the balance right-hand sides.
-    balance = (balance[0], -np.bincount(node, start.ravel(), n_s * n_b))
+    # The lower bounds are fixed injections: they move to the balance right-hand sides.
+    balance = (balance[0], -np.bincount(node, table.lower.ravel(), n_s * n_b))
     sol = lp.solve(_program(
         np.concatenate([c, np.zeros(n_s * n_b)]),
         np.concatenate([np.zeros(c.size), angle_lower]),
@@ -316,7 +309,7 @@ def solve_dispatch(market: Market, lm: LoadingMatrix | None = None) -> DispatchS
 
     n_chain = chains[1].size
     ids = market.participant_ids
-    plans = dict(zip(ids, welfare_plans(market, members, table.lower, sol.x)))
+    plans = dict(zip(ids, welfare_plans(market, members, sol.x)))
     lambda_ = -sol.duals_eq[n_chain:].reshape(n_s, n_b)
     beta = np.zeros(limits.shape)
     beta[np.isfinite(limits)] = sol.duals_ub
@@ -326,11 +319,11 @@ def solve_dispatch(market: Market, lm: LoadingMatrix | None = None) -> DispatchS
     zeta = dict(zip(da_ids, np.diff(chain, axis=1, prepend=0.0, append=0.0)))
     # A plan's bound multipliers are its first column's lower one and its last column's upper one.
     first = np.r_[0, ends[:-1]]
-    utility_at_start = float(np.sum(table.weights * table.value(members, start[..., None])[..., 0]))
+    utility_at_lower = float(np.sum(table.weights * table.value(members, table.lower[..., None])[..., 0]))
     return DispatchSolution(
         plans=plans,
         x=market.aggregate_nodal(plans),
-        objective=sol.objective + utility_at_start,
+        objective=sol.objective + utility_at_lower,
         lambda_=lambda_,
         gamma_s=-lambda_[:, network.reference_bus],
         beta=beta,

@@ -323,9 +323,10 @@ class UtilityTable:
         start at ``first[i]`` and ``count[i, s]`` are those of scenario
         ``s``.  A segment the bounds cut to nothing gets no column, but a
         plan fixed by its bounds keeps the segment holding it, of length 0,
-        so every plan has a first and a last column.  The first real segment
-        reaches down and the last up without end before the clip, so the
-        columns cover the bounds even where they pass the domain by round-off.
+        so every plan has a first and a last column, for its bound
+        multipliers and its chains.  The first real segment reaches down and
+        the last up without end before the clip, so the columns cover the
+        bounds even where they pass the domain by round-off.
         """
         k = np.arange(self.slopes.shape[-1])
         last = self.real.sum(axis=-1, keepdims=True) - 1

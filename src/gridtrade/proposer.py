@@ -23,10 +23,11 @@ _SCREEN_MARGIN``.  Rows whose coefficient on ``t`` is within ``_COEF_TOL *
 max|H|`` of zero are dropped, which only relaxes the scan.  Trades and
 certificates come from the LP alone.
 
-Consecutive whole-market searches of a run pose the same LP but for bounds,
-right-hand sides and the announced rows, so each starts from the last one's
-optimal basis (:class:`WarmStart`), which the dual simplex repairs in a few
-iterations.  No basis outlives a run: the first step of a run, and a new
+Searches and screens start from each member's plan clipped into its
+bounds, so consecutive whole-market searches of a run pose the same LP but
+for right-hand sides and the announced rows, and each starts from the last
+one's optimal basis (:class:`WarmStart`), which the dual simplex repairs in
+a few iterations.  No basis outlives a run: its first step, and a new
 market, start cold.
 """
 
@@ -133,27 +134,27 @@ def find_worthy_fd_trade(
     announced row's loading may increase.  Returns ``(trade, optimum)``
     when the utility improvement reaches ``epsilon``, else ``(None,
     optimum)``: the optimum is the exact best improvement available to this
-    group at this state, so a value below ``epsilon`` from the full group
-    certifies termination.  A ``warm`` start, kept from earlier searches of
-    the same group on the same market, seeds the LP and takes its optimal
-    basis.
+    group from its plans clipped into their bounds (the trade moves from
+    those), so a value below ``epsilon`` from the full group certifies
+    termination.  A ``warm`` start, kept from earlier searches of the same
+    group on the same market, seeds the LP and takes its optimal basis.
     """
     ids = sorted(set(group))
     table = market.table
     members = table.rows(ids)
-    y = state.plans[members]
+    y = np.clip(state.plans[members], table.lower[members], table.upper[members])
     program = welfare_program(market, members, y, announcements, np.zeros(announcements.shape))
     sol = lp.solve(program) if warm is None else lp.solve(program, warm.start(announcements))
     if sol.status != "optimal":
         raise lp.LpError(f"trade search LP ended with status {sol.status}")
     if warm is not None:
         warm.keep(announcements, sol.basis)
-    # The LP's objective is the gain over the plans' starts; move it to a gain over y.
-    values = table.value(members, np.stack([np.minimum(table.lower[members], y), y], axis=-1))
+    # The LP's objective is the gain over the lower bounds; move it to a gain over y.
+    values = table.value(members, np.stack([table.lower[members], y], axis=-1))
     optimum = sol.objective + float(np.sum(table.weights[members] * (values[..., 0] - values[..., 1])))
     if optimum < epsilon:
         return None, optimum
-    deltas = welfare_plans(market, members, y, sol.x) - y
+    deltas = welfare_plans(market, members, sol.x) - y
     deltas[np.abs(deltas) < _ENTRY_EPS] = 0.0
     return Trade({pid: d for pid, d in zip(ids, deltas) if np.any(d != 0.0)}), optimum
 
@@ -170,14 +171,13 @@ def pair_bound(
     Equals :func:`find_worthy_fd_trade`'s optimum for the pair up to
     round-off, or exceeds it where announced rows with a coefficient within
     ``_COEF_TOL * max|H|`` of zero were dropped (``H`` is ``shift_factors``).
-    Both pose the same box, which holds staying put, so a plan past its
-    bound by round-off is scanned too.
+    Both start from the members' plans clipped into their bounds, so the box
+    is the plain intersection of the members' bounds and holds staying put.
     """
-    i, j = table.rows(pair)
-    ya, yb = state.plans[i], state.plans[j]
-    # The search's box: each member's bounds, stretched to its plan where round-off left it outside.
-    lower = np.maximum(np.minimum(table.lower[i] - ya, 0.0), np.minimum(yb - table.upper[j], 0.0))
-    upper = np.minimum(np.maximum(table.upper[i] - ya, 0.0), np.maximum(yb - table.lower[j], 0.0))
+    i, j = members = table.rows(pair)
+    ya, yb = np.clip(state.plans[members], table.lower[members], table.upper[members])
+    lower = np.maximum(table.lower[i] - ya, yb - table.upper[j])
+    upper = np.minimum(table.upper[i] - ya, yb - table.lower[j])
     scenario, rows = np.nonzero(announcements)
     if rows.size:
         coef = shift_factors[rows, table.bus[i]] - shift_factors[rows, table.bus[j]]

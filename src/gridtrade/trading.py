@@ -324,9 +324,10 @@ def run_trading(
     """Run announce/propose/curtail/update until certified or out of steps.
 
     ``proposer`` must expose ``propose(market, state, announcements, epsilon,
-    rng)`` returning either a :class:`Trade` or a :class:`Certificate`.
-    ``lm``, when given, may override only the ratings: rows other than
-    ``market.network.shift_factors`` raise ``ValueError``.
+    rng)`` returning either a :class:`Trade` or a :class:`Certificate`;
+    anything else raises ``TypeError``.  ``lm``, when given, may override
+    only the ratings: rows other than ``market.network.shift_factors``
+    raise ``ValueError``.
     """
     lm = own_loading_matrix(market.network, lm)
     state = TradingState.initial(market)
@@ -342,6 +343,8 @@ def run_trading(
             converged = True
             certified = proposal.optimum
             break
+        if not isinstance(proposal, Trade):
+            raise TypeError(f"propose must return a Trade or a Certificate, got {type(proposal).__name__}")
         _, state = so_step(state, proposal, config, lm, market)
         steps += 1
     return TradingResult(

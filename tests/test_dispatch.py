@@ -493,7 +493,7 @@ def shift_factor_dispatch(market, lm):
     )
     sol = lp.solve(program)
     assert sol.status == "optimal"
-    plans = dict(zip(market.participant_ids, dispatch.welfare_plans(market, members, y, sol.x)))
+    plans = dict(zip(market.participant_ids, dispatch.welfare_plans(market, members, sol.x)))
     beta = sol.duals_ub[sol.duals_ub.size - n_s * n_rows:].reshape(n_s, n_rows)
     return market.total_utility(plans, subjective=True), -(sol.duals_eq[-n_s:, None] + beta @ lm.rows)
 

@@ -1,5 +1,9 @@
 """What a run's results must not depend on, checked on the acceptance fleet with full-group proposals.
 
+Roster order and value scale are also checked on markets hypothesis draws
+from ``generators.random_market``, value scale with random-subset hybrid
+proposals too.
+
 Each case rebuilds a fleet market in an equivalent form, trades it to the
 certificate and solves its dispatch, and compares with the original:
 
@@ -24,9 +28,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridtrade import ProposerStrategy, lp, make_proposer
 from gridtrade.dispatch import check_arrow_debreu, solve_dispatch
+from gridtrade.generators import random_market
 from gridtrade.market import Market
 from gridtrade.market_io import write_trace
 from gridtrade.network import Line, Network
@@ -43,8 +50,20 @@ def fleet():
     return fleet_markets()
 
 
-def trade(market, epsilon=EPSILON):
-    return run_trading(market, EngineConfig(epsilon=epsilon), make_proposer(ProposerStrategy("full_group")))
+FULL_GROUP = (ProposerStrategy("full_group"), EngineConfig(epsilon=EPSILON))
+RANDOM_HYBRID = (ProposerStrategy("random_subsets", max_size=3, attempts=6, seed=3),
+                 EngineConfig(epsilon=EPSILON, curtailment_mode="hybrid"))
+
+# Markets of up to 8 buses and 12 participants, drawn from a seed.
+drawn_markets = st.integers(0, 2**63 - 1).map(
+    lambda seed: random_market(np.random.default_rng(seed), max_buses=8, max_participants=12)
+)
+draws = settings(derandomize=True, deadline=None, max_examples=25)
+
+
+def trade(market, epsilon=EPSILON, proposals=FULL_GROUP):
+    strategy, config = proposals
+    return run_trading(market, replace(config, epsilon=epsilon), make_proposer(strategy))
 
 
 def trace(result) -> str:
@@ -60,6 +79,26 @@ def test_roster_order_leaves_the_trace_unchanged(fleet):
         shuffled = Market(market.network, market.scenarios, tuple(market.participants[i] for i in order))
         assert trace(trade(shuffled)) == trace(trade(market)), k
     assert len(fleet) == FLEET_SIZE
+
+
+@draws
+@given(drawn_markets, st.data())
+def test_roster_order_leaves_the_trace_unchanged_on_drawn_markets(market, data):
+    order = data.draw(st.permutations(range(len(market.participants))))
+    shuffled = Market(market.network, market.scenarios, tuple(market.participants[i] for i in order))
+    assert trace(trade(shuffled)) == trace(trade(market))
+
+
+@draws
+@given(drawn_markets, st.sampled_from([FULL_GROUP, RANDOM_HYBRID]))
+def test_value_scale_on_drawn_markets_scales_welfare_exactly(market, proposals):
+    base, objective = trade(market, proposals=proposals), solve_dispatch(market).objective
+    for scale in (2.0**20, 2.0**-20):
+        scaled = value_scaled(market, scale)
+        big = trade(scaled, scale * EPSILON, proposals)
+        assert big.converged and big.steps == base.steps, scale
+        assert big.final_welfare == scale * base.final_welfare, scale
+        assert solve_dispatch(scaled).objective == scale * objective, scale
 
 
 def test_value_scale_by_a_power_of_two_scales_welfare_exactly(fleet):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gridtrade import lp
 from gridtrade import proposer as proposer_mod
@@ -345,6 +346,30 @@ def counting_searches(monkeypatch) -> list:
     return searches
 
 
+def recorded_programs(monkeypatch) -> list:
+    """Patch the trade search's LP builder to record each program it poses; returns the record."""
+    programs = []
+    build = proposer_mod.welfare_program
+
+    def recorded(*args):
+        programs.append(build(*args))
+        return programs[-1]
+
+    monkeypatch.setattr(proposer_mod, "welfare_program", recorded)
+    return programs
+
+
+def dense(a) -> np.ndarray:
+    return a.toarray() if sparse.issparse(a) else np.asarray(a)
+
+
+def fixed_part(program, chains: int) -> bytes:
+    """The bytes of a search LP's costs, column bounds, equality rows and its ``chains`` chain right-hand sides."""
+    return b"|".join(np.asarray(f).tobytes() for f in (
+        program.c, program.lower, program.upper, dense(program.a_eq), program.b_eq[:chains],
+    ))
+
+
 def traced_run(monkeypatch, market, strategy, config):
     """Trace text, certificate and search count of one run with a fresh proposer."""
     with monkeypatch.context() as patch:
@@ -411,6 +436,43 @@ class TestPairScreen:
         proposer.propose(market, inside, NO_LINES, 1e3, np.random.default_rng(0))
         assert searches == [("a", "b"), "interior", ("a", "b")]
         assert isinstance(outcome, Certificate) and outcome.optimum == pytest.approx(0.0, abs=1e-9)
+
+
+    def test_plan_past_its_bound_poses_the_lp_of_the_plan_at_that_bound(self, monkeypatch):
+        # The state above, and the same state with a exactly at its bound:
+        # the pair's and the whole market's searches pose the same columns,
+        # costs, bounds and rows, so only right-hand sides could differ.
+        a = Participant.producer("a", 0, "RT", (100.0,), 40.0)
+        b = Participant.producer("b", 0, "RT", (100.0,), 30.0)
+        market = Market(Network(1, (), reference_bus=0), ScenarioSet((1.0,)), (a, b))
+        posed = []
+        for excess in (1e-12, 0.0):
+            state = state_at(market, {"a": np.array([100.0 + excess]), "b": np.array([100.0])},
+                             np.array([[200.0 + excess]]))
+            with monkeypatch.context() as patch:
+                programs = recorded_programs(patch)
+                find_worthy_fd_trade(("a", "b"), state, NO_LINES, 1e-3, market)
+                proposer = make_proposer(ProposerStrategy("full_group"))
+                assert isinstance(proposer.propose(market, state, NO_LINES, 1e-3, np.random.default_rng(0)),
+                                  Certificate)
+            posed.append([fixed_part(p, 0) + dense(p.a_ub).tobytes() for p in programs])
+        assert len(posed[0]) == 2 and posed[0] == posed[1]
+
+
+class TestFixedSearchProgram:
+    @pytest.mark.parametrize("markets", [fleet_markets, medium_full_markets], ids=["fleet", "medium_full"])
+    def test_whole_market_searches_of_a_run_share_columns_bounds_and_chains(self, monkeypatch, markets):
+        # Only the right-hand sides and the announced rows may follow the
+        # state, so a persistent model need not change a column bound.
+        for k, market in enumerate(markets()):
+            with monkeypatch.context() as patch:
+                programs = recorded_programs(patch)
+                result = run_trading(market, EngineConfig(epsilon=1e-3), make_proposer(ProposerStrategy("full_group")))
+            assert result.converged and len(programs) == result.steps + 1, k
+            chains = programs[0].b_eq.size - market.scenario_count  # the balance rows come last
+            first = fixed_part(programs[0], chains)
+            changed = [n for n, p in enumerate(programs) if fixed_part(p, chains) != first]
+            assert changed == [], (k, changed)
 
 
 class TestProposerReuse:

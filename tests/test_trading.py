@@ -488,6 +488,11 @@ class TestRunTrading:
         with pytest.raises(InfeasibleStateError, match="post-step state infeasible"):
             run_trading(market, config, ScriptedProposer(trade), lm)
 
+    @pytest.mark.parametrize("proposal,name", [(None, "NoneType"), ({"G2": [5.0, 5.0]}, "dict")])
+    def test_proposal_neither_trade_nor_certificate_raises(self, market, config, proposal, name):
+        with pytest.raises(TypeError, match=f"propose must return a Trade or a Certificate, got {name}$"):
+            run_trading(market, config, ScriptedProposer(proposal))
+
     def test_initial_state_requires_zero_feasible(self):
         network = Network(1, (), reference_bus=0)
         fixed = Participant(
