@@ -22,10 +22,11 @@ one.  Presolve runs only on a program with a ``scipy.sparse`` constraint
 part: its fixed cost exceeds the whole solve of a small dense program, but
 it pays on the large sparse ones.
 
-A solve may start from a :class:`Basis`, the statuses of an earlier solve's
-optimal basis (see :func:`solve`); HiGHS then skips presolve and repairs the
-basis with the dual simplex, which takes few iterations when the program
-moved little.
+A solve may start from a ``HighsBasis``, HiGHS's own record of an earlier
+solve's optimal basis; HiGHS then skips presolve and repairs the basis with
+the dual simplex, which takes few iterations when the program moved little.
+A solve given a start, an unset ``HighsBasis()`` for a cold one, returns its
+optimal basis as a copy the caller owns (see :func:`solve`).
 
 Every program is a maximisation of ``c @ x``, and every consumer here needs
 duals, so the solution carries Lagrange multipliers in a single documented
@@ -54,7 +55,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize._highspy import _core as _highs
 
-__all__ = ["LinearProgram", "LpSolution", "LpError", "LpNumericalError", "Basis", "COLD", "BASIC", "solve"]
+__all__ = ["LinearProgram", "LpSolution", "LpError", "LpNumericalError", "HighsBasis", "BASIC", "solve"]
 
 PRIMAL_TOL = 1e-7
 COMPLEMENTARITY_TOL = 1e-6
@@ -80,6 +81,8 @@ _STATUS = {
     _highs.HighsModelStatus.kModelError: "infeasible",
     _highs.HighsModelStatus.kUnbounded: "unbounded",
 }
+# A start for solve() and a solution's basis; an unset one (``valid`` false) starts cold.
+HighsBasis = _highs.HighsBasis
 BASIC = _highs.HighsBasisStatus.kBasic
 
 
@@ -143,24 +146,6 @@ class LinearProgram:
 
 
 @dataclass(frozen=True, eq=False)
-class Basis:
-    """A simplex basis: HiGHS's status of each column, then of each row (the ``a_ub`` rows first).
-
-    The lists hold the statuses as ``getBasis()`` returns them.  ``alien``
-    marks a basis whose count of basic statuses may differ from the row
-    count; HiGHS then completes or trims it before the solve.
-    """
-
-    col_status: list
-    row_status: list
-    alien: bool = False
-
-
-# A start for solve(): cold, presolved as any other solve, but the solution carries its optimal basis.
-COLD = Basis([], [])
-
-
-@dataclass(frozen=True, eq=False)
 class LpSolution:
     """Primal/dual solution; multipliers follow the module convention.
 
@@ -177,11 +162,11 @@ class LpSolution:
     duals_upper: np.ndarray | None = None
     residuals: dict = field(default_factory=dict)
     iterations: int | None = None
-    basis: Basis | None = None
+    basis: HighsBasis | None = None
 
 
-def linprog(lp: LinearProgram, start: Basis | None = None) -> tuple[str, _highs._Highs, float]:
-    """Run HiGHS on ``lp``, from ``start`` unless it is empty; return the status, the solved model and the cost scale.
+def linprog(lp: LinearProgram, start: HighsBasis | None = None) -> tuple[str, _highs._Highs, float]:
+    """Run HiGHS on ``lp``, from ``start`` unless it is unset; return the status, the solved model and the cost scale.
 
     The model is ``row_lower <= A x <= row_upper`` with the ``a_ub`` rows
     first (``row_lower = -inf``) and the ``a_eq`` rows after them
@@ -203,14 +188,8 @@ def linprog(lp: LinearProgram, start: Basis | None = None) -> tuple[str, _highs.
         # A model HiGHS will not load, such as one with crossed bounds, is
         # reported infeasible, as scipy's linprog reports it.
         return "infeasible", highs, scale
-    if start is not None and start.col_status:
-        basis = _highs.HighsBasis()
-        basis.col_status = start.col_status
-        basis.row_status = start.row_status
-        basis.alien = start.alien
-        basis.valid = True
-        if highs.setBasis(basis) == _highs.HighsStatus.kError:
-            raise LpError("HiGHS refused the starting basis")
+    if start is not None and start.valid and highs.setBasis(start) == _highs.HighsStatus.kError:
+        raise LpError("HiGHS refused the starting basis")
     highs.run()
     status = highs.getModelStatus()
     if status not in _STATUS:
@@ -266,12 +245,13 @@ def _columns(parts: list, n: int) -> tuple[list[int], list[int], list[float]]:
     return start.tolist(), rows.tolist(), values.tolist()
 
 
-def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
+def solve(lp: LinearProgram, start: HighsBasis | None = None) -> LpSolution:
     """Solve ``lp``; on success the KKT residual contract is checked.
 
     A ``start`` basis, an earlier optimal basis of a program with the same
-    columns and rows (:data:`COLD` for none), asks for the optimal basis in
-    ``LpSolution.basis``; without one, none is fetched.
+    columns and rows (an unset ``HighsBasis()`` for none), asks for the
+    optimal basis in ``LpSolution.basis``, a copy the caller owns; without
+    one, none is fetched.
     """
     status, highs, scale = linprog(lp, start)
     if status != "optimal":
@@ -284,7 +264,6 @@ def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     duals_eq, duals_ub = row_dual[lp.b_ub.size:], row_dual[:lp.b_ub.size]
     duals_lower = np.where((col_dual > 0) & np.isfinite(lp.lower), col_dual, 0.0)
     duals_upper = -np.where((col_dual < 0) & np.isfinite(lp.upper), col_dual, 0.0)
-    basis = None if start is None else highs.getBasis()
     sol = LpSolution(
         status="optimal",
         x=x,
@@ -295,7 +274,7 @@ def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         duals_upper=duals_upper,
         residuals=_kkt_residuals(lp, x, duals_eq, duals_ub, duals_lower, duals_upper),
         iterations=highs.getInfoValue("simplex_iteration_count")[1],
-        basis=None if basis is None else Basis(basis.col_status, basis.row_status),
+        basis=None if start is None else highs.getBasis(),
     )
     _check_quality(lp, sol)
     return sol

@@ -11,7 +11,8 @@ One :class:`Proposer` serves every strategy.  Its sampler yields the groups
 a call searches first: none for the full group, one cycle of small subsets
 for exhaustive search, ``attempts`` random draws otherwise.  The call then
 ends with a whole-market search, the only search that can certify
-termination.
+termination.  A proposer carries nothing across runs: its subset cycle,
+seeded draws and warm start begin afresh at each run's first step.
 
 Most sampled pairs have nothing worth trading, so a pair is screened before
 its LP.  A balanced pair trade moves ``t[s] = d_a[s] = -d_b[s]`` (one ``t``
@@ -26,9 +27,9 @@ certificates come from the LP alone.
 Searches and screens start from each member's plan clipped into its
 bounds, so consecutive whole-market searches of a run pose the same LP but
 for right-hand sides and the announced rows, and each starts from the last
-one's optimal basis (:class:`WarmStart`), which the dual simplex repairs in
-a few iterations.  No basis outlives a run: its first step, and a new
-market, start cold.
+one's optimal basis (:class:`WarmStart`), kept as HiGHS's own
+``HighsBasis``, which the dual simplex repairs in a few iterations.  A run's
+first step starts cold.
 """
 
 from __future__ import annotations
@@ -96,27 +97,29 @@ class WarmStart:
     announced row kept, matched by ``(scenario, row)``, keeps its status
     and a newly announced row enters basic.  A row dropped while nonbasic
     leaves one basic status too many, so the basis is then marked alien for
-    HiGHS to repair.  A new instance starts cold.
+    HiGHS to repair.  A new instance starts cold: its start is unset.
     """
 
     def __init__(self) -> None:
         self.mask: np.ndarray | None = None
-        self.basis = lp.COLD
+        self.basis: lp.HighsBasis | None = None
 
-    def start(self, mask: np.ndarray) -> lp.Basis:
+    def start(self, mask: np.ndarray) -> lp.HighsBasis:
         """The starting basis of a search under ``mask``."""
+        start = lp.HighsBasis()
         if self.mask is None:
-            return lp.COLD
+            return start
         old, new = np.flatnonzero(self.mask), np.flatnonzero(mask)
         rows = self.basis.row_status
         kept = self.mask.ravel()[new].tolist()
         at = np.searchsorted(old, new).tolist()
         statuses = [rows[i] if k else lp.BASIC for i, k in zip(at, kept)]
         dropped = np.flatnonzero(~mask.ravel()[old]).tolist()
-        alien = any(rows[i] != lp.BASIC for i in dropped)
-        return lp.Basis(self.basis.col_status, statuses + rows[old.size:], alien)
+        start.col_status, start.row_status, start.valid = self.basis.col_status, statuses + rows[old.size:], True
+        start.alien = any(rows[i] != lp.BASIC for i in dropped)
+        return start
 
-    def keep(self, mask: np.ndarray, basis: lp.Basis) -> None:
+    def keep(self, mask: np.ndarray, basis: lp.HighsBasis) -> None:
         self.mask, self.basis = mask, basis
 
 
@@ -165,14 +168,15 @@ def pair_bound(
     state: TradingState,
     announcements: np.ndarray,
     shift_factors: np.ndarray,
-) -> float | None:
-    """The pair's best utility gain by breakpoint scan, or ``None`` where it does not apply.
+) -> float:
+    """The pair's best utility gain by breakpoint scan.
 
     Equals :func:`find_worthy_fd_trade`'s optimum for the pair up to
     round-off, or exceeds it where announced rows with a coefficient within
     ``_COEF_TOL * max|H|`` of zero were dropped (``H`` is ``shift_factors``).
     Both start from the members' plans clipped into their bounds, so the box
-    is the plain intersection of the members' bounds and holds staying put.
+    is the plain intersection of the members' bounds and holds staying put:
+    every scan interval holds ``t = 0``.
     """
     i, j = members = table.rows(pair)
     ya, yb = np.clip(state.plans[members], table.lower[members], table.upper[members])
@@ -200,43 +204,34 @@ class Proposer:
     Only the whole-market search can certify termination: when no earlier
     group has a worthy trade, its optimum below epsilon is returned as a
     :class:`Certificate`.  Each whole-market search starts from the last
-    one's basis of the same run.
+    one's basis of the same run.  Nothing outlives a run: the subset cycle,
+    the strategy's own seeded generator and the warm start all begin afresh
+    at a run's first step, a state with no records.  A loading matrix given
+    to the constructor must hold the first market's shift factors; it is
+    checked there, then dropped.
     """
 
     def __init__(self, strategy: ProposerStrategy, lm: LoadingMatrix | None = None):
         self.strategy = strategy
         self._lm = lm
-        self._market: Market | None = None
+        self._start_run()
+
+    def _start_run(self) -> None:
+        seed = self.strategy.seed
         self._subsets: tuple[Iterator[tuple[str, ...]], int] | None = None
-        self._warm = WarmStart()
-        self._own_rng = (
-            np.random.default_rng(strategy.seed) if strategy.seed is not None else None
-        )
-
-    def _bind(self, market: Market) -> None:
-        """Reset the subset cycle and the warm start when ``market`` is not the last one seen.
-
-        A loading matrix given to the constructor must hold the first
-        market's shift factors; it is checked there, then dropped.
-        """
-        if market is self._market:
-            return
-        if self._lm is not None:
-            own_loading_matrix(market.network, self._lm)
-            self._lm = None
-        self._market = market
-        self._subsets = None
+        self._own_rng = np.random.default_rng(seed) if seed is not None else None
         self._warm = WarmStart()
 
     def groups(self, ids: tuple[str, ...], rng: np.random.Generator) -> Iterator[tuple[str, ...]]:
         """The groups one ``propose`` call searches before the whole market.
 
         Full group: none.  Exhaustive: one cycle through all subsets of size
-        2..max_size in lexicographic order, resuming where the last call
-        stopped.  Random: ``attempts`` draws of a size, then a subset of that
-        size, so every admissible subset has positive probability.  Groups
-        are drawn lazily, so a call that stops early consumes only what it
-        searched.  A market of one participant has no subsets to search.
+        2..max_size in lexicographic order, resuming within a run where the
+        last call stopped.  Random: ``attempts`` draws of a size, then a
+        subset of that size, so every admissible subset has positive
+        probability.  Groups are drawn lazily, so a call that stops early
+        consumes only what it searched.  A market of one participant has no
+        subsets to search.
         """
         strategy = self.strategy
         top = min(strategy.max_size, len(ids))
@@ -256,13 +251,15 @@ class Proposer:
         return iter(())
 
     def propose(self, market, state, announcements, epsilon, rng):
-        self._bind(market)
-        if not state.records:  # a run's first step: no basis from an earlier run
-            self._warm = WarmStart()
+        if self._lm is not None:
+            own_loading_matrix(market.network, self._lm)
+            self._lm = None
+        if not state.records:
+            self._start_run()
         for group in self.groups(market.participant_ids, rng):
             if len(group) == 2:
                 bound = pair_bound(market.table, group, state, announcements, market.network.shift_factors)
-                if bound is not None and bound < epsilon - _SCREEN_MARGIN:
+                if bound < epsilon - _SCREEN_MARGIN:
                     continue
             trade, _ = find_worthy_fd_trade(group, state, announcements, epsilon, market)
             if trade is not None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 from scipy import sparse
-from scipy.optimize._highspy._core import HighsBasisStatus
+from scipy.optimize._highspy._core import HighsBasis, HighsBasisStatus
 
 from gridtrade import lp as lp_mod
 from gridtrade import two_bus_market
@@ -155,22 +155,35 @@ class TestStartingBasis:
 
     def test_only_a_start_asks_for_the_basis(self):
         lp = two_bus_initial_cost()
-        plain, cold = solve(lp), solve(lp, lp_mod.COLD)
+        plain, cold = solve(lp), solve(lp, HighsBasis())
         assert plain.basis is None and plain.iterations > 0
         assert cold.iterations == plain.iterations and cold.x.tobytes() == plain.x.tobytes()
         assert len(cold.basis.col_status) == lp.n_vars and len(cold.basis.row_status) == lp.b_eq.size
 
     def test_restart_from_the_optimal_basis(self):
         for lp in [two_bus_initial_cost(), min_sense_cover(), *random_programs()]:
-            cold = solve(lp, lp_mod.COLD)
+            cold = solve(lp, HighsBasis())
             warm = solve(lp, cold.basis)
             assert warm.iterations == 0
             np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-9)
             assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
 
+    def test_kept_basis_belongs_to_the_caller(self):
+        # Other solves on the thread, warm and cold, dense and sparse, of
+        # other sizes, leave a kept basis as it was: it is no view of the
+        # thread's instance.
+        lp = two_bus_initial_cost()
+        kept = solve(lp, HighsBasis()).basis
+        statuses = kept.col_status, kept.row_status
+        for other in [min_sense_cover(), random_box(), *random_programs()]:
+            for program in (other, _as_sparse(other)):
+                solve(program, solve(program, HighsBasis()).basis)
+        assert (kept.col_status, kept.row_status) == statuses
+        assert solve(lp, kept).iterations == 0
+
     def test_moved_bound_is_repaired_from_the_old_basis(self):
         lp = two_bus_initial_cost()
-        start = solve(lp, lp_mod.COLD).basis
+        start = solve(lp, HighsBasis()).basis
         moved = replace(lp, b_eq=np.array([160.0, 140.0]))
         warm, reference = solve(moved, start), solve(moved)
         assert warm.objective == pytest.approx(reference.objective, rel=1e-12)
@@ -393,7 +406,9 @@ def _as_sparse(lp):
 def refused_start():
     """A two-column program with a one-column start, which HiGHS refuses: the solve raises."""
     lp = LinearProgram(c=np.ones(2), lower=np.zeros(2), upper=np.ones(2))
-    return lp, lp_mod.Basis([lp_mod.BASIC], [])
+    start = HighsBasis()
+    start.col_status, start.alien, start.valid = [lp_mod.BASIC], False, True
+    return lp, start
 
 
 def shared_solver_cases():
@@ -401,7 +416,7 @@ def shared_solver_cases():
     programs = [single_variable_box(), infeasible_row(), unbounded(), crossed_bounds(), random_box(),
                 min_sense_cover(), two_bus_initial_cost(), *random_programs()]
     cases = [(p, None) for p in programs] + [(_as_sparse(p), None) for p in programs]
-    cases += [(two_bus_initial_cost(), lp_mod.COLD), (_as_sparse(min_sense_cover()), lp_mod.COLD), refused_start()]
+    cases += [(two_bus_initial_cost(), HighsBasis()), (_as_sparse(min_sense_cover()), HighsBasis()), refused_start()]
     return cases
 
 
@@ -472,8 +487,8 @@ class TestSharedSolver:
     def test_only_a_warm_solve_reads_the_basis(self):
         lp = two_bus_initial_cost()
         assert solve(lp).basis is None
-        warm = solve(lp, solve(lp, lp_mod.COLD).basis)
-        assert isinstance(warm.basis, lp_mod.Basis) and len(warm.basis.col_status) == lp.n_vars
+        warm = solve(lp, solve(lp, HighsBasis()).basis)
+        assert isinstance(warm.basis, HighsBasis) and len(warm.basis.col_status) == lp.n_vars
 
 
 def basis_split(lp, start=None):

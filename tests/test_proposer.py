@@ -1,10 +1,12 @@
 import io
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.optimize._highspy._core import HighsBasisStatus
 
 from gridtrade import lp
 from gridtrade import proposer as proposer_mod
@@ -321,8 +323,6 @@ class PairChecker:
         for pair in itertools.combinations(market.participant_ids, 2):
             bound = pair_bound(market.table, pair, state, announcements, market.network.shift_factors)
             _, optimum = find_worthy_fd_trade(pair, state, announcements, epsilon, market)
-            if bound is None:  # bounds crossed by round-off: the pair goes to the LP
-                continue
             assert abs(bound - optimum) <= 1e-9, (pair, bound, optimum)
             members = [market.participants[i] for i in market.table.rows(pair)]
             buses = [p.bus for p in members]
@@ -407,7 +407,7 @@ class TestPairScreen:
         for market in fleet_markets()[::5]:
             screened = traced_run(monkeypatch, market, strategy, config)
             with monkeypatch.context() as patch:
-                patch.setattr(proposer_mod, "pair_bound", lambda *args: None)
+                patch.setattr(proposer_mod, "pair_bound", lambda *args: math.inf)
                 unscreened = traced_run(patch, market, strategy, config)
             assert screened[:2] == unscreened[:2]
             skipped += unscreened[2] - screened[2]
@@ -508,6 +508,27 @@ class TestProposerReuse:
             for pid, plan in fresh.state.y.items():
                 np.testing.assert_array_equal(reused.state.y[pid], plan)
 
+    @pytest.mark.parametrize("strategy", [
+        ProposerStrategy("full_group"),
+        ProposerStrategy("exhaustive_subsets", max_size=2),
+        ProposerStrategy("random_subsets", max_size=3, attempts=6, seed=3),
+    ], ids=["full_group", "exhaustive", "random_seeded"])
+    def test_second_run_of_a_reused_proposer_matches_a_fresh_one(self, strategy):
+        # Nothing of a run outlives it: not the subset cycle's position,
+        # the seeded draws or the warm start.
+        def trace(market, proposer):
+            buf = io.StringIO()
+            write_trace(run_trading(market, EngineConfig(epsilon=1e-3), proposer).state.records, buf)
+            return buf.getvalue()
+
+        differ = []
+        for k, market in enumerate(fleet_markets()):
+            reused = make_proposer(strategy)
+            trace(market, reused)
+            if trace(market, reused) != trace(market, make_proposer(strategy)):
+                differ.append(k)
+        assert differ == []
+
 
 @pytest.fixture(scope="module")
 def medium_warm_searches():
@@ -528,7 +549,7 @@ def medium_warm_searches():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "solve", recorded)
         result = run_trading(medium_full_markets()[0], EngineConfig(epsilon=1e-3), make_proposer(ProposerStrategy()))
-    assert result.converged and searches[0][1] is lp.COLD
+    assert result.converged and not searches[0][1].valid
     warm = searches[1:]
     return result.steps, warm, [lp.solve(program) for program, _, _ in warm]
 
@@ -551,15 +572,17 @@ class TestWarmStart:
         assert 5 * warm_iterations < sum(reference.iterations for reference in cold)
 
     def test_dropped_nonbasic_row_marks_the_basis_alien(self):
-        kept_mask, basis = np.array([[True, True]]), lp.Basis(["c"], [lp.BASIC, "nonbasic", "eq"])
+        lower, upper = HighsBasisStatus.kLower, HighsBasisStatus.kUpper
+        kept_mask, basis = np.array([[True, True]]), lp.HighsBasis()
+        basis.col_status, basis.row_status = [lower], [lp.BASIC, lower, upper]
         warm = proposer_mod.WarmStart()
-        assert warm.start(kept_mask) is lp.COLD
+        assert not warm.start(kept_mask).valid
         warm.keep(kept_mask, basis)
         assert warm.start(kept_mask).row_status == basis.row_status
         first_only = warm.start(np.array([[True, False]]))
-        assert first_only.row_status == [lp.BASIC, "eq"] and first_only.alien
+        assert first_only.row_status == [lp.BASIC, upper] and first_only.alien
         second_only = warm.start(np.array([[False, True]]))
-        assert second_only.row_status == ["nonbasic", "eq"] and not second_only.alien
+        assert second_only.row_status == [lower, upper] and not second_only.alien
 
     def test_reused_proposer_traces_match_fresh_proposers(self):
         def trace(market, proposer):
