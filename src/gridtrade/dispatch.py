@@ -90,13 +90,15 @@ class DispatchSolution:
 # larger ones CSR matrices.  The form also sets presolve (lp runs it only on
 # sparse programs).  The fleet's LPs (at most about 9k cells) and
 # subset_hybrid's (searches at most about 8k, median 15 x 36; dispatch and
-# operator LPs at most 55k) stay dense: with every LP in CSR a seed-1
-# subset_hybrid pass spent 4.56 s trading against 2.93 s (2 vCPUs).  The
-# 20-bus searches (121-245 rows x 1,136-1,392 columns, 137k-329k cells) are
-# under 3% nonzero and all go to CSR: at 250k cells, where about half of
-# them were dense, medium_full traded in 0.96 s against 0.88 s.  The
-# bus-angle dispatch and operator LPs of the 20- and 40-bus markets (800k
-# cells and up) are sparse too.
+# operator LPs at most 55k) stay dense.  With the row-wise hand-off, every LP
+# in CSR and presolve still chosen by size, seed-1 passes took 3.92-5.18 s
+# against 3.09-3.41 s on subset_hybrid and 0.43-0.62 s against 0.32-0.51 s on
+# the fleet (wall_s, 3 alternating pairs each, 2 shared vCPUs).  The 20-bus
+# searches (121-245 rows x 1,136-1,392 columns, 137k-329k cells) are under 3%
+# nonzero and all go to CSR: at 250k cells, where about half of them were
+# dense, medium_full traded in 0.96 s against 0.88 s.  The bus-angle dispatch
+# and operator LPs of the 20- and 40-bus markets (800k cells and up) are
+# sparse too.
 _DENSE_CELLS = 100_000
 
 # MW a quoting injection keeps from its bounds and breakpoints; relative
@@ -237,7 +239,6 @@ def welfare_program(
     members: Sequence[int],
     y: np.ndarray,
     rows: np.ndarray,
-    rhs: np.ndarray,
 ) -> lp.LinearProgram:
     """The trade search's LP: maximise the members' expected utility over plans ``z`` from current plans ``y``.
 
@@ -247,10 +248,10 @@ def welfare_program(
     :func:`_participant_block`), which hold ``z`` minus its lower bound;
     :func:`welfare_plans` reads the plans back.  The objective is ``U(z) -
     U(lower)``.  Rows, in order: row ``r`` of ``market.network.shift_factors``
-    over scenario ``s``'s plans, bounded by its loading at ``y`` plus
-    ``rhs[s, r]``, wherever the ``(S, 2L)`` mask ``rows[s, r]`` is true
-    (scenario-major); ``z[s] = z[s + 1]`` chains per day-ahead member;
-    balance ``sum z[s] = sum y[s]`` per scenario.  The search carries only
+    over scenario ``s``'s plans, bounded by its loading at ``y``, wherever
+    the ``(S, 2L)`` mask ``rows[s, r]`` is true (scenario-major), so no trade
+    adds to an announced row's loading; ``z[s] = z[s + 1]`` chains per
+    day-ahead member; balance ``sum z[s] = sum y[s]`` per scenario.  The search carries only
     the announced rows, so shift-factor rows serve it better than bus
     angles; the dispatch shares its participant block.
     """
@@ -265,7 +266,7 @@ def welfare_program(
     line, cols = np.nonzero(scenario == line_scenario[:, None])  # each announced row's scenario's columns
     lines = (
         [(line, cols, loading[line, member[cols]])],
-        rhs[rows] + np.einsum("rm,mr->r", loading, moved[:, line_scenario]),
+        np.einsum("rm,mr->r", loading, moved[:, line_scenario]),
     )
     balance = ([(scenario, np.arange(c.size), np.ones(c.size))], moved.sum(axis=0))
     return _program(c, np.zeros(c.size), upper, [lines], [chains, balance])
@@ -433,9 +434,10 @@ def check_arrow_debreu(
     participant maximises payment plus expected utility over its own set at
     the given prices; the network operator's injection maximises conversion
     profit over the feasible polytope; and every contingent commodity clears.
-    A plan of the wrong length or outside its bounds, prices or injections
-    of a shape other than ``(S, N)``, or a loading matrix of another network
-    raises ``ValueError``; an unbounded operator profit gives ``so_slack = inf``.
+    A participant without a plan raises ``KeyError`` naming it.  A plan of
+    the wrong length or outside its bounds, prices or injections of a shape
+    other than ``(S, N)``, or a loading matrix of another network raises
+    ``ValueError``; an unbounded operator profit gives ``so_slack = inf``.
     """
     limits = _ratings(market, lm)
     prices = np.asarray(prices, dtype=float)
@@ -445,7 +447,10 @@ def check_arrow_debreu(
         raise ValueError(f"prices {prices.shape} and injections {x.shape} must both have shape {shape}")
     table, ids = market.table, market.participant_ids
     injection = market.aggregate_nodal(plans)  # rejects a plan of the wrong length
-    z = np.array([plans[pid] for pid in ids], dtype=float).reshape(table.lower.shape)
+    try:
+        z = np.array([plans[pid] for pid in ids], dtype=float).reshape(table.lower.shape)
+    except KeyError as exc:
+        raise KeyError(f"no plan for participant id {exc.args[0]!r}") from None
     outside, _ = table.local_violations(np.arange(len(ids)), z)
     if outside.any():
         i, s = np.argwhere(outside)[0]

@@ -8,13 +8,13 @@ solution and its verification are the same for both.  An omitted
 constraint family is an empty one (no rows), so every routine below
 handles both families alike.
 
-Each solve builds a fresh column-wise ``HighsLp``: the CSC form of the
-``a_ub`` rows stacked over the ``a_eq`` rows, from one stable sort of the
-stored entries by column, with every array handed over as a Python list,
-which the binding copies faster than a numpy array.  The cost goes to HiGHS
-divided by the power of two at or above ``max|c|``, and the duals come back
-multiplied by it: both are exact, so a program whose cost is scaled by a
-power of two reaches HiGHS unchanged and its duals scale exactly.
+Each solve builds a fresh row-wise ``HighsLp``: the ``a_ub`` rows stacked
+over the ``a_eq`` rows in CSR form, as the parts hold them, with every array
+handed over as a Python list, which the binding copies faster than a numpy
+array; HiGHS forms the columns.  The cost goes to HiGHS divided by the power
+of two at or above ``max|c|``, and the duals come back multiplied by it: both
+are exact, so a program whose cost is scaled by a power of two reaches HiGHS
+unchanged and its duals scale exactly.
 
 Each thread keeps one HiGHS instance, made at its first solve and cleared
 before every model, so a solve pays no set-up and never sees an earlier
@@ -203,12 +203,12 @@ def power_of_two_above(value: float) -> float:
 
 
 def highs_model(lp: LinearProgram, scale: float) -> _highs.HighsLp:
-    """The ``HighsLp`` :func:`linprog` hands HiGHS for ``lp`` with the cost divided by ``scale``."""
-    start, index, value = _columns([lp.a_ub, lp.a_eq], lp.n_vars)
+    """The row-wise ``HighsLp`` :func:`linprog` hands HiGHS for ``lp``, the cost divided by ``scale``."""
+    start, index, value = _rows([lp.a_ub, lp.a_eq])
     model = _highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = lp.n_vars
     model.num_row_ = model.a_matrix_.num_row_ = lp.b_ub.size + lp.b_eq.size
-    model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    model.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
     model.a_matrix_.start_ = start
     model.a_matrix_.index_ = index
     model.a_matrix_.value_ = value
@@ -220,29 +220,19 @@ def highs_model(lp: LinearProgram, scale: float) -> _highs.HighsLp:
     return model
 
 
-def _columns(parts: list, n: int) -> tuple[list[int], list[int], list[float]]:
-    """Column-wise ``(start, index, value)`` of the parts stacked by rows.
+def _rows(parts: list) -> tuple[list[int], list[int], list[float]]:
+    """The ``indptr``, ``indices`` and ``data`` of the parts stacked by rows in CSR form.
 
-    These are the ``indptr``, ``indices`` and ``data`` of the stack's
-    ``scipy.sparse`` CSC form: row indices ascend within each column, zeros
-    of a dense part are left out and entries a sparse part stores (explicit
-    zeros too) are kept.
+    A sparse part gives its entries as stored, explicit zeros and their
+    order within a row too; a dense part its nonzeros in row order.
     """
-    triplets, offset = [], 0
-    for a in parts:
-        if sparse.issparse(a):
-            r, c, v = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr)), a.indices, a.data
-        else:
-            r, c = np.nonzero(a)
-            v = a[r, c]
-        triplets.append((r + offset, c, v))
-        offset += a.shape[0]
-    rows, cols, values = (np.concatenate(t) for t in zip(*triplets))
-    order = np.argsort(cols, kind="stable")
-    rows, cols, values = rows[order], cols[order], values[order]
-    start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
-    return start.tolist(), rows.tolist(), values.tolist()
+    stored = [
+        (np.diff(a.indptr), a.indices, a.data) if sparse.issparse(a)
+        else (np.count_nonzero(a, axis=1), np.nonzero(a)[1], a[a != 0])
+        for a in parts
+    ]
+    counts, index, value = (np.concatenate(t) for t in zip(*stored))
+    return np.concatenate([[0], np.cumsum(counts)]).tolist(), index.tolist(), value.tolist()
 
 
 def solve(lp: LinearProgram, start: HighsBasis | None = None) -> LpSolution:

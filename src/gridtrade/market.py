@@ -56,10 +56,12 @@ class Market:
         return x
 
     def total_utility(self, plans: dict[str, np.ndarray], subjective: bool = False) -> float:
-        """Sum of participant utilities; market probabilities unless ``subjective``."""
+        """Total utility, by market probabilities unless ``subjective``; a missing plan raises ``KeyError``."""
         market_weights = self.scenarios.as_array()
         total = 0.0
         for p in self.participants:
+            if p.id not in plans:
+                raise KeyError(f"no plan for participant id {p.id!r}")
             w = p.weights(self.scenarios) if subjective else market_weights
             total += evaluate_utility(p, plans[p.id], w)
         return total

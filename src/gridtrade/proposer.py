@@ -146,7 +146,7 @@ def find_worthy_fd_trade(
     table = market.table
     members = table.rows(ids)
     y = np.clip(state.plans[members], table.lower[members], table.upper[members])
-    program = welfare_program(market, members, y, announcements, np.zeros(announcements.shape))
+    program = welfare_program(market, members, y, announcements)
     sol = lp.solve(program) if warm is None else lp.solve(program, warm.start(announcements))
     if sol.status != "optimal":
         raise lp.LpError(f"trade search LP ended with status {sol.status}")

@@ -38,15 +38,25 @@ def scenario_rated_markets(count: int = 4):
     return markets
 
 
-def medium_full_markets(seed: int = 1):
-    """The benchmark's ``medium_full`` markets at ``seed``, drawn by ``bench/workloads.py``."""
+def _tier_markets(tier: str, seed: int):
+    """The markets of ``bench/workloads.py``'s ``tier`` at ``seed``."""
     bench = str(Path(__file__).resolve().parents[1] / "bench")
     sys.path.insert(0, bench)
     try:
         import workloads
     finally:
         sys.path.remove(bench)
-    return workloads.MEDIUM.markets(seed)
+    return getattr(workloads, tier).markets(seed)
+
+
+def medium_full_markets(seed: int = 1):
+    """The benchmark's ``medium_full`` markets at ``seed``, drawn by ``bench/workloads.py``."""
+    return _tier_markets("MEDIUM", seed)
+
+
+def dispatch_large_markets(seed: int = 1):
+    """The benchmark's ``dispatch_large`` markets at ``seed``, drawn by ``bench/workloads.py``."""
+    return _tier_markets("LARGE", seed)
 
 
 @pytest.fixture(scope="session")

@@ -175,6 +175,11 @@ class TestWelfareGap:
     def test_zero_for_dispatch_plan_itself(self, two_bus, two_bus_dispatch):
         assert welfare_gap(two_bus, two_bus_dispatch.plans, two_bus_dispatch) <= 1e-9
 
+    def test_missing_plan_names_the_participant(self, two_bus, two_bus_dispatch):
+        plans = {pid: plan for pid, plan in two_bus_dispatch.plans.items() if pid != "G3"}
+        with pytest.raises(KeyError, match="no plan for participant id 'G3'"):
+            welfare_gap(two_bus, plans, two_bus_dispatch)
+
 
 class TestArrowDebreu:
     def test_dispatch_tuple_is_an_equilibrium(self, two_bus, two_bus_dispatch):
@@ -197,6 +202,11 @@ class TestArrowDebreu:
         with pytest.raises(ValueError, match=r"^G3: plan .* outside bounds \[0.0, 100.0\] in scenario 1"):
             check_arrow_debreu(two_bus, plans, two_bus_dispatch.x, two_bus_dispatch.lambda_)
 
+    def test_missing_plan_names_the_participant(self, two_bus, two_bus_dispatch):
+        plans = {pid: plan for pid, plan in two_bus_dispatch.plans.items() if pid != "G3"}
+        with pytest.raises(KeyError, match="no plan for participant id 'G3'"):
+            check_arrow_debreu(two_bus, plans, two_bus_dispatch.x, two_bus_dispatch.lambda_)
+
     def test_plan_of_wrong_length_raises(self, two_bus, two_bus_dispatch):
         plans = dict(two_bus_dispatch.plans, G2=np.array([50.0]))
         with pytest.raises(ValueError):
@@ -206,7 +216,8 @@ class TestArrowDebreu:
         # Arrays inside: == is identity and hash works, as for trading records.
         lm = build_loading_matrix(two_bus.network)
         rows = np.ones((2, lm.rows.shape[0]), dtype=bool)
-        program = dispatch.welfare_program(two_bus, [0, 1], np.zeros((2, 2)), rows, lm.stacked_limits(2))
+        program = dispatch.welfare_program(two_bus, [0, 1], np.zeros((2, 2)), rows)
+        program = replace(program, b_ub=program.b_ub + lm.stacked_limits(2)[rows])
         for a, b in [
             (two_bus_dispatch, solve_dispatch(two_bus)),
             (lm, build_loading_matrix(two_bus.network)),
@@ -487,10 +498,9 @@ def shift_factor_dispatch(market, lm):
     loading-row duals ``beta``.
     """
     n_p, n_s, n_rows = len(market.participants), market.scenario_count, lm.rows.shape[0]
-    members, y = np.arange(n_p), np.zeros((n_p, n_s))
-    program = dispatch.welfare_program(
-        market, members, y, np.ones((n_s, n_rows), dtype=bool), lm.stacked_limits(n_s),
-    )
+    members, y, rows = np.arange(n_p), np.zeros((n_p, n_s)), np.ones((n_s, n_rows), dtype=bool)
+    program = dispatch.welfare_program(market, members, y, rows)
+    program = replace(program, b_ub=program.b_ub + lm.stacked_limits(n_s)[rows])
     sol = lp.solve(program)
     assert sol.status == "optimal"
     plans = dict(zip(market.participant_ids, dispatch.welfare_plans(market, members, sol.x)))

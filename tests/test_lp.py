@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 from scipy import sparse
+from scipy.optimize._highspy import _core as _highs
 from scipy.optimize._highspy._core import HighsBasis, HighsBasisStatus
 
 from gridtrade import lp as lp_mod
@@ -15,7 +16,7 @@ from gridtrade.lp import LinearProgram, LpNumericalError, _kkt_residuals, solve
 from gridtrade.proposer import ProposerStrategy, make_proposer
 from gridtrade.trading import EngineConfig, run_trading
 
-from conftest import fleet_markets
+from conftest import dispatch_large_markets, fleet_markets, medium_full_markets
 
 
 def kkt_holds(lp, sol, atol=1e-6):
@@ -263,13 +264,18 @@ def scipy_reference(lp):
     return _SCIPY_STATUS.get(res.status, f"scipy status {res.status}"), res
 
 
-def captured_programs(monkeypatch, run):
-    programs = []
+def captured_solves(monkeypatch, run):
+    """Every ``(program, start)`` that ``run`` hands ``lp.solve``."""
+    solves = []
     inner = lp_mod.solve
-    monkeypatch.setattr(lp_mod, "solve", lambda lp: programs.append(lp) or inner(lp))
+    monkeypatch.setattr(lp_mod, "solve", lambda lp, start=None: solves.append((lp, start)) or inner(lp, start))
     run()
     monkeypatch.undo()
-    return programs
+    return solves
+
+
+def captured_programs(monkeypatch, run):
+    return [lp for lp, _ in captured_solves(monkeypatch, run)]
 
 
 def assert_matches_scipy(lp):
@@ -310,20 +316,57 @@ def _dense_with_zeros(rng, m, n):
     return np.where(rng.random((m, n)) < 0.5, 0.0, rng.normal(size=(m, n)))
 
 
+def _stacked_rows(lp):
+    """The CSR of ``lp.a_ub`` over ``lp.a_eq``, each part's stored entries kept in their order."""
+    return sparse.vstack([sparse.csr_array(a) for a in (lp.a_ub, lp.a_eq)], format="csr")
+
+
+ROWWISE_MODEL = lp_mod.highs_model
+
+
+def columnwise_model(lp, scale):
+    """``highs_model``'s model with its matrix handed over column-wise, from scipy's CSC of the stack."""
+    model = ROWWISE_MODEL(lp, scale)
+    cols = _stacked_rows(lp).tocsc()
+    model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    model.a_matrix_.start_ = cols.indptr.tolist()
+    model.a_matrix_.index_ = cols.indices.tolist()
+    model.a_matrix_.value_ = cols.data.tolist()
+    return model
+
+
+def full_group_runs(markets):
+    """Full-group trading to the certificate, then the dispatch and its equilibrium check, on each market."""
+    for market in markets:
+        run_trading(market, EngineConfig(epsilon=1e-3), make_proposer(ProposerStrategy()))
+        dispatch_and_check(market)
+
+
+def dispatch_and_check(market):
+    solution = solve_dispatch(market)
+    check_arrow_debreu(market, solution.plans, solution.x, solution.lambda_)
+
+
 class TestColumns:
-    """``linprog`` hands HiGHS exactly the CSC arrays of the stacked ``a_ub``, ``a_eq``."""
+    """``highs_model`` hands HiGHS the CSR rows of the stacked ``a_ub``, ``a_eq``; HiGHS holds their CSC columns."""
 
     @staticmethod
     def assert_csc(lp):
-        parts = [lp.a_ub, lp.a_eq]
-        if any(sparse.issparse(a) for a in parts):
-            ref = sparse.vstack(parts, format="csc")
-        else:
-            ref = sparse.csc_array(np.vstack(parts))
-        start, index, value = lp_mod._columns(parts, lp.n_vars)
-        assert start == ref.indptr.tolist()
-        assert index == ref.indices.tolist()
-        assert value == ref.data.tolist()
+        rows = _stacked_rows(lp)
+        start, index, value = lp_mod._rows([lp.a_ub, lp.a_eq])
+        assert start == rows.indptr.tolist()
+        assert index == rows.indices.tolist()
+        assert value == rows.data.tolist()
+        highs = _highs._Highs()
+        highs.passOptions(lp_mod._options())
+        highs.passModel(lp_mod.highs_model(lp, 1.0))
+        held = highs.getLp().a_matrix_
+        cols = rows.tocsc()
+        cols.eliminate_zeros()  # HiGHS drops explicit zeros as it loads a model
+        assert held.format_ == _highs.MatrixFormat.kColwise
+        assert held.start_ == cols.indptr.tolist()
+        assert held.index_ == cols.indices.tolist()
+        assert held.value_ == cols.data.tolist()
 
     @pytest.mark.parametrize("ub, eq", [
         ("dense", "dense"), ("dense", None), (None, "dense"), (None, None),
@@ -343,15 +386,36 @@ class TestColumns:
             self.assert_csc(lp)
 
     def test_explicit_zeros_are_kept(self):
+        # One row storing column 1 (an explicit zero) before column 0: handed over as stored.
         a = sparse.csr_matrix((np.array([0.0, 2.0]), np.array([1, 0]), np.array([0, 2])), shape=(1, 2))
-        lp = LinearProgram(c=np.ones(2), a_ub=a, b_ub=np.ones(1))
-        assert lp_mod._columns([lp.a_ub, lp.a_eq], 2) == ([0, 1, 2], [0, 0], [2.0, 0.0])
+        lp = LinearProgram(c=np.ones(2), a_ub=a, b_ub=np.ones(1), a_eq=np.array([[0.0, 3.0]]), b_eq=np.ones(1))
+        assert lp_mod._rows([lp.a_ub, lp.a_eq]) == ([0, 2, 3], [1, 0, 1], [0.0, 2.0, 3.0])
         self.assert_csc(lp)
 
     def test_dispatch_programs(self, monkeypatch):
         markets = [two_bus_market(), *fleet_markets()[:10]]
         for lp in captured_programs(monkeypatch, lambda: [solve_dispatch(m) for m in markets]):
             self.assert_csc(lp)
+
+    def test_rowwise_and_columnwise_models_solve_alike(self, monkeypatch):
+        # The LPs of full-group fleet and medium_full runs and of dispatch_large's dispatch
+        # and equilibrium check, dense and CSR, each from its own start.
+        solves = captured_solves(monkeypatch, lambda: (
+            full_group_runs(fleet_markets()),
+            full_group_runs(medium_full_markets()),
+            [dispatch_and_check(m) for m in dispatch_large_markets()],
+        ))
+        assert any(sparse.issparse(program.a_ub) for program, _ in solves)
+        assert any(not sparse.issparse(program.a_ub) for program, _ in solves)
+
+        def solved(model, program, start):
+            monkeypatch.setattr(lp_mod, "highs_model", model)
+            status, highs, _ = lp_mod.linprog(program, start)
+            solution = highs.getSolution()
+            return status, [np.array(v).tobytes() for v in (solution.col_value, solution.col_dual, solution.row_dual)]
+
+        for program, start in solves:
+            assert solved(ROWWISE_MODEL, program, start) == solved(columnwise_model, program, start)
 
 
 def _solution(**residuals):

@@ -193,6 +193,12 @@ class TestTotalUtility:
         with pytest.raises(ValueError, match="outside bounds"):
             self.narrow_market().total_utility({"G": np.array([80.0])}, subjective=subjective)
 
+    def test_missing_plan_names_the_participant(self):
+        market = two_bus_market()
+        plans = {pid: np.zeros(2) for pid in market.participant_ids if pid != "G3"}
+        with pytest.raises(KeyError, match="no plan for participant id 'G3'"):
+            market.total_utility(plans)
+
 
 class TestUtilityTable:
     def test_built_on_first_use_and_kept(self):

@@ -8,7 +8,7 @@ from gridtrade.dispatch import solve_dispatch
 from gridtrade.market import Market
 from gridtrade.market_io import write_trace
 from gridtrade.network import BALANCE_TOL, Line, Network, ViolationReport, build_loading_matrix, check_feasible
-from gridtrade.participants import Participant, ScenarioSet, UtilityFunction
+from gridtrade.participants import LOCAL_TOL, Participant, ScenarioSet, UtilityFunction
 from gridtrade.proposer import ProposerStrategy, make_proposer
 from gridtrade.trading import (
     Certificate,
@@ -342,6 +342,39 @@ class TestWelfareDeltas:
             result = run_trading(market, EngineConfig(epsilon=1e-3), make_proposer(ProposerStrategy(), lm), lm)
             total = math.fsum(r.welfare_delta for r in result.state.records if r.accepted)
             assert abs(total - result.final_welfare) <= 1e-12 * (1.0 + abs(result.final_welfare))
+
+
+class TestLocalFeasibility:
+    RUNS = {
+        "fleet": (fleet_markets, EngineConfig(epsilon=1e-3), ProposerStrategy()),
+        "fleet_hybrid_random": (
+            fleet_markets, EngineConfig(epsilon=1e-3, curtailment_mode="hybrid"),
+            ProposerStrategy("random_subsets", max_size=3, attempts=6, seed=3),
+        ),
+        "medium_full": (medium_full_markets, EngineConfig(epsilon=1e-3), ProposerStrategy()),
+    }
+
+    @pytest.mark.parametrize("runs", RUNS)
+    def test_every_accepted_state_is_locally_feasible(self, monkeypatch, runs):
+        # Each accepted state's plans lie within their bounds and each day-ahead plan is flat, to LOCAL_TOL.
+        markets, config, strategy = self.RUNS[runs]
+        step, overshoots = trading.so_step, []
+
+        def recorded(state, trade, config, lm, market):
+            record, after = step(state, trade, config, lm, market)
+            if record.accepted:
+                table = market.table
+                spread = np.ptp(after.plans, axis=1)[table.day_ahead]
+                overshoots.append(max(
+                    float(np.max(table.lower - after.plans)), float(np.max(after.plans - table.upper)),
+                    float(np.max(spread, initial=0.0)),
+                ))
+            return record, after
+
+        monkeypatch.setattr(trading, "so_step", recorded)
+        for market in markets():
+            assert run_trading(market, config, make_proposer(strategy)).converged
+        assert overshoots and max(overshoots) <= LOCAL_TOL
 
 
 class TestAnnounce:
